@@ -24,10 +24,9 @@ from .netfiles import (NetfileError, load_geometry, load_mapping,
                        load_network, save_geometry, save_mapping,
                        save_network)
 from .open_system import (DensityMatrix, EfficiencyCurve, Liouvillian,
-                          NoSinkError, StateInvariantError, StiffnessError,
-                          TransportSpec, build_liouvillian, evolve,
-                          goldilocks_sweep, initial_excitation,
-                          transport_efficiency)
+                          NoSinkError, StateInvariantError, TransportSpec,
+                          build_liouvillian, evolve, goldilocks_sweep,
+                          initial_excitation, transport_efficiency)
 from .validation import (CorrespondenceCheck, ReportRoleError, SpeedupClass,
                          ValidationReport, approximation_bound, build_report,
                          check_isomorphism, classify_speedup,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,8 +37,8 @@ from .bose_hubbard import (BoseHubbardParams, EigenConvergenceError,
                            modulation_absorption)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
-from .open_system import (NoSinkError, StateInvariantError, StiffnessError,
-                          TransportSpec, goldilocks_sweep)
+from .open_system import (NoSinkError, StateInvariantError, TransportSpec,
+                          goldilocks_sweep)
 from .validation import (ReportRoleError, build_report, check_isomorphism,
                          classify_speedup, report_to_json)
 from .walk import (DephasingEnsembleSpec, dephased_walk, evolve_unitary,
@@ -99,6 +100,13 @@ class _Key:
     rest_of_line: bool = False
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _positive(x):
     return None if x > 0 else "must be positive"
 
@@ -134,25 +142,25 @@ _SCHEMAS = {
         "network": _Key(str, required=True, is_path=True),
         "source": _Key(int, required=True, check=_non_negative),
         "sink": _Key(int, required=True, check=_non_negative),
-        "trap_rate": _Key(float, required=True, check=_positive),
-        "recombination_rate": _Key(float, default=0.0, check=_non_negative),
-        "gamma_min": _Key(float, required=True, check=_positive),
-        "gamma_max": _Key(float, required=True, check=_positive),
+        "trap_rate": _Key(_finite_float, required=True, check=_positive),
+        "recombination_rate": _Key(_finite_float, default=0.0, check=_non_negative),
+        "gamma_min": _Key(_finite_float, required=True, check=_positive),
+        "gamma_max": _Key(_finite_float, required=True, check=_positive),
         "gamma_steps": _Key(int, required=True, check=_at_least(2)),
-        "t_max": _Key(float, default=1000.0, check=_positive),
-        "tol": _Key(float, default=1e-8, check=_positive),
-        "disorder_sigma": _Key(float, default=0.0, check=_non_negative),
+        "t_max": _Key(_finite_float, default=1000.0, check=_positive),
+        "tol": _Key(_finite_float, default=1e-8, check=_positive),
+        "disorder_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
         "seed": _Key(int),
     },
     "walk": {
         **_COMMON,
         "network": _Key(str, required=True, is_path=True),
         "input_mode": _Key(int, required=True, check=_non_negative),
-        "time": _Key(float, check=_non_negative),
-        "length": _Key(float, check=_non_negative),
-        "n_index": _Key(float, check=_positive),
+        "time": _Key(_finite_float, check=_non_negative),
+        "length": _Key(_finite_float, check=_non_negative),
+        "n_index": _Key(_finite_float, check=_positive),
         "n_segments": _Key(int, check=_at_least(1)),
-        "phase_sigma": _Key(float, default=0.0, check=_non_negative),
+        "phase_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
         "shots": _Key(int, check=_at_least(1)),
         "seed": _Key(int),
     },
@@ -160,14 +168,14 @@ _SCHEMAS = {
         **_COMMON,
         "L": _Key(int, required=True, check=_at_least(1)),
         "N": _Key(int, required=True, check=_non_negative),
-        "J": _Key(float, required=True, check=_non_negative),
-        "U": _Key(float, required=True, check=_non_negative),
-        "delta": _Key(float, required=True, check=_in_unit_tenth),
-        "nu_min": _Key(float, required=True, check=_non_negative),
-        "nu_max": _Key(float, required=True, check=_positive),
+        "J": _Key(_finite_float, required=True, check=_non_negative),
+        "U": _Key(_finite_float, required=True, check=_non_negative),
+        "delta": _Key(_finite_float, required=True, check=_in_unit_tenth),
+        "nu_min": _Key(_finite_float, required=True, check=_non_negative),
+        "nu_max": _Key(_finite_float, required=True, check=_positive),
         "nu_steps": _Key(int, required=True, check=_at_least(1)),
-        "t_drive": _Key(float, required=True, check=_positive),
-        "tol": _Key(float, default=1e-9, check=_positive),
+        "t_drive": _Key(_finite_float, required=True, check=_positive),
+        "tol": _Key(_finite_float, default=1e-9, check=_positive),
         "geometry": _Key(str, default="chain", check=_geometry),
         "rows": _Key(int, check=_at_least(1)),
         "cols": _Key(int, check=_at_least(1)),
@@ -176,9 +184,9 @@ _SCHEMAS = {
         **_COMMON,
         "L": _Key(int, required=True, check=_at_least(1)),
         "N": _Key(int, required=True, check=_non_negative),
-        "U": _Key(float, default=1.0, check=_positive),
-        "j_min": _Key(float, required=True, check=_positive),
-        "j_max": _Key(float, required=True, check=_positive),
+        "U": _Key(_finite_float, default=1.0, check=_positive),
+        "j_min": _Key(_finite_float, required=True, check=_positive),
+        "j_max": _Key(_finite_float, required=True, check=_positive),
         "j_steps": _Key(int, required=True, check=_at_least(2)),
         "k": _Key(int, default=10, check=_at_least(2)),
         "geometry": _Key(str, default="chain", check=_geometry),
@@ -190,7 +198,7 @@ _SCHEMAS = {
         "network_a": _Key(str, required=True, is_path=True),
         "network_b": _Key(str, required=True, is_path=True),
         "mapping": _Key(str, required=True, is_path=True),
-        "tolerance": _Key(float, required=True, check=_positive),
+        "tolerance": _Key(_finite_float, required=True, check=_positive),
         "role": _Key(str, default="simulation", check=_role),
         "hardness_proof": _Key(_parse_bool, required=True),
         "efficient_classical_known": _Key(_parse_bool, required=True),
@@ -616,7 +624,7 @@ def main(argv=None) -> int:
     except (StateInvariantError, ReportRoleError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (StiffnessError, EigenConvergenceError) as exc:
+    except EigenConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NoSinkError, ValueError) as exc:

@@ -55,6 +55,8 @@ class SiteNetwork:
         v = _frozen_array(self.couplings, float)
         if v.shape != (n, n):
             raise NetworkError(f"couplings shape {v.shape} does not match {n} sites")
+        if not (np.isfinite(eps).all() and np.isfinite(v).all()):
+            raise NetworkError("on-site energies and couplings must be finite")
         if not np.array_equal(v, v.T):
             raise NetworkError("couplings must be symmetric")
         if np.any(np.diagonal(v) != 0.0):
@@ -141,6 +143,11 @@ class MappingRecord:
         return MappingRecord(tuple(int(i) for i in inv), 1.0 / self.unit_scale)
 
 
+def _require_finite(entries: np.ndarray):
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix entries must be finite")
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian operator over a labelled finite basis.
@@ -157,12 +164,14 @@ class Hamiltonian:
         m = self.matrix
         if sp.issparse(m):
             m = m.tocsr(copy=True)
+            _require_finite(m.data)
             dev = abs(m - m.conjugate().T)
             deviation = dev.max() if dev.nnz else 0.0
         else:
             m = np.array(m, dtype=complex, copy=True)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"matrix must be square, got shape {m.shape}")
+            _require_finite(m)
             deviation = np.abs(m - m.conj().T).max() if m.size else 0.0
             m.setflags(write=False)
         if deviation > HERMITICITY_TOL:

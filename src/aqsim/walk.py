@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonians import Hamiltonian
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 NORM_TOL = 1e-10
-_EIGH_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,13 @@ class WalkState:
         amps = np.array(self.amplitudes, dtype=complex, copy=True)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must be a non-empty 1-d vector")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm_err = abs(np.vdot(amps, amps).real - 1.0)
         if norm_err > NORM_TOL:
             raise ValueError(f"norm drift {norm_err:.3e} exceeds {NORM_TOL}")
-        if self.time < 0:
-            raise ValueError("time must be non-negative")
+        if not 0 <= self.time < np.inf:
+            raise ValueError("time must be non-negative and finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "time", float(self.time))
@@ -70,8 +70,8 @@ class DephasingEnsembleSpec:
     def __post_init__(self):
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
-        if self.phase_sigma < 0:
-            raise ValueError("phase_sigma must be non-negative")
+        if not 0 <= self.phase_sigma < np.inf:
+            raise ValueError("phase_sigma must be non-negative and finite")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         object.__setattr__(self, "n_segments", int(self.n_segments))
@@ -81,12 +81,9 @@ class DephasingEnsembleSpec:
 
 
 def propagator(h: Hamiltonian, t: float) -> np.ndarray:
-    """Unitary exp(-iHt), by eigendecomposition up to dim 512, else expm."""
-    m = h.dense()
-    if h.dim <= _EIGH_LIMIT:
-        w, v = np.linalg.eigh(m)
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-    return scipy.linalg.expm(-1j * m * t)
+    """Unitary exp(-iHt), by eigendecomposition of the Hermitian H."""
+    w, v = np.linalg.eigh(h.dense())
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
@@ -99,13 +96,8 @@ def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
         amps = np.zeros(h.dim, dtype=complex)
         amps[input_mode] = 1.0
         return WalkState(amps, 0.0)
-    m = h.dense()
-    if h.dim <= _EIGH_LIMIT:
-        w, v = np.linalg.eigh(m)
-        amps = v @ (np.exp(-1j * w * t) * v[input_mode].conj())
-    else:
-        amps = scipy.linalg.expm(-1j * m * t)[:, input_mode]
-    return WalkState(amps, t)
+    w, v = np.linalg.eigh(h.dense())
+    return WalkState(v @ (np.exp(-1j * w * t) * v[input_mode].conj()), t)
 
 
 def length_to_time(z: float, n_index: float) -> float:

@@ -18,7 +18,7 @@ from aqsim.cli import main
 from aqsim.open_system import build_liouvillian, initial_excitation
 
 from conftest import DATA_DIR, detuned_dimer, disordered_seven_site, make_chain
-from oracles import (liouvillian_expm, random_density_matrix,
+from oracles import (liouvillian_runge_kutta, random_density_matrix,
                      random_transport_instance)
 
 GOLDILOCKS_GRID = np.geomspace(1e-3, 1e3, 13)
@@ -49,13 +49,13 @@ def test_criterion_01_oracle_equivalence_open_systems():
         gen = build_liouvillian(h, spec)
         rho0 = aqsim.DensityMatrix(random_density_matrix(rng, gen.dim))
         t = float(rng.uniform(0.0, 5.0))
-        out = aqsim.evolve(rho0, gen, t, tol=1e-10)
-        want = liouvillian_expm(gen.matrix, rho0.matrix, t)
+        out = aqsim.evolve(rho0, gen, t)
+        want = liouvillian_runge_kutta(gen.matrix, rho0.matrix, t)
         worst = max(worst, float(np.abs(out.matrix - want).max()))
     elapsed = time.monotonic() - start
-    assert worst <= 1e-8
+    assert 0.0 < worst <= 1e-8  # exactly 0 would mean the oracle shares the method
     assert elapsed <= 30.0
-    _report(1, f"200 random instances vs dense exponential: max entrywise "
+    _report(1, f"200 random instances vs Runge-Kutta oracle: max entrywise "
                f"error {worst:.2e} <= 1e-8 in {elapsed:.1f}s")
 
 
@@ -75,13 +75,13 @@ def test_criterion_02_conservation_suite():
         gen = build_liouvillian(h, spec)
         state = aqsim.DensityMatrix(random_density_matrix(rng, gen.dim))
         for t in (0.5, 2.0, 8.0):
-            track(aqsim.evolve(state, gen, t, tol=1e-9))
+            track(aqsim.evolve(state, gen, t))
     for h, spec in (detuned_dimer(), disordered_seven_site()):
         for gamma in (1e-3, 1.0, 1e3):
             gen = build_liouvillian(h, spec.with_uniform_dephasing(gamma))
             rho = initial_excitation(spec.n_sites, spec.source_site)
             for t in (5.0, 50.0):
-                track(aqsim.evolve(rho, gen, t, tol=1e-6))
+                track(aqsim.evolve(rho, gen, t))
     chain = make_chain(101)
     for t in (1.0, 5.0, 20.0):
         amps = aqsim.evolve_unitary(chain, 50, t).amplitudes

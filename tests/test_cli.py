@@ -68,6 +68,16 @@ def test_parse_descending_grid(tmp_path, data_dir):
         parse_config(text, base_dir=tmp_path)
 
 
+def test_parse_rejects_non_finite_floats(tmp_path, data_dir):
+    # every float key: inf or nan would otherwise reach the engines
+    text = sweep_config(data_dir).replace("trap_rate 1.0", "trap_rate inf")
+    text = text.replace("gamma_max 100.0", "gamma_max nan")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, base_dir=tmp_path)
+    assert "line 6: trap_rate: must be finite" in err.value.violations
+    assert "line 9: gamma_max: must be finite" in err.value.violations
+
+
 def test_parse_collects_all_violations(tmp_path):
     text = ("command enaqt-sweep\nnetwork missing.net\nsource -1\n"
             "trap_rate 0.0\ngamma_min 1.0\ngamma_max 0.1\ngamma_steps 1\n"

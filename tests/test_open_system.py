@@ -3,15 +3,17 @@ import pytest
 
 import aqsim
 from aqsim import (DensityMatrix, NoSinkError, StateInvariantError,
-                   StiffnessError, TransportSpec)
+                   TransportSpec, WalkState)
+from aqsim.hamiltonians import NetworkError
 from aqsim.open_system import build_liouvillian, initial_excitation
 
 from conftest import detuned_dimer, make_chain
-from oracles import liouvillian_expm, random_density_matrix, random_transport_instance
+from oracles import (liouvillian_runge_kutta, random_density_matrix,
+                     random_transport_instance)
 
 # Sink population of the detuned dimer at t = 300 over geomspace(0.01, 100, 9),
-# tabulated with the dense-exponential oracle (oracles.liouvillian_expm) before
-# the integrator existed.
+# tabulated with a dense exponential of the generator before any integrator
+# existed.
 DIMER_GAMMA_GRID = np.geomspace(0.01, 100.0, 9)
 DIMER_ETA_ORACLE = np.array([
     0.437335315918, 0.445716970175, 0.470216955390, 0.531820500689,
@@ -40,6 +42,32 @@ def test_density_matrix_invariants():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: WalkState([NAN, 0.0], 0.0), ValueError),
+    (lambda: WalkState([INF, 0.0], 0.0), ValueError),
+    (lambda: WalkState([1.0, 0.0], NAN), ValueError),
+    (lambda: aqsim.DephasingEnsembleSpec(4, INF, 10, 1), ValueError),
+    (lambda: aqsim.Hamiltonian([[NAN, 0.0], [0.0, 1.0]]), ValueError),
+    (lambda: aqsim.Hamiltonian([[INF, 0.0], [0.0, 1.0]]), ValueError),
+    (lambda: aqsim.SiteNetwork([NAN, 0.0], np.zeros((2, 2))), NetworkError),
+    (lambda: aqsim.SiteNetwork([0.0, 0.0], [[0.0, INF], [INF, 0.0]]), NetworkError),
+    (lambda: DensityMatrix(np.full((2, 2), NAN)), StateInvariantError),
+    (lambda: TransportSpec(0, 1, INF, 0.0, np.zeros(2)), ValueError),
+    (lambda: TransportSpec(0, 1, 1.0, NAN, np.zeros(2)), ValueError),
+    (lambda: TransportSpec(0, 1, 1.0, 0.0, [0.1, NAN]), ValueError),
+    (lambda: aqsim.transport_efficiency(*detuned_dimer(), t_max=INF), ValueError),
+], ids=["walk-nan", "walk-inf", "walk-time-nan", "phase-sigma-inf",
+        "hamiltonian-nan", "hamiltonian-inf", "network-on-site-nan",
+        "network-coupling-inf", "density-nan", "trap-inf", "recombination-nan",
+        "dephasing-nan", "horizon-inf"])
+def test_invariant_checks_reject_non_finite_entries(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
+
+
 def test_liouvillian_preserves_trace():
     # 2-site system with every channel on: Tr(L rho) = 0 for random rho
     h, spec = detuned_dimer()
@@ -59,7 +87,7 @@ def test_closed_limit_conserves_purity():
     spec = TransportSpec(0, 2, 0.0, 0.0, np.zeros(3))
     gen = build_liouvillian(h, spec)
     rho = initial_excitation(3, 0)
-    out = aqsim.evolve(rho, gen, 2.5, tol=1e-10)
+    out = aqsim.evolve(rho, gen, 2.5)
     assert abs(out.purity() - 1.0) <= 1e-9
 
 
@@ -68,7 +96,7 @@ def test_single_site_dephasing_is_null():
     h = aqsim.Hamiltonian([[0.0]])
     spec = TransportSpec(0, 0, 0.0, 0.0, [0.8])
     gen = build_liouvillian(h, spec)
-    out = aqsim.evolve(initial_excitation(1, 0), gen, 3.0, tol=1e-10)
+    out = aqsim.evolve(initial_excitation(1, 0), gen, 3.0)
     assert out.population(0) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -84,9 +112,9 @@ def test_closed_dimer_rabi_oscillation():
     h = make_chain(2)
     spec = TransportSpec(0, 1, 0.0, 0.0, np.zeros(2))
     gen = build_liouvillian(h, spec)
-    out = aqsim.evolve(initial_excitation(2, 0), gen, np.pi / 2, tol=1e-10)
+    out = aqsim.evolve(initial_excitation(2, 0), gen, np.pi / 2)
     assert out.population(1) == pytest.approx(1.0, abs=1e-8)
-    mid = aqsim.evolve(initial_excitation(2, 0), gen, 0.7, tol=1e-10)
+    mid = aqsim.evolve(initial_excitation(2, 0), gen, 0.7)
     assert mid.population(1) == pytest.approx(np.sin(0.7) ** 2, abs=1e-8)
 
 
@@ -97,8 +125,8 @@ def test_evolve_matches_dense_exponential_oracle():
         gen = build_liouvillian(h, spec)
         rho0 = DensityMatrix(random_density_matrix(rng, gen.dim))
         t = float(rng.uniform(0.0, 5.0))
-        out = aqsim.evolve(rho0, gen, t, tol=1e-10)
-        want = liouvillian_expm(gen.matrix, rho0.matrix, t)
+        out = aqsim.evolve(rho0, gen, t)
+        want = liouvillian_runge_kutta(gen.matrix, rho0.matrix, t)
         assert np.abs(out.matrix - want).max() <= 1e-8
 
 
@@ -109,17 +137,18 @@ def test_evolve_rejects_bad_arguments():
     with pytest.raises(ValueError):
         aqsim.evolve(rho, gen, -1.0)
     with pytest.raises(ValueError):
-        aqsim.evolve(rho, gen, 1.0, tol=0.0)
-    with pytest.raises(ValueError):
         aqsim.evolve(initial_excitation(3, 0), gen, 1.0)
 
 
-def test_stiffness_error_names_rates():
+@pytest.mark.parametrize("gamma", [1e6, 1e18])
+def test_absurd_dephasing_gives_zeno_frozen_state(gamma):
+    # hopping out of the source slows to the rate 2 C^2 / gamma, so the
+    # evolved state is valid and the source keeps 1 - 2 C^2 t / gamma
     h = make_chain(2)
-    spec = TransportSpec(0, 1, 1.0, 0.0, np.full(2, 1e18))
+    spec = TransportSpec(0, 1, 1.0, 0.0, np.full(2, gamma))
     gen = build_liouvillian(h, spec)
-    with pytest.raises(StiffnessError, match="dephasing rate 1e\\+18"):
-        aqsim.evolve(initial_excitation(2, 0), gen, 10.0)
+    out = aqsim.evolve(initial_excitation(2, 0), gen, 10.0)
+    assert out.population(0) == pytest.approx(1.0 - 20.0 / gamma, abs=1e-9)
 
 
 def test_efficiency_requires_sink():
@@ -160,7 +189,7 @@ def test_monotone_sink_accumulation():
     rho = initial_excitation(2, 0)
     last = 0.0
     for t in np.linspace(0.5, 30.0, 20):
-        sink = aqsim.evolve(rho, gen, float(t), tol=1e-10).population(gen.sink_index)
+        sink = aqsim.evolve(rho, gen, float(t)).population(gen.sink_index)
         assert sink >= last - 1e-10
         last = sink
 
@@ -174,15 +203,6 @@ def test_goldilocks_sweep_range_and_determinism():
     assert np.all((a.efficiencies >= 0) & (a.efficiencies <= 1))
     assert np.array_equal(a.efficiencies, b.efficiencies)
     assert a.h_hash == h.content_hash()
-
-
-def test_goldilocks_sweep_parallel_matches_serial():
-    h, spec = detuned_dimer()
-    grid = np.geomspace(0.1, 10.0, 4)
-    serial = aqsim.goldilocks_sweep(h, spec, grid, t_max=60.0, tol=1e-8)
-    threaded = aqsim.goldilocks_sweep(h, spec, grid, t_max=60.0, tol=1e-8, workers=4)
-    assert np.array_equal(serial.efficiencies, threaded.efficiencies)
-    assert serial.converged == threaded.converged
 
 
 def test_detuned_dimer_has_interior_maximum():

@@ -60,8 +60,8 @@ def test_walk_state_norm_guard():
         WalkState(np.array([1.0, 0.5]), 0.0)
 
 
-def test_large_dimension_uses_scaling_and_squaring():
-    # above the eigendecomposition cutoff the expm path must agree
+def test_large_chain_matches_small_chain_in_the_bulk():
+    # far from both boundaries a long chain evolves like a short one
     n = 515
     h = make_chain(n)
     t = 1.3
@@ -132,8 +132,7 @@ def test_ensemble_matches_lindblad_at_equivalent_rate():
     t, gamma = 2.0, 0.5
     spec_open = aqsim.TransportSpec(0, 2, 0.0, 0.0, np.full(3, gamma))
     gen = aqsim.build_liouvillian(h, spec_open)
-    lind = aqsim.evolve(aqsim.initial_excitation(3, 0), gen, t,
-                        tol=1e-10).populations()[:3]
+    lind = aqsim.evolve(aqsim.initial_excitation(3, 0), gen, t).populations()[:3]
     for segs in (40, 80):  # also checks convergence in the discretization
         sigma = np.sqrt(gamma * t / segs)
         spec = DephasingEnsembleSpec(segs, sigma, 10_000, seed=4242)
