@@ -44,6 +44,17 @@ class FockBasis:
     States are ordered lexicographically with the first site most
     significant, descending: for 2 sites / 2 bosons the order is
     (2,0), (1,1), (0,2).
+
+    A state's index is its rank in that order, computed rather than looked
+    up (the combinatorial number system).  The states that precede a state
+    n agree with it up to some site p and hold more bosons there, so fewer
+    than a_p = N - (n_0 + ... + n_p) on the L - 1 - p sites after it.
+    There are as many of those as ways to put a_p - 1 bosons on L - p
+    sites, C(a_p + L - p - 2, a_p - 1), and the rank is their sum over p.
+    A table of C(b + s - 1, b), the fillings of s sites with b bosons,
+    makes that one vectorized pass over any batch of occupation rows.
+    ``states`` must be the full basis in this order, as enumerate_basis
+    builds it.
     """
 
     def __init__(self, n_sites: int, n_bosons: int, states: np.ndarray):
@@ -51,21 +62,39 @@ class FockBasis:
         self.n_bosons = int(n_bosons)
         self.states = states
         self.states.setflags(write=False)
-        self._index = {tuple(row): i for i, row in enumerate(states)}
+        self._fillings = np.array(
+            [[math.comb(b + s - 1, b) if s else int(b == 0)
+              for b in range(self.n_bosons + 1)]
+             for s in range(self.n_sites + 1)], dtype=np.int64)
+        self._labels = None
+        if (states.shape != (basis_size(self.n_sites, self.n_bosons), self.n_sites)
+                or states.min() < 0 or np.any(states.sum(axis=1) != self.n_bosons)
+                or not np.array_equal(self._rank(states), np.arange(len(states)))):
+            raise ValueError("states must be the full basis in enumeration order")
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    def _rank(self, occ: np.ndarray) -> np.ndarray:
+        """Basis positions of a batch of valid occupation rows."""
+        after = self.n_bosons - np.cumsum(occ, axis=1)
+        sites_from = np.arange(self.n_sites, 0, -1)  # L - p at site p
+        preceding = self._fillings[sites_from, np.maximum(after - 1, 0)]
+        return np.where(after > 0, preceding, 0).sum(axis=1)
+
     def index(self, occupation) -> int:
         """Position of an occupation vector in the basis ordering."""
         key = tuple(int(n) for n in occupation)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"{key} is not a state of this basis") from None
+        if (len(key) != self.n_sites or min(key) < 0
+                or sum(key) != self.n_bosons):
+            raise KeyError(f"{key} is not a state of this basis")
+        return int(self._rank(np.array([key], dtype=np.int64))[0])
 
     def labels(self) -> tuple:
-        return tuple(",".join(str(n) for n in row) for row in self.states)
+        if self._labels is None:
+            self._labels = tuple(",".join(map(str, row))
+                                 for row in self.states.tolist())
+        return self._labels
 
 
 def basis_size(n_sites: int, n_bosons: int) -> int:
@@ -181,29 +210,33 @@ def onsite_pair_count(basis: FockBasis) -> np.ndarray:
     return (occ * (occ - 1)).sum(axis=1) / 2.0
 
 
+def _hops(basis: FockBasis, src: int, dst: int) -> tuple:
+    """b_dst^dag b_src on the basis: sources, targets and matrix elements.
+
+    The sources are the states with a boson on src; each goes to one
+    target with element sqrt(n_src (n_dst + 1)).
+    """
+    (sources,) = np.nonzero(basis.states[:, src])
+    moved = basis.states[sources]
+    amps = np.sqrt(moved[:, src] * (moved[:, dst] + 1))
+    moved[:, src] -= 1
+    moved[:, dst] += 1
+    return sources, basis._rank(moved), amps
+
+
 def hopping_matrix(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:
     """Sparse kinetic part -J sum_<j,k> (b_j^dag b_k + h.c.) on the basis."""
     if params.n_sites != basis.n_sites:
         raise ValueError(
             f"geometry has {params.n_sites} sites, basis has {basis.n_sites}")
     dim = len(basis)
-    rows, cols, vals = [], [], []
-    occ = basis.states
-    for s in range(dim):
-        state = occ[s]
-        for j, k in params.edges:
-            for src, dst in ((k, j), (j, k)):
-                if state[src] == 0:
-                    continue
-                target = state.copy()
-                target[src] -= 1
-                target[dst] += 1
-                t = basis.index(target)
-                amp = -params.hopping * math.sqrt(state[src] * (state[dst] + 1))
-                rows.append(t)
-                cols.append(s)
-                vals.append(amp)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    hops = [_hops(basis, src, dst)
+            for j, k in params.edges for src, dst in ((k, j), (j, k))]
+    if not hops:
+        return sp.csr_matrix((dim, dim))
+    sources, targets, amps = (np.concatenate(part) for part in zip(*hops))
+    mat = sp.coo_matrix((-params.hopping * amps, (targets, sources)),
+                        shape=(dim, dim))
     return mat.tocsr()
 
 
@@ -225,7 +258,8 @@ def low_spectrum(h: Hamiltonian, k: int) -> tuple:
     """k lowest eigenpairs, ascending; each residual checked to 1e-9 ||H||.
 
     Small or near-full problems go through dense eigh; larger sparse ones
-    through Lanczos (ARPACK) with a deterministic start vector.
+    through Lanczos (ARPACK) with a deterministic start vector and a
+    Lanczos space of 3k vectors (at least 20).
     """
     dim = h.dim
     if not 1 <= k <= dim:
@@ -238,6 +272,7 @@ def low_spectrum(h: Hamiltonian, k: int) -> tuple:
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
             vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0,
+                               ncv=min(dim - 1, max(3 * k, 20)),
                                maxiter=max(10 * dim, 10000))
         except ArpackNoConvergence as exc:
             raise EigenConvergenceError(
@@ -259,28 +294,13 @@ def one_body_density_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     if psi.size != len(basis):
         raise ValueError("state length does not match basis size")
     n = basis.n_sites
-    occ = basis.states
     rho = np.zeros((n, n), dtype=complex)
-    probs = np.abs(psi) ** 2
+    rho[np.diag_indices(n)] = (np.abs(psi) ** 2) @ basis.states
     for i in range(n):
-        rho[i, i] = float(probs @ occ[:, i])
-    for s in range(len(basis)):
-        amp = psi[s]
-        if amp == 0:
-            continue
-        state_occ = occ[s]
-        for j in range(n):
-            if state_occ[j] == 0:
-                continue
-            for i in range(n):
-                if i == j:
-                    continue
-                target = state_occ.copy()
-                target[j] -= 1
-                target[i] += 1
-                t = basis.index(target)
-                rho[i, j] += np.conj(psi[t]) * math.sqrt(
-                    state_occ[j] * (state_occ[i] + 1)) * amp
+        for j in range(i + 1, n):
+            sources, targets, amps = _hops(basis, j, i)
+            rho[i, j] = np.vdot(psi[targets], amps * psi[sources])
+            rho[j, i] = np.conj(rho[i, j])
     return rho
 
 
@@ -384,28 +404,25 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
                               float(delta), float(t_drive))
 
 
-def drive_coupled_gap(params: BoseHubbardParams, basis: FockBasis,
-                      k: int = 10, coupling_floor: float = 1e-8) -> float:
+def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray,
+                      basis: FockBasis, coupling_floor: float = 1e-8) -> float:
     """Lowest excitation gap reachable by the interaction modulation.
 
-    Diagonalizes the lowest k states and returns min(E_i - E_0) over excited
-    states whose pair-count matrix element with the ground state is
-    non-negligible relative to ||pair-count applied to the ground state||.
+    Takes the k lowest eigenpairs as low_spectrum returns them and returns
+    min(E_i - E_0) over excited states whose pair-count matrix element with
+    the ground state is non-negligible relative to ||pair-count applied to
+    the ground state||.
     """
-    dim = basis_size(basis.n_sites, basis.n_bosons)
-    k = min(k, dim)
-    vals, vecs = low_spectrum(build_bh(params, basis), k)
-    pairs = onsite_pair_count(basis)
-    psi0 = vecs[:, 0]
-    driven = pairs * psi0
+    k = len(energies)
+    driven = onsite_pair_count(basis) * vectors[:, 0]
     scale = np.linalg.norm(driven)
     if scale == 0:
         raise ValueError("drive operator annihilates the ground state")
     for i in range(1, k):
-        gap = vals[i] - vals[0]
+        gap = energies[i] - energies[0]
         if gap <= 1e-10:
             continue
-        if abs(np.vdot(vecs[:, i], driven)) > coupling_floor * scale:
+        if abs(np.vdot(vectors[:, i], driven)) > coupling_floor * scale:
             return float(gap)
     raise ValueError(
         f"no drive-coupled excitation among the lowest {k} states; raise k")

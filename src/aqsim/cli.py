@@ -31,10 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bose_hubbard import (BoseHubbardParams, EigenConvergenceError,
-                           condensate_fraction, drive_coupled_gap,
-                           enumerate_basis, low_spectrum, build_bh,
-                           modulation_absorption)
+from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
+                           EigenConvergenceError, condensate_fraction,
+                           drive_coupled_gap, enumerate_basis, low_spectrum,
+                           build_bh, modulation_absorption)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
 from .open_system import (NoSinkError, StateInvariantError, TransportSpec,
@@ -522,12 +522,13 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     grid = np.geomspace(v["j_min"], v["j_max"], v["j_steps"])
+    k = min(v["k"], len(basis))
     rows = []
     for j in grid:
         params = _bh_params(v, j * v["U"], v["U"])
-        gap = drive_coupled_gap(params, basis, k=v["k"])
-        _, vecs = low_spectrum(build_bh(params, basis), 1)
-        fraction = condensate_fraction(vecs[:, 0], basis)
+        energies, vectors = low_spectrum(build_bh(params, basis), k)
+        gap = drive_coupled_gap(energies, vectors, basis)
+        fraction = condensate_fraction(vectors[:, 0], basis)
         rows.append((j, gap, fraction))
     meta = _meta(config)
     out = config.path("output")
@@ -618,7 +619,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except NetfileError as exc:
+    except (NetfileError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StateInvariantError, ReportRoleError) as exc:

@@ -4,10 +4,15 @@ These deliberately avoid the code paths they validate: the master-equation
 oracle integrates the ODE with an adaptive Runge-Kutta stepper (the
 implementation takes a dense matrix exponential), the chain oracle is the
 closed-form eigensystem (the implementation calls a numerical eigensolver),
-and the strong-dephasing oracle is a classical Markov chain.
+the strong-dephasing oracle is a classical Markov chain, and the Fock-space
+oracles find each hop's target state in a dict of occupation tuples, one
+state at a time (the implementation ranks whole batches of states).
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 
@@ -78,3 +83,48 @@ def random_transport_instance(rng: np.random.Generator, max_sites: int = 4):
         recombination_rate=float(rng.uniform(0.0, 0.5)),
         dephasing_rates=rng.uniform(0.0, 2.0, n))
     return h, spec
+
+
+def fock_lookup(basis) -> dict:
+    """Occupation tuple -> basis position, read off the enumerated states."""
+    return {tuple(int(n) for n in row): i for i, row in enumerate(basis.states)}
+
+
+def hopping_matrix_by_lookup(params, basis) -> sp.csr_matrix:
+    """-J sum_<j,k> (b_j^dag b_k + h.c.), one state and one edge at a time."""
+    lookup = fock_lookup(basis)
+    rows, cols, vals = [], [], []
+    for s, state in enumerate(basis.states):
+        for j, k in params.edges:
+            for src, dst in ((k, j), (j, k)):
+                if state[src] == 0:
+                    continue
+                target = state.copy()
+                target[src] -= 1
+                target[dst] += 1
+                rows.append(lookup[tuple(int(n) for n in target)])
+                cols.append(s)
+                vals.append(-params.hopping * math.sqrt(state[src] * (state[dst] + 1)))
+    dim = len(basis)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def one_body_density_matrix_by_lookup(psi: np.ndarray, basis) -> np.ndarray:
+    """<b_i^dag b_j> summed state by state over every ordered pair (i, j)."""
+    lookup = fock_lookup(basis)
+    n = basis.n_sites
+    rho = np.zeros((n, n), dtype=complex)
+    for s, state in enumerate(basis.states):
+        for j in range(n):
+            if state[j] == 0:
+                continue
+            for i in range(n):
+                if i == j:
+                    rho[i, i] += abs(psi[s]) ** 2 * state[i]
+                    continue
+                target = state.copy()
+                target[j] -= 1
+                target[i] += 1
+                t = lookup[tuple(int(m) for m in target)]
+                rho[i, j] += np.conj(psi[t]) * math.sqrt(state[j] * (state[i] + 1)) * psi[s]
+    return rho

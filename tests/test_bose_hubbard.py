@@ -8,7 +8,8 @@ import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams
 from aqsim.bose_hubbard import basis_size, hopping_matrix, onsite_pair_count
 
-from oracles import chain_eigensystem
+from oracles import (chain_eigensystem, hopping_matrix_by_lookup,
+                     one_body_density_matrix_by_lookup)
 
 SQRT17 = math.sqrt(17.0)
 
@@ -36,6 +37,40 @@ def test_basis_index_bijective():
         assert basis.index(state) == i
     with pytest.raises(KeyError):
         basis.index((3, 1, 0))  # wrong total
+
+
+@pytest.mark.parametrize("sites, bosons", [(1, 0), (1, 4), (3, 0), (2, 5),
+                                            (4, 4), (5, 3), (7, 2)])
+def test_basis_index_round_trips_and_rejects_non_states(sites, bosons):
+    basis = aqsim.enumerate_basis(sites, bosons)
+    for i, state in enumerate(basis.states):
+        assert basis.index(state) == i
+        assert basis.index(list(state)) == i
+    state = list(basis.states[-1])
+    wrong_total = state[:-1] + [state[-1] + 1]
+    wrong_length = state + [0]
+    negative = [bosons + 1] + [0] * (sites - 2) + [-1] if sites > 1 else [-1]
+    for bad in (wrong_total, wrong_length, negative, state[:-1]):
+        with pytest.raises(KeyError):
+            basis.index(bad)
+
+
+def test_fock_basis_rejects_states_out_of_order():
+    states = aqsim.enumerate_basis(3, 2).states
+    with pytest.raises(ValueError, match="enumeration order"):
+        aqsim.FockBasis(3, 2, states[::-1].copy())
+    with pytest.raises(ValueError, match="enumeration order"):
+        aqsim.FockBasis(3, 2, states[1:].copy())
+    with pytest.raises(ValueError, match="enumeration order"):
+        aqsim.FockBasis(3, 3, states.copy())
+
+
+def test_basis_labels_are_built_once():
+    basis = aqsim.enumerate_basis(2, 2)
+    assert basis.labels() == ("2,0", "1,1", "0,2")
+    assert basis.labels() is basis.labels()
+    params = BoseHubbardParams.chain(2, 1.0, 1.0)
+    assert aqsim.build_bh(params, basis).basis_labels is basis.labels()
 
 
 def test_basis_cap():
@@ -231,14 +266,17 @@ def test_drive_coupled_gap_skips_uncoupled_state():
     # first excited state (antisymmetric, gap (1+sqrt17)/2 - E0 ... ) has no
     # pair-count matrix element; the reported gap is the symmetric one
     basis = aqsim.enumerate_basis(2, 2)
-    gap = aqsim.drive_coupled_gap(BoseHubbardParams.chain(2, 1.0, 1.0), basis, k=3)
+    h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
+    gap = aqsim.drive_coupled_gap(*aqsim.low_spectrum(h, 3), basis)
     assert gap == pytest.approx(SQRT17, abs=1e-9)
 
 
 def test_gap_softens_toward_crossover():
     basis = aqsim.enumerate_basis(6, 6)
-    gaps = [aqsim.drive_coupled_gap(BoseHubbardParams.chain(6, j, 1.0), basis, k=8)
-            for j in (0.02, 0.05, 0.1, 0.2)]
+    gaps = []
+    for j in (0.02, 0.05, 0.1, 0.2):
+        h = aqsim.build_bh(BoseHubbardParams.chain(6, j, 1.0), basis)
+        gaps.append(aqsim.drive_coupled_gap(*aqsim.low_spectrum(h, 8), basis))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
@@ -247,3 +285,29 @@ def test_pair_count_diagonal():
     assert np.array_equal(onsite_pair_count(basis), [1.0, 0.0, 1.0])
     hop = hopping_matrix(BoseHubbardParams.chain(2, 1.0, 9.9), basis)
     assert hop[basis.index((2, 0)), basis.index((1, 1))] == pytest.approx(-np.sqrt(2))
+
+
+@pytest.mark.parametrize("params, bosons", [
+    (BoseHubbardParams.chain(5, 0.7, 1.0), 5),
+    (BoseHubbardParams.plaquette(2, 3, 1.3, 0.4), 4),
+    (BoseHubbardParams.chain(1, 1.0, 1.0), 3),      # one site: no hops
+    (BoseHubbardParams.chain(4, 1.0, 1.0), 0),      # vacuum
+], ids=["chain5-N5", "plaquette2x3-N4", "L1", "N0"])
+def test_hopping_matrix_matches_lookup_oracle_exactly(params, bosons):
+    basis = aqsim.enumerate_basis(params.n_sites, bosons)
+    got = hopping_matrix(params, basis)
+    want = hopping_matrix_by_lookup(params, basis)
+    assert got.shape == want.shape == (len(basis), len(basis))
+    assert got.nnz == want.nnz
+    assert np.array_equal(got.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("sites, bosons", [(5, 5), (6, 4), (1, 3), (3, 1)])
+def test_one_body_density_matrix_matches_lookup_oracle(sites, bosons):
+    rng = np.random.default_rng(2010)
+    basis = aqsim.enumerate_basis(sites, bosons)
+    psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    psi /= np.linalg.norm(psi)
+    got = aqsim.one_body_density_matrix(psi, basis)
+    want = one_body_density_matrix_by_lookup(psi, basis)
+    assert np.abs(got - want).max() <= 1e-13

@@ -242,6 +242,61 @@ output scan.csv
     assert gaps[0] > gaps[-1]  # softening visible even on the small chain
 
 
+def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv"):
+    return write_config(tmp_path, "scan.cfg", f"""command bh-scan
+L {sites}
+N {bosons}
+j_min 0.02
+j_max 0.2
+j_steps {j_steps}
+k {k}
+output {output}
+""")
+
+
+def test_bh_scan_oversized_basis_is_a_config_error(tmp_path, capsys):
+    cfg = scan_config(tmp_path, 14, 14)
+    assert main(["bh-scan", str(cfg)]) == 2
+    assert "over the cap" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+    assert not (tmp_path / "scan.csv.meta.json").exists()
+
+
+def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
+    import aqsim.cli
+
+    calls = []
+
+    def counting(h, k):
+        calls.append(k)
+        return aqsim.low_spectrum(h, k)
+
+    monkeypatch.setattr(aqsim.cli, "low_spectrum", counting)
+    cfg = scan_config(tmp_path, 6, 6, k=10, j_steps=4)  # 462 states: Lanczos path
+    assert main(["bh-scan", str(cfg)]) == 0
+    assert calls == [10] * 4
+
+
+def test_bh_scan_k_above_basis_size(tmp_path):
+    cfg = scan_config(tmp_path, 2, 2, k=10)  # 3 states
+    assert main(["bh-scan", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "scan.csv")
+    assert len(rows) == 3
+    assert all(float(r[1]) > 0 for r in rows)
+    sidecar = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert sidecar["basis_states"] == 3 and sidecar["k"] == 10
+
+
+def test_bh_scan_is_byte_identical_on_rerun(tmp_path):
+    cfg = scan_config(tmp_path, 6, 6, k=10)
+    assert main(["bh-scan", str(cfg)]) == 0
+    first_csv = (tmp_path / "scan.csv").read_bytes()
+    first_meta = (tmp_path / "scan.csv.meta.json").read_bytes()
+    assert main(["bh-scan", str(cfg)]) == 0
+    assert (tmp_path / "scan.csv").read_bytes() == first_csv
+    assert (tmp_path / "scan.csv.meta.json").read_bytes() == first_meta
+
+
 def validate_config(data_dir, role="simulation"):
     return f"""command validate
 network_a {data_dir}/wg7.net
