@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .bose_hubbard import (AbsorptionSpectrum, BasisSizeError,
                            BoseHubbardParams, EigenConvergenceError,
-                           FockBasis, build_bh, chain_edges,
-                           condensate_fraction, drive_coupled_gap,
-                           enumerate_basis, low_spectrum,
+                           FockBasis, NegativeAbsorptionError, build_bh,
+                           chain_edges, condensate_fraction,
+                           drive_coupled_gap, enumerate_basis, low_spectrum,
                            modulation_absorption, one_body_density_matrix,
                            onsite_pair_count, plaquette_edges)
 from .hamiltonians import (GeometryError, Hamiltonian, MappingError,

@@ -38,6 +38,10 @@ class EigenConvergenceError(RuntimeError):
     """Sparse eigensolver failed to converge within its iteration cap."""
 
 
+class NegativeAbsorptionError(RuntimeError):
+    """A driven state ended below the ground-state energy."""
+
+
 class FockBasis:
     """Occupation-number states for n_sites sites and n_bosons conserved bosons.
 
@@ -243,8 +247,11 @@ def hopping_matrix(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix
 def build_bh(params: BoseHubbardParams, basis: FockBasis) -> Hamiltonian:
     """Assemble the sparse Hermitian Bose-Hubbard Hamiltonian."""
     diag = params.interaction * onsite_pair_count(basis)
-    mat = hopping_matrix(params, basis) + sp.diags(diag)
-    return Hamiltonian(mat.tocsr(), basis.labels())
+    return _assemble(hopping_matrix(params, basis), diag, basis)
+
+
+def _assemble(hop: sp.csr_matrix, diag: np.ndarray, basis: FockBasis) -> Hamiltonian:
+    return Hamiltonian((hop + sp.diags(diag)).tocsr(), basis.labels())
 
 
 def _matrix_scale(m) -> float:
@@ -376,7 +383,7 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     hop = hopping_matrix(params, basis)
     pairs = onsite_pair_count(basis)
     diag0 = params.interaction * pairs
-    (e0,), vecs = low_spectrum(build_bh(params, basis), 1)
+    (e0,), vecs = low_spectrum(_assemble(hop, diag0, basis), 1)
     psi0 = vecs[:, 0].astype(complex)
     drive_scale = params.interaction * delta
 
@@ -397,7 +404,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
         energy = float(np.vdot(psi, hop @ psi).real + diag0 @ (np.abs(psi) ** 2))
         gain = energy - e0
         if gain < -1e-9:
-            raise RuntimeError(f"absorbed energy {gain:.3e} below -1e-9 at nu={nu:g}")
+            raise NegativeAbsorptionError(
+                f"absorbed energy {gain:.3e} below -1e-9 at nu={nu:g}")
         return gain
 
     return AbsorptionSpectrum(grid, np.array([absorbed(nu) for nu in grid]),

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           EigenConvergenceError, condensate_fraction,
-                           drive_coupled_gap, enumerate_basis, low_spectrum,
-                           build_bh, modulation_absorption)
+                           EigenConvergenceError, NegativeAbsorptionError,
+                           condensate_fraction, drive_coupled_gap,
+                           enumerate_basis, low_spectrum, build_bh,
+                           modulation_absorption)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
 from .open_system import (NoSinkError, StateInvariantError, TransportSpec,
@@ -622,10 +623,10 @@ def main(argv=None) -> int:
     except (NetfileError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StateInvariantError, ReportRoleError) as exc:
+    except (StateInvariantError, ReportRoleError, NegativeAbsorptionError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except EigenConvergenceError as exc:
+    except (EigenConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NoSinkError, ValueError) as exc:

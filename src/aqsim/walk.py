@@ -16,8 +16,10 @@ dephasing with rate
 
 (each segment multiplies site coherences by exp(-phase_sigma**2), because
 E[exp(i(phi_m - phi_n))] = exp(-phase_sigma**2) for independent phases).
-The shot-index-keyed random streams make runs reproducible regardless of
-batching or parallel execution order.
+Each shot draws all of its phases in one call, from a random stream keyed
+on (seed, shot index), and the shots run in chunks whose phase block fits a
+fixed byte budget.  The chunk size has no effect on results: a run is
+reproducible whatever the batching.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .hamiltonians import Hamiltonian
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 NORM_TOL = 1e-10
+# byte budget of one shot chunk's phase block in the stochastic-phase ensemble
+_PHASE_BYTES = 4 << 20
+# chunk widths are whole multiples of this many shots (see _ensemble_populations)
+_SHOT_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,20 @@ def time_to_length(t: float, n_index: float) -> float:
     return SPEED_OF_LIGHT * t / n_index
 
 
-def _shot_generators(seed: int, shots: int):
-    base = int(np.uint64(seed % (1 << 64)))
-    return [np.random.default_rng(np.random.SeedSequence([base, k])) for k in range(shots)]
+def _chunk_width(n_segments: int, dim: int) -> int:
+    """Shots per chunk: as many as keep one chunk's phases within _PHASE_BYTES,
+    rounded down to a whole number of _SHOT_ALIGN-shot blocks."""
+    fit = _PHASE_BYTES // (8 * n_segments * dim)
+    return max(_SHOT_ALIGN, fit - fit % _SHOT_ALIGN)
+
+
+def _chunk_bounds(shots: int, chunk: int) -> list:
+    """(start, stop) shot ranges of width chunk; a lone trailing shot joins
+    the range before it, so no range but a one-shot ensemble has width 1."""
+    edges = list(range(0, shots, chunk)) + [shots]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
@@ -128,30 +145,44 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
                           seed: int, sample_at=None) -> dict:
     """Ensemble-averaged populations after selected segment counts.
 
-    Every shot k draws its phases from a stream keyed on (seed, k), with the
-    segments of one shot drawn in order, so results do not depend on how
-    shots are batched or distributed.
+    Shot k draws all its phases, (n_segments, dim), in one call on a stream
+    keyed on (seed, k), so results do not depend on how shots are batched.
+    Shots run in chunks whose phase block stays within _PHASE_BYTES; each
+    chunk carries a (dim, chunk) state through every segment.  The chunk
+    size has no effect on results: the columns of a matrix product are
+    independent, and a chunk spans whole _SHOT_ALIGN-shot blocks, so each
+    shot's column meets the same BLAS kernel as in one product over all
+    shots (a one-column product would take the matrix-vector kernel, hence
+    no lone trailing shot).
     """
     dim = h.dim
     u_seg = propagator(h, tau)
     wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
-    amps = np.zeros((dim, shots), dtype=complex)
-    amps[input_mode, :] = 1.0
-    rngs = _shot_generators(seed, shots)
-    out = {}
-    if wanted and wanted[0] == 0:
-        out[0] = np.abs(amps) ** 2
-    for seg in range(1, n_segments + 1):
-        amps = u_seg @ amps
-        phases = np.empty((dim, shots))
-        for k, rng in enumerate(rngs):
-            phases[:, k] = rng.normal(0.0, phase_sigma, dim)
-        amps *= np.exp(-1j * phases)
-        if seg in wanted:
-            out[seg] = np.abs(amps) ** 2
+    pops = {seg: np.empty((dim, shots)) for seg in wanted}  # |amps|^2 per shot
+    base = int(np.uint64(seed % (1 << 64)))
+    for lo, hi in _chunk_bounds(shots, _chunk_width(n_segments, dim)):
+        width = hi - lo
+        phases = np.empty((width, n_segments, dim))
+        for j in range(width):
+            rng = np.random.default_rng(np.random.SeedSequence([base, lo + j]))
+            phases[j] = rng.normal(0.0, phase_sigma, (n_segments, dim))
+        amps = np.zeros((dim, width), dtype=complex)
+        amps[input_mode, :] = 1.0
+        kick = np.empty((dim, width), dtype=complex)
+        if 0 in pops:
+            pops[0][:, lo:hi] = np.abs(amps) ** 2
+        for seg in range(1, n_segments + 1):
+            amps = u_seg @ amps
+            # exp(-i phi) as cos(phi) - i sin(phi), written in place
+            np.cos(phases[:, seg - 1].T, out=kick.real)
+            np.sin(phases[:, seg - 1].T, out=kick.imag)
+            np.negative(kick.imag, out=kick.imag)
+            amps *= kick
+            if seg in pops:
+                pops[seg][:, lo:hi] = np.abs(amps) ** 2
     averaged = {}
-    for seg, pops in out.items():
-        mean = pops.mean(axis=1)
+    for seg, p in pops.items():
+        mean = p.mean(axis=1)
         total = mean.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ensemble populations sum to {total}, drift > 1e-9")

@@ -4,9 +4,13 @@ These deliberately avoid the code paths they validate: the master-equation
 oracle integrates the ODE with an adaptive Runge-Kutta stepper (the
 implementation takes a dense matrix exponential), the chain oracle is the
 closed-form eigensystem (the implementation calls a numerical eigensolver),
-the strong-dephasing oracle is a classical Markov chain, and the Fock-space
-oracles find each hop's target state in a dict of occupation tuples, one
-state at a time (the implementation ranks whole batches of states).
+the strong-dephasing oracle is a classical Markov chain, the mean-channel
+oracle evolves the density matrix of the infinite-shot ensemble, the
+segment-by-segment ensemble draws each shot's phases one segment at a time
+over one state holding every shot (the implementation draws a shot's phases
+at once and runs shots in chunks), and the Fock-space oracles find each
+hop's target state in a dict of occupation tuples, one state at a time
+(the implementation ranks whole batches of states).
 """
 
 import math
@@ -55,6 +59,51 @@ def classical_segment_walk(segment_unitary: np.ndarray, start: int,
     for _ in range(n_segments):
         p = transition @ p
     return p
+
+
+def mean_dephasing_channel(segment_unitary: np.ndarray, start: int,
+                           n_segments: int, sigma: float) -> np.ndarray:
+    """Infinite-shot populations: rho -> D_sigma(U rho U^dag) per segment,
+    where D_sigma damps every coherence by exp(-sigma^2)."""
+    n = segment_unitary.shape[0]
+    damp = np.full((n, n), math.exp(-sigma ** 2))
+    np.fill_diagonal(damp, 1.0)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[start, start] = 1.0
+    for _ in range(n_segments):
+        rho = (segment_unitary @ rho @ segment_unitary.conj().T) * damp
+    return np.diagonal(rho).real.copy()
+
+
+def ensemble_populations_by_segment(h, input_mode: int, tau: float,
+                                    n_segments: int, phase_sigma: float,
+                                    shots: int, seed: int,
+                                    sample_at=None) -> dict:
+    """Stochastic-phase ensemble over one (dim, shots) state, segment by
+    segment, each shot drawing dim phases per segment from its (seed, k)
+    stream; mean populations after each requested segment count."""
+    import aqsim
+
+    dim = h.dim
+    u_seg = aqsim.propagator(h, tau)
+    wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
+    amps = np.zeros((dim, shots), dtype=complex)
+    amps[input_mode, :] = 1.0
+    base = int(np.uint64(seed % (1 << 64)))
+    rngs = [np.random.default_rng(np.random.SeedSequence([base, k]))
+            for k in range(shots)]
+    out = {}
+    if wanted and wanted[0] == 0:
+        out[0] = np.abs(amps) ** 2
+    for seg in range(1, n_segments + 1):
+        amps = u_seg @ amps
+        phases = np.empty((dim, shots))
+        for k, rng in enumerate(rngs):
+            phases[:, k] = rng.normal(0.0, phase_sigma, dim)
+        amps *= np.exp(-1j * phases)
+        if seg in wanted:
+            out[seg] = np.abs(amps) ** 2
+    return {seg: pops.mean(axis=1) for seg, pops in out.items()}
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int,

@@ -235,6 +235,31 @@ def test_absorption_peak_at_drive_coupled_gap():
     assert off.absorbed_energy[0] <= 1e-3 * peak
 
 
+def test_absorption_builds_hopping_matrix_once(monkeypatch):
+    import aqsim.bose_hubbard as bh
+
+    basis = aqsim.enumerate_basis(2, 2)
+    params = BoseHubbardParams.chain(2, 1.0, 1.0)
+    want = aqsim.build_bh(params, basis).matrix
+    calls, solved = [], []
+
+    def counting(p, b):
+        calls.append(1)
+        return hopping_matrix(p, b)
+
+    def recording(h, k):
+        solved.append(h)
+        return aqsim.low_spectrum(h, k)
+
+    monkeypatch.setattr(bh, "hopping_matrix", counting)
+    monkeypatch.setattr(bh, "low_spectrum", recording)
+    aqsim.modulation_absorption(params, basis, 0.03, [0.5, 0.7], 10.0)
+    assert len(calls) == 1
+    # the ground state comes from the Hamiltonian build_bh assembles
+    (h,) = solved
+    assert (h.matrix != want).nnz == 0
+
+
 def test_absorption_zero_drive():
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)

@@ -205,8 +205,8 @@ def test_unknown_key_exit_code(tmp_path, data_dir, capsys):
     assert "'gamm'" in capsys.readouterr().err
 
 
-def test_bh_spectrum_cli(tmp_path):
-    cfg = write_config(tmp_path, "bh.cfg", """command bh-spectrum
+def spectrum_config(tmp_path):
+    return write_config(tmp_path, "bh.cfg", """command bh-spectrum
 L 2
 N 2
 J 1.0
@@ -218,6 +218,10 @@ nu_steps 7
 t_drive 40.0
 output spec.csv
 """)
+
+
+def test_bh_spectrum_cli(tmp_path):
+    cfg = spectrum_config(tmp_path)
     assert main(["bh-spectrum", str(cfg)]) == 0
     _, header, rows = read_csv(tmp_path / "spec.csv")
     assert header == ["nu", "absorbed_energy"]
@@ -240,6 +244,21 @@ output scan.csv
     assert header == ["j_ratio", "gap", "condensate_fraction"]
     gaps = [float(r[1]) for r in rows]
     assert gaps[0] > gaps[-1]  # softening visible even on the small chain
+
+
+def test_bh_spectrum_negative_absorption_is_an_invariant_violation(
+        tmp_path, monkeypatch, capsys):
+    import aqsim.bose_hubbard
+
+    def shifted(h, k):  # a ground energy 1 above the true one
+        energies, vectors = aqsim.low_spectrum(h, k)
+        return energies + 1.0, vectors
+
+    monkeypatch.setattr(aqsim.bose_hubbard, "low_spectrum", shifted)
+    assert main(["bh-spectrum", str(spectrum_config(tmp_path))]) == 4
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "below -1e-9" in err
+    assert not (tmp_path / "spec.csv").exists()
 
 
 def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv"):
@@ -275,6 +294,18 @@ def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
     cfg = scan_config(tmp_path, 6, 6, k=10, j_steps=4)  # 462 states: Lanczos path
     assert main(["bh-scan", str(cfg)]) == 0
     assert calls == [10] * 4
+
+
+def test_bh_scan_linear_algebra_failure_is_numerical(tmp_path, monkeypatch, capsys):
+    import aqsim.cli
+
+    def failing(h, k):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(aqsim.cli, "low_spectrum", failing)
+    assert main(["bh-scan", str(scan_config(tmp_path, 3, 3))]) == 3
+    assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_bh_scan_k_above_basis_size(tmp_path):

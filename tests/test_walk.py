@@ -5,8 +5,12 @@ from scipy.stats import linregress
 import aqsim
 from aqsim import DephasingEnsembleSpec, WalkState
 
+from aqsim import walk
+
 from conftest import make_chain, make_ring
-from oracles import chain_walk_populations, classical_segment_walk
+from oracles import (chain_eigensystem, chain_walk_populations,
+                     classical_segment_walk, ensemble_populations_by_segment,
+                     mean_dephasing_channel)
 
 
 def test_time_zero_identity():
@@ -183,3 +187,69 @@ def test_spreading_dephased_times_must_align():
     spec = DephasingEnsembleSpec(n_segments=10, phase_sigma=1.0, shots=10, seed=1)
     with pytest.raises(ValueError, match="multiple"):
         aqsim.spreading_stats(h, 10, [1.05, 2.0], dephasing=spec)
+
+
+CHUNK_CHAIN, CHUNK_SEGS, CHUNK_SIGMA, CHUNK_SEED = 21, 12, 0.7, 2024
+
+
+def _chunk_shot_counts():
+    chunk = walk._chunk_width(CHUNK_SEGS, CHUNK_CHAIN)
+    return [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]
+
+
+@pytest.mark.parametrize("shots", _chunk_shot_counts())
+def test_dephased_walk_matches_segment_by_segment_ensemble(shots):
+    # one bulk draw per shot, in chunks, gives the bytes of the per-segment draws
+    h = make_chain(CHUNK_CHAIN)
+    t = 3.0
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    got = aqsim.dephased_walk(h, 10, t, spec)
+    want = ensemble_populations_by_segment(h, 10, t / CHUNK_SEGS, CHUNK_SEGS,
+                                           CHUNK_SIGMA, shots, CHUNK_SEED)
+    assert np.array_equal(got, want[CHUNK_SEGS])
+
+
+@pytest.mark.parametrize("shots", _chunk_shot_counts())
+def test_spreading_stats_match_segment_by_segment_ensemble(shots):
+    h = make_chain(CHUNK_CHAIN)
+    tau = 0.25
+    times = tau * np.array([0, 3, 7, CHUNK_SEGS])
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    got = aqsim.spreading_stats(h, 10, times, dephasing=spec)
+    pops = ensemble_populations_by_segment(h, 10, tau, CHUNK_SEGS, CHUNK_SIGMA,
+                                           shots, CHUNK_SEED,
+                                           sample_at=[0, 3, 7, CHUNK_SEGS])
+    offsets = np.arange(CHUNK_CHAIN) - 10
+    want = [(float(t), float(np.sqrt(np.sum(pops[k] * offsets ** 2))))
+            for t, k in zip(times, [0, 3, 7, CHUNK_SEGS])]
+    assert got == want
+
+
+@pytest.mark.parametrize("shots", [1, 15, 16, 17, 33, 35, 49])
+def test_small_chunks_match_segment_by_segment_ensemble(monkeypatch, shots):
+    # a budget of 21 shots' phases, rounded down to chunks of 16: many
+    # chunks, a lone trailing shot, and sample points at zero, repeated and
+    # out of order
+    monkeypatch.setattr(walk, "_PHASE_BYTES", 21 * 8 * CHUNK_SEGS * CHUNK_CHAIN)
+    assert walk._chunk_width(CHUNK_SEGS, CHUNK_CHAIN) == 16
+    h = make_chain(CHUNK_CHAIN)
+    sample_at = [0, 5, 5, CHUNK_SEGS, 2]
+    got = walk._ensemble_populations(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
+                                     shots, CHUNK_SEED, sample_at=sample_at)
+    want = ensemble_populations_by_segment(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
+                                           shots, CHUNK_SEED, sample_at=sample_at)
+    assert list(got) == list(want) == [0, 2, 5, CHUNK_SEGS]
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_dephased_walk_matches_exact_mean_channel():
+    # the infinite-shot mean, from closed-form chain modes: no Monte Carlo
+    n, mode, t, segs, sigma = 21, 10, 4.0, 30, 0.5
+    spec = DephasingEnsembleSpec(segs, sigma, 4000, seed=8)
+    got = aqsim.dephased_walk(make_chain(n), mode, t, spec)
+    energies, modes = chain_eigensystem(n)
+    u_seg = (modes * np.exp(-1j * energies * t / segs)) @ modes.T
+    exact = mean_dephasing_channel(u_seg, mode, segs, sigma)
+    # a shot's population lies in [0, 1], so its variance is at most p(1 - p)
+    noise = np.sqrt(exact * (1 - exact) / spec.shots)
+    assert np.all(np.abs(got - exact) <= 5 * noise + 1e-12)
