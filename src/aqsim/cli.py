@@ -32,16 +32,14 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           EigenConvergenceError, NegativeAbsorptionError,
-                           condensate_fraction, drive_coupled_gap,
-                           enumerate_basis, low_spectrum, build_bh,
-                           modulation_absorption)
+                           NegativeAbsorptionError, condensate_fraction,
+                           drive_coupled_gap, enumerate_basis, low_spectrum,
+                           build_bh, modulation_absorption)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
-from .open_system import (NoSinkError, StateInvariantError, TransportSpec,
-                          goldilocks_sweep)
-from .validation import (ReportRoleError, build_report, check_isomorphism,
-                         classify_speedup, report_to_json)
+from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
+from .validation import (build_report, check_isomorphism, classify_speedup,
+                         report_to_json)
 from .walk import (DephasingEnsembleSpec, dephased_walk, evolve_unitary,
                    length_to_time)
 
@@ -70,6 +68,18 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+# (exception types, exit code, stderr prefix), first match wins: a
+# subclass must precede its base (LinAlgError is a ValueError, the two
+# invariant errors are RuntimeErrors)
+_EXIT_CODES = (
+    ((ConfigError, NetfileError, BasisSizeError), EXIT_CONFIG, "error"),
+    ((np.linalg.LinAlgError,), EXIT_NUMERICAL, "numerical failure"),
+    ((StateInvariantError, NegativeAbsorptionError, ValueError),
+     EXIT_INVARIANT, "invariant violation"),
+    ((RuntimeError,), EXIT_NUMERICAL, "numerical failure"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed config: command, validated values, and path context."""
@@ -96,7 +106,6 @@ class _Key:
     required: bool = False
     default: object = None
     check: object = None
-    describe: str = ""
     is_path: bool = False
     rest_of_line: bool = False
 
@@ -137,124 +146,65 @@ _COMMON = {
     "output": _Key(str, required=True, is_path=True),
 }
 
-_SCHEMAS = {
-    "enaqt-sweep": {
-        **_COMMON,
-        "network": _Key(str, required=True, is_path=True),
-        "source": _Key(int, required=True, check=_non_negative),
-        "sink": _Key(int, required=True, check=_non_negative),
-        "trap_rate": _Key(_finite_float, required=True, check=_positive),
-        "recombination_rate": _Key(_finite_float, default=0.0, check=_non_negative),
-        "gamma_min": _Key(_finite_float, required=True, check=_positive),
-        "gamma_max": _Key(_finite_float, required=True, check=_positive),
-        "gamma_steps": _Key(int, required=True, check=_at_least(2)),
-        "t_max": _Key(_finite_float, default=1000.0, check=_positive),
-        "tol": _Key(_finite_float, default=1e-8, check=_positive),
-        "disorder_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
-        "seed": _Key(int),
-    },
-    "walk": {
-        **_COMMON,
-        "network": _Key(str, required=True, is_path=True),
-        "input_mode": _Key(int, required=True, check=_non_negative),
-        "time": _Key(_finite_float, check=_non_negative),
-        "length": _Key(_finite_float, check=_non_negative),
-        "n_index": _Key(_finite_float, check=_positive),
-        "n_segments": _Key(int, check=_at_least(1)),
-        "phase_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
-        "shots": _Key(int, check=_at_least(1)),
-        "seed": _Key(int),
-    },
-    "bh-spectrum": {
-        **_COMMON,
-        "L": _Key(int, required=True, check=_at_least(1)),
-        "N": _Key(int, required=True, check=_non_negative),
-        "J": _Key(_finite_float, required=True, check=_non_negative),
-        "U": _Key(_finite_float, required=True, check=_non_negative),
-        "delta": _Key(_finite_float, required=True, check=_in_unit_tenth),
-        "nu_min": _Key(_finite_float, required=True, check=_non_negative),
-        "nu_max": _Key(_finite_float, required=True, check=_positive),
-        "nu_steps": _Key(int, required=True, check=_at_least(1)),
-        "t_drive": _Key(_finite_float, required=True, check=_positive),
-        "tol": _Key(_finite_float, default=1e-9, check=_positive),
-        "geometry": _Key(str, default="chain", check=_geometry),
-        "rows": _Key(int, check=_at_least(1)),
-        "cols": _Key(int, check=_at_least(1)),
-    },
-    "bh-scan": {
-        **_COMMON,
-        "L": _Key(int, required=True, check=_at_least(1)),
-        "N": _Key(int, required=True, check=_non_negative),
-        "U": _Key(_finite_float, default=1.0, check=_positive),
-        "j_min": _Key(_finite_float, required=True, check=_positive),
-        "j_max": _Key(_finite_float, required=True, check=_positive),
-        "j_steps": _Key(int, required=True, check=_at_least(2)),
-        "k": _Key(int, default=10, check=_at_least(2)),
-        "geometry": _Key(str, default="chain", check=_geometry),
-        "rows": _Key(int, check=_at_least(1)),
-        "cols": _Key(int, check=_at_least(1)),
-    },
-    "validate": {
-        **_COMMON,
-        "network_a": _Key(str, required=True, is_path=True),
-        "network_b": _Key(str, required=True, is_path=True),
-        "mapping": _Key(str, required=True, is_path=True),
-        "tolerance": _Key(_finite_float, required=True, check=_positive),
-        "role": _Key(str, default="simulation", check=_role),
-        "hardness_proof": _Key(_parse_bool, required=True),
-        "efficient_classical_known": _Key(_parse_bool, required=True),
-        "scalable_accuracy": _Key(_parse_bool, required=True),
-        "note": _Key(str, default="", rest_of_line=True),
-    },
-}
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: help line, keys beyond _COMMON, cross-check, runner."""
+
+    help: str
+    keys: dict
+    check: object
+    run: object
 
 
-def _cross_checks(command: str, values: dict, linenos: dict, violations: list):
-    def line_of(key):
-        return f"line {linenos[key]}" if key in linenos else "config"
-
-    if command == "enaqt-sweep":
-        if "gamma_min" in values and "gamma_max" in values:
-            if not values["gamma_min"] < values["gamma_max"]:
-                violations.append(f"{line_of('gamma_max')}: grid must ascend "
-                                  "(gamma_min < gamma_max)")
-        if values.get("disorder_sigma", 0.0) > 0 and "seed" not in values:
-            violations.append("config: seed required when disorder_sigma > 0")
-    elif command == "walk":
-        has_time = "time" in values
-        has_length = "length" in values
-        if has_time == has_length:
-            violations.append("config: give exactly one of 'time' or 'length'")
-        if has_length and "n_index" not in values:
-            violations.append("config: 'length' requires 'n_index'")
-        if values.get("phase_sigma", 0.0) > 0:
-            for key in ("n_segments", "shots", "seed"):
-                if key not in values:
-                    violations.append(f"config: '{key}' required when phase_sigma > 0")
-    elif command == "bh-spectrum":
-        if "nu_min" in values and "nu_max" in values:
-            if not values["nu_min"] < values["nu_max"]:
-                violations.append(f"{line_of('nu_max')}: grid must ascend "
-                                  "(nu_min < nu_max)")
-        if values.get("J") == 0 and values.get("U") == 0:
-            violations.append("config: J and U must not both be zero")
-        _plaquette_checks(values, violations)
-    elif command == "bh-scan":
-        if "j_min" in values and "j_max" in values:
-            if not values["j_min"] < values["j_max"]:
-                violations.append(f"{line_of('j_max')}: grid must ascend "
-                                  "(j_min < j_max)")
-        _plaquette_checks(values, violations)
+# Cross-checks take the parsed values and the line number of every key
+# given, valid or not, and yield one message per violation that involves
+# more than one key; a key given with a bad value counts as present, so
+# that it is reported once.
+def _ascending(values, linenos, lo, hi):
+    if lo in values and hi in values and not values[lo] < values[hi]:
+        yield f"line {linenos[hi]}: grid must ascend ({lo} < {hi})"
 
 
-def _plaquette_checks(values: dict, violations: list):
+def _check_sweep(values, linenos):
+    yield from _ascending(values, linenos, "gamma_min", "gamma_max")
+    if values.get("disorder_sigma", 0.0) > 0 and "seed" not in linenos:
+        yield "config: seed required when disorder_sigma > 0"
+
+
+def _check_walk(values, linenos):
+    has_time = "time" in linenos
+    has_length = "length" in linenos
+    if has_time == has_length:
+        yield "config: give exactly one of 'time' or 'length'"
+    if has_length and "n_index" not in linenos:
+        yield "config: 'length' requires 'n_index'"
+    if values.get("phase_sigma", 0.0) > 0:
+        for key in ("n_segments", "shots", "seed"):
+            if key not in linenos:
+                yield f"config: '{key}' required when phase_sigma > 0"
+
+
+def _check_plaquette(values, linenos):
     if values.get("geometry") == "plaquette":
         for key in ("rows", "cols"):
-            if key not in values:
-                violations.append(f"config: plaquette geometry requires '{key}'")
+            if key not in linenos:
+                yield f"config: plaquette geometry requires '{key}'"
         if "rows" in values and "cols" in values and "L" in values:
             if values["rows"] * values["cols"] != values["L"]:
-                violations.append("config: rows * cols must equal L")
+                yield "config: rows * cols must equal L"
+
+
+def _check_spectrum(values, linenos):
+    yield from _ascending(values, linenos, "nu_min", "nu_max")
+    if values.get("J") == 0 and values.get("U") == 0:
+        yield "config: J and U must not both be zero"
+    yield from _check_plaquette(values, linenos)
+
+
+def _check_scan(values, linenos):
+    yield from _ascending(values, linenos, "j_min", "j_max")
+    yield from _check_plaquette(values, linenos)
 
 
 def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentConfig:
@@ -286,13 +236,13 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
             break
     if command is None:
         raise ConfigError(["config: missing 'command' key"])
-    if command not in _SCHEMAS:
+    if command not in _COMMANDS:
         raise ConfigError([f"line {linenos['command']}: unknown command {command!r}"])
     if expected_command is not None and command != expected_command:
         raise ConfigError([
             f"line {linenos['command']}: config is for {command!r}, "
             f"invoked as {expected_command!r}"])
-    schema = _SCHEMAS[command]
+    schema = {**_COMMON, **_COMMANDS[command].keys}
     values["command"] = command
 
     for lineno, key, rest in entries:
@@ -301,9 +251,10 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
         if key not in schema:
             violations.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values:
+        if key in linenos:
             violations.append(f"line {lineno}: duplicate key {key!r}")
             continue
+        linenos[key] = lineno
         spec = schema[key]
         token = rest.strip() if spec.rest_of_line else rest.split()[0] if rest.split() else ""
         if not spec.rest_of_line and len(rest.split()) > 1:
@@ -324,10 +275,9 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
                 violations.append(f"line {lineno}: {key} {problem}")
                 continue
         values[key] = value
-        linenos[key] = lineno
 
     for key, spec in schema.items():
-        if key in values:
+        if key in linenos:
             continue
         if spec.required:
             violations.append(f"config: missing required key {key!r}")
@@ -337,11 +287,12 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
     for key, spec in schema.items():
         if spec.is_path and key in values and key != "output":
             target = base / values[key]
-            if not target.is_file():
+            # unlike Path.is_file, False (not OSError) for a name too long
+            if not os.path.isfile(target):
                 violations.append(f"line {linenos.get(key, '?')}: "
                                   f"{key} file not found: {target}")
 
-    _cross_checks(command, values, linenos, violations)
+    violations.extend(_COMMANDS[command].check(values, linenos))
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(command=command, values=values, base_dir=base)
@@ -354,7 +305,7 @@ def config_hash(config: ExperimentConfig) -> str:
     file does not change the hash but editing it does.  The output path is
     excluded.
     """
-    schema = _SCHEMAS[config.command]
+    schema = _COMMANDS[config.command].keys
     payload = {"command": config.command}
     for key in sorted(config.values):
         if key in ("command", "output"):
@@ -390,14 +341,6 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(meta: dict, header, rows) -> str:
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
 def _meta(config: ExperimentConfig) -> dict:
     seed = config.values.get("seed")
     return {
@@ -407,28 +350,38 @@ def _meta(config: ExperimentConfig) -> dict:
     }
 
 
-def _sidecar(config: ExperimentConfig, meta: dict, extra: dict) -> str:
+def _write_csv(config: ExperimentConfig, header, rows, extra: dict) -> list:
+    """Write the CSV under its metadata block plus its .meta.json sidecar."""
+    meta = _meta(config)
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt_cell(cell) for cell in row))
+    out = config.path("output")
+    _atomic_write(out, "\n".join(lines) + "\n")
     payload = {
         "schema_version": SIDECAR_SCHEMA_VERSION,
         "tool": meta["tool"],
         "command": config.command,
         "config_sha256": meta["config_sha256"],
         "seed": config.values.get("seed"),
+        **extra,
     }
-    payload.update(extra)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    sidecar = out.with_name(out.name + ".meta.json")
+    _atomic_write(sidecar, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return [out, sidecar]
 
 
-def _load_network_checked(config: ExperimentConfig, key: str):
+def _load_checked(config: ExperimentConfig, key: str, load):
     try:
-        return load_network(config.path(key))
+        return load(config.path(key))
     except NetfileError as exc:
         raise ConfigError([f"{key} ({config.values[key]}): {exc}"]) from exc
 
 
 def _run_enaqt_sweep(config: ExperimentConfig) -> list:
     v = config.values
-    net = _load_network_checked(config, "network")
+    net = _load_checked(config, "network", load_network)
     problems = []
     for key in ("source", "sink"):
         if v[key] >= net.n_sites:
@@ -443,24 +396,24 @@ def _run_enaqt_sweep(config: ExperimentConfig) -> list:
                          v["recombination_rate"], np.zeros(net.n_sites))
     grid = np.geomspace(v["gamma_min"], v["gamma_max"], v["gamma_steps"])
     curve = goldilocks_sweep(h, spec, grid, t_max=v["t_max"], tol=v["tol"])
-    meta = _meta(config)
-    rows = list(zip(curve.gamma_grid, curve.efficiencies, curve.converged))
-    out = config.path("output")
-    _atomic_write(out, _csv_text(meta, ["gamma", "eta", "converged"], rows))
-    sidecar = out.with_name(out.name + ".meta.json")
-    _atomic_write(sidecar, _sidecar(config, meta, {
+    rows = zip(curve.gamma_grid, curve.efficiencies, curve.converged)
+    written = _write_csv(config, ["gamma", "eta", "converged"], rows, {
         "gamma_grid": [float(g) for g in curve.gamma_grid],
         "t_max": v["t_max"],
         "tol": v["tol"],
         "disorder_sigma": v["disorder_sigma"],
         "hamiltonian_sha256": curve.h_hash,
-    }))
-    return [out, sidecar]
+    })
+    missed = curve.converged.count(False)
+    if missed:
+        print(f"warning: {missed} of {len(grid)} sweep points did not converge "
+              f"by t_max {v['t_max']} (converged=false)", file=sys.stderr)
+    return written
 
 
 def _run_walk(config: ExperimentConfig) -> list:
     v = config.values
-    net = _load_network_checked(config, "network")
+    net = _load_checked(config, "network", load_network)
     if v["input_mode"] >= net.n_sites:
         raise ConfigError([f"config: input_mode {v['input_mode']} out of range "
                            f"for {net.n_sites}-site network"])
@@ -475,19 +428,13 @@ def _run_walk(config: ExperimentConfig) -> list:
         pops = dephased_walk(h, v["input_mode"], t, spec)
     else:
         pops = evolve_unitary(h, v["input_mode"], t).populations()
-    meta = _meta(config)
-    rows = list(enumerate(pops))
-    out = config.path("output")
-    _atomic_write(out, _csv_text(meta, ["site", "population"], rows))
-    sidecar = out.with_name(out.name + ".meta.json")
-    _atomic_write(sidecar, _sidecar(config, meta, {
+    return _write_csv(config, ["site", "population"], enumerate(pops), {
         "evolution_time": t,
         "input_mode": v["input_mode"],
         "phase_sigma": v["phase_sigma"],
         "n_segments": v.get("n_segments"),
         "shots": v.get("shots"),
-    }))
-    return [out, sidecar]
+    })
 
 
 def _bh_params(values: dict, hopping: float, interaction: float) -> BoseHubbardParams:
@@ -504,19 +451,14 @@ def _run_bh_spectrum(config: ExperimentConfig) -> list:
     grid = np.linspace(v["nu_min"], v["nu_max"], v["nu_steps"])
     spectrum = modulation_absorption(params, basis, v["delta"], grid,
                                      v["t_drive"], tol=v["tol"])
-    meta = _meta(config)
-    rows = list(zip(spectrum.nu_grid, spectrum.absorbed_energy))
-    out = config.path("output")
-    _atomic_write(out, _csv_text(meta, ["nu", "absorbed_energy"], rows))
-    sidecar = out.with_name(out.name + ".meta.json")
-    _atomic_write(sidecar, _sidecar(config, meta, {
+    rows = zip(spectrum.nu_grid, spectrum.absorbed_energy)
+    return _write_csv(config, ["nu", "absorbed_energy"], rows, {
         "nu_grid": [float(g) for g in grid],
         "t_drive": v["t_drive"],
         "tol": v["tol"],
         "delta": v["delta"],
         "basis_states": len(basis),
-    }))
-    return [out, sidecar]
+    })
 
 
 def _run_bh_scan(config: ExperimentConfig) -> list:
@@ -531,27 +473,22 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
         gap = drive_coupled_gap(energies, vectors, basis)
         fraction = condensate_fraction(vectors[:, 0], basis)
         rows.append((j, gap, fraction))
-    meta = _meta(config)
-    out = config.path("output")
-    _atomic_write(out, _csv_text(meta, ["j_ratio", "gap", "condensate_fraction"],
-                                 rows))
-    sidecar = out.with_name(out.name + ".meta.json")
-    _atomic_write(sidecar, _sidecar(config, meta, {
+    return _write_csv(config, ["j_ratio", "gap", "condensate_fraction"], rows, {
         "j_grid": [float(g) for g in grid],
         "k": v["k"],
         "basis_states": len(basis),
-    }))
-    return [out, sidecar]
+    })
 
 
 def _run_validate(config: ExperimentConfig) -> list:
     v = config.values
-    net_a = _load_network_checked(config, "network_a")
-    net_b = _load_network_checked(config, "network_b")
-    try:
-        rec = load_mapping(config.path("mapping"))
-    except NetfileError as exc:
-        raise ConfigError([f"mapping ({v['mapping']}): {exc}"]) from exc
+    net_a = _load_checked(config, "network_a", load_network)
+    net_b = _load_checked(config, "network_b", load_network)
+    rec = _load_checked(config, "mapping", load_mapping)
+    n_a, n_b, n_map = net_a.n_sites, net_b.n_sites, len(rec.site_bijection)
+    if not n_a == n_b == n_map:
+        raise ConfigError([f"config: network_a ({n_a} sites), network_b ({n_b} "
+                           f"sites) and mapping ({n_map} entries) differ in size"])
     h_a = build_tight_binding(net_a)
     h_b = build_tight_binding(net_b)
     check = check_isomorphism(h_a, h_b, rec, v["tolerance"])
@@ -567,18 +504,82 @@ def _run_validate(config: ExperimentConfig) -> list:
     return [out]
 
 
-_RUNNERS = {
-    "enaqt-sweep": _run_enaqt_sweep,
-    "walk": _run_walk,
-    "bh-spectrum": _run_bh_spectrum,
-    "bh-scan": _run_bh_scan,
-    "validate": _run_validate,
+_COMMANDS = {
+    "enaqt-sweep": _Command(
+        "dephasing sweep of transport efficiency (CSV gamma,eta,converged)", {
+            "network": _Key(str, required=True, is_path=True),
+            "source": _Key(int, required=True, check=_non_negative),
+            "sink": _Key(int, required=True, check=_non_negative),
+            "trap_rate": _Key(_finite_float, required=True, check=_positive),
+            "recombination_rate": _Key(_finite_float, default=0.0, check=_non_negative),
+            "gamma_min": _Key(_finite_float, required=True, check=_positive),
+            "gamma_max": _Key(_finite_float, required=True, check=_positive),
+            "gamma_steps": _Key(int, required=True, check=_at_least(2)),
+            "t_max": _Key(_finite_float, default=1000.0, check=_positive),
+            "tol": _Key(_finite_float, default=1e-8, check=_positive),
+            "disorder_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
+            "seed": _Key(int, check=_non_negative),
+        }, _check_sweep, _run_enaqt_sweep),
+    "walk": _Command(
+        "single-excitation walk populations (CSV site,population)", {
+            "network": _Key(str, required=True, is_path=True),
+            "input_mode": _Key(int, required=True, check=_non_negative),
+            "time": _Key(_finite_float, check=_non_negative),
+            "length": _Key(_finite_float, check=_non_negative),
+            "n_index": _Key(_finite_float, check=_positive),
+            "n_segments": _Key(int, check=_at_least(1)),
+            "phase_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
+            "shots": _Key(int, check=_at_least(1)),
+            "seed": _Key(int),
+        }, _check_walk, _run_walk),
+    "bh-spectrum": _Command(
+        "interaction-modulation absorption spectrum (CSV nu,absorbed_energy)", {
+            "L": _Key(int, required=True, check=_at_least(1)),
+            "N": _Key(int, required=True, check=_non_negative),
+            "J": _Key(_finite_float, required=True, check=_non_negative),
+            "U": _Key(_finite_float, required=True, check=_non_negative),
+            "delta": _Key(_finite_float, required=True, check=_in_unit_tenth),
+            "nu_min": _Key(_finite_float, required=True, check=_non_negative),
+            "nu_max": _Key(_finite_float, required=True, check=_positive),
+            "nu_steps": _Key(int, required=True, check=_at_least(1)),
+            "t_drive": _Key(_finite_float, required=True, check=_positive),
+            "tol": _Key(_finite_float, default=1e-9, check=_positive),
+            "geometry": _Key(str, default="chain", check=_geometry),
+            "rows": _Key(int, check=_at_least(1)),
+            "cols": _Key(int, check=_at_least(1)),
+        }, _check_spectrum, _run_bh_spectrum),
+    "bh-scan": _Command(
+        "gap and condensate fraction over J/U (CSV j_ratio,gap,condensate_fraction)", {
+            # the drive needs two bosons and a second site to excite
+            "L": _Key(int, required=True, check=_at_least(2)),
+            "N": _Key(int, required=True, check=_at_least(2)),
+            "U": _Key(_finite_float, default=1.0, check=_positive),
+            "j_min": _Key(_finite_float, required=True, check=_positive),
+            "j_max": _Key(_finite_float, required=True, check=_positive),
+            "j_steps": _Key(int, required=True, check=_at_least(2)),
+            "k": _Key(int, default=10, check=_at_least(2)),
+            "geometry": _Key(str, default="chain", check=_geometry),
+            "rows": _Key(int, check=_at_least(1)),
+            "cols": _Key(int, check=_at_least(1)),
+        }, _check_scan, _run_bh_scan),
+    "validate": _Command(
+        "isomorphism check and validation report (JSON)", {
+            "network_a": _Key(str, required=True, is_path=True),
+            "network_b": _Key(str, required=True, is_path=True),
+            "mapping": _Key(str, required=True, is_path=True),
+            "tolerance": _Key(_finite_float, required=True, check=_positive),
+            "role": _Key(str, default="simulation", check=_role),
+            "hardness_proof": _Key(_parse_bool, required=True),
+            "efficient_classical_known": _Key(_parse_bool, required=True),
+            "scalable_accuracy": _Key(_parse_bool, required=True),
+            "note": _Key(str, default="", rest_of_line=True),
+        }, lambda values, linenos: (), _run_validate),
 }
 
 
 def run(config: ExperimentConfig) -> list:
     """Execute a parsed config; returns the list of files written."""
-    return _RUNNERS[config.command](config)
+    return _COMMANDS[config.command].run(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -590,15 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"aqsim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "enaqt-sweep": "dephasing sweep of transport efficiency (CSV gamma,eta,converged)",
-        "walk": "single-excitation walk populations (CSV site,population)",
-        "bh-spectrum": "interaction-modulation absorption spectrum (CSV nu,absorbed_energy)",
-        "bh-scan": "gap and condensate fraction over J/U (CSV j_ratio,gap,condensate_fraction)",
-        "validate": "isomorphism check and validation report (JSON)",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, epilog=_EXIT_CODE_HELP,
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, epilog=_EXIT_CODE_HELP,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("config", help="path to the experiment config file")
     return parser
@@ -609,32 +603,20 @@ def main(argv=None) -> int:
     config_path = Path(args.config)
     try:
         text = config_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         config = parse_config(text, base_dir=config_path.parent,
                               expected_command=args.subcommand)
         written = run(config)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NetfileError, BasisSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StateInvariantError, ReportRoleError, NegativeAbsorptionError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (EigenConvergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (NoSinkError, ValueError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except Exception as exc:
+        for types, code, prefix in _EXIT_CODES:
+            if isinstance(exc, types):
+                for message in getattr(exc, "violations", [exc]):
+                    print(f"{prefix}: {message}", file=sys.stderr)
+                return code
+        raise
     for path in written:
         print(path)
     return EXIT_OK

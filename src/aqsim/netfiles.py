@@ -12,13 +12,14 @@ geometry file
     guide <index> <label> <beta>
     separation <m> <n> <distance>          micrometres, every pair required
     coupling_scale <C0>
-    decay_length <d0>
+    decay_length <d0>                      distance, C0 and d0 positive
 
 mapping file
     permutation <p0> <p1> ... <p(n-1)>
-    unit_scale <s>
+    unit_scale <s>                         positive
 
-Numbers are decimal literals.  Serializers write the shortest decimal that
+Files are UTF-8.  Every malformed file raises NetfileError, with the line
+number where one applies.  Numbers are decimal literals.  Serializers write the shortest decimal that
 round-trips the stored double, so save -> load -> save is byte-identical
 and any finite decimal input is re-read to the exact same value.
 """
@@ -62,6 +63,20 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
     return value
 
 
+def _parse_positive(token: str, lineno: int, what: str) -> float:
+    value = _parse_float(token, lineno, what)
+    if not value > 0:
+        raise NetfileError(f"line {lineno}: {what} must be positive, got {token!r}")
+    return value
+
+
+def _square_zeros(n: int, lineno: int, what: str) -> np.ndarray:
+    try:
+        return np.zeros((n, n))
+    except (ValueError, MemoryError):  # numpy's limits on shape and memory
+        raise NetfileError(f"line {lineno}: {what} {n} is too large") from None
+
+
 def _site_index(token: str, lineno: int, n: int, what: str = "site index") -> int:
     idx = _parse_int(token, lineno, what)
     if not 0 <= idx < n:
@@ -85,9 +100,9 @@ def loads_network(text: str) -> SiteNetwork:
             n = _parse_int(args[0], lineno, "site count")
             if n < 1:
                 raise NetfileError(f"line {lineno}: site count must be >= 1")
+            couplings = _square_zeros(n, lineno, "site count")
             energies = np.zeros(n)
             labels = [""] * n
-            couplings = np.zeros((n, n))
         elif key == "site":
             if n is None:
                 raise NetfileError(f"line {lineno}: 'site' before 'sites'")
@@ -151,9 +166,9 @@ def loads_geometry(text: str) -> WaveguideGeometry:
             n = _parse_int(args[0], lineno, "guide count")
             if n < 1:
                 raise NetfileError(f"line {lineno}: guide count must be >= 1")
+            separations = _square_zeros(n, lineno, "guide count")
             betas = np.zeros(n)
             labels = [""] * n
-            separations = np.zeros((n, n))
         elif key == "guide":
             if n is None:
                 raise NetfileError(f"line {lineno}: 'guide' before 'guides'")
@@ -178,20 +193,20 @@ def loads_geometry(text: str) -> WaveguideGeometry:
             if pair in seen_pairs:
                 raise NetfileError(f"line {lineno}: duplicate separation for pair {pair}")
             seen_pairs.add(pair)
-            separations[a, b] = separations[b, a] = _parse_float(
+            separations[a, b] = separations[b, a] = _parse_positive(
                 args[2], lineno, "separation")
         elif key == "coupling_scale":
             if scale is not None:
                 raise NetfileError(f"line {lineno}: duplicate 'coupling_scale'")
             if len(args) != 1:
                 raise NetfileError(f"line {lineno}: 'coupling_scale' takes one value")
-            scale = _parse_float(args[0], lineno, "coupling scale")
+            scale = _parse_positive(args[0], lineno, "coupling scale")
         elif key == "decay_length":
             if decay is not None:
                 raise NetfileError(f"line {lineno}: duplicate 'decay_length'")
             if len(args) != 1:
                 raise NetfileError(f"line {lineno}: 'decay_length' takes one value")
-            decay = _parse_float(args[0], lineno, "decay length")
+            decay = _parse_positive(args[0], lineno, "decay length")
         else:
             raise NetfileError(f"line {lineno}: unknown record {key!r}")
     if n is None:
@@ -231,19 +246,21 @@ def loads_mapping(text: str) -> MappingRecord:
             if not args:
                 raise NetfileError(f"line {lineno}: 'permutation' needs at least one index")
             perm = tuple(_parse_int(a, lineno, "permutation entry") for a in args)
+            perm_line = lineno
         elif key == "unit_scale":
             if scale is not None:
                 raise NetfileError(f"line {lineno}: duplicate 'unit_scale'")
             if len(args) != 1:
                 raise NetfileError(f"line {lineno}: 'unit_scale' takes one value")
-            scale = _parse_float(args[0], lineno, "unit scale")
+            scale = _parse_positive(args[0], lineno, "unit scale")
         else:
             raise NetfileError(f"line {lineno}: unknown record {key!r}")
     if perm is None:
         raise NetfileError("missing 'permutation' record")
-    if scale is None:
-        scale = 1.0
-    return MappingRecord(perm, scale)
+    try:
+        return MappingRecord(perm, 1.0 if scale is None else scale)
+    except ValueError as exc:  # MappingError: not a permutation
+        raise NetfileError(f"line {perm_line}: {exc}") from exc
 
 
 def dumps_mapping(rec: MappingRecord) -> str:
@@ -251,9 +268,18 @@ def dumps_mapping(rec: MappingRecord) -> str:
     return f"permutation {perm}\nunit_scale {_fmt(rec.unit_scale)}\n"
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise NetfileError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_network(path) -> SiteNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return loads_network(fh.read())
+    return loads_network(_read_text(path))
 
 
 def save_network(net: SiteNetwork, path) -> None:
@@ -262,8 +288,7 @@ def save_network(net: SiteNetwork, path) -> None:
 
 
 def load_geometry(path) -> WaveguideGeometry:
-    with open(path, encoding="utf-8") as fh:
-        return loads_geometry(fh.read())
+    return loads_geometry(_read_text(path))
 
 
 def save_geometry(geom: WaveguideGeometry, path) -> None:
@@ -272,8 +297,7 @@ def save_geometry(geom: WaveguideGeometry, path) -> None:
 
 
 def load_mapping(path) -> MappingRecord:
-    with open(path, encoding="utf-8") as fh:
-        return loads_mapping(fh.read())
+    return loads_mapping(_read_text(path))
 
 
 def save_mapping(rec: MappingRecord, path) -> None:

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from aqsim.bose_hubbard import (BasisSizeError, EigenConvergenceError,
+                                NegativeAbsorptionError)
 from aqsim.cli import ConfigError, config_hash, main, parse_config
+from aqsim.netfiles import NetfileError
+from aqsim.open_system import StateInvariantError
 
 from test_open_system import DIMER_ETA_ORACLE, DIMER_GAMMA_GRID
 
@@ -47,9 +51,10 @@ def read_csv(path):
 def test_parse_minimal_walk_config_fills_defaults(tmp_path, data_dir):
     cfg = parse_config(
         f"command walk\nnetwork {data_dir}/dimer.net\ninput_mode 0\n"
-        "time 1.0\noutput out.csv\n", base_dir=tmp_path)
+        "time 1.0\nseed -1\noutput out.csv\n", base_dir=tmp_path)
     assert cfg.command == "walk"
     assert cfg.values["phase_sigma"] == 0.0  # documented default
+    assert cfg.values["seed"] == -1  # walk seeds wrap modulo 2**64
 
 
 def test_parse_unknown_key_names_key_and_line(tmp_path, data_dir):
@@ -81,14 +86,17 @@ def test_parse_rejects_non_finite_floats(tmp_path, data_dir):
 def test_parse_collects_all_violations(tmp_path):
     text = ("command enaqt-sweep\nnetwork missing.net\nsource -1\n"
             "trap_rate 0.0\ngamma_min 1.0\ngamma_max 0.1\ngamma_steps 1\n"
-            "bogus 3\n")
+            "bogus 3\nseed -1\n")
     with pytest.raises(ConfigError) as err:
         parse_config(text, base_dir=tmp_path)
     text_all = "\n".join(err.value.violations)
     for fragment in ("bogus", "source", "trap_rate", "gamma_steps",
                      "grid must ascend", "not found", "missing required key 'sink'",
-                     "missing required key 'output'"):
+                     "missing required key 'output'",
+                     "line 9: seed must be non-negative"):
         assert fragment in text_all, fragment
+    # a key given with a bad value is reported once, not also as missing
+    assert "missing required key 'source'" not in text_all
 
 
 def test_parse_seed_required_for_stochastic_runs(tmp_path, data_dir):
@@ -133,9 +141,10 @@ def test_config_hash_semantics(tmp_path, data_dir):
     assert config_hash(cfg_d) != config_hash(cfg_a)
 
 
-def test_enaqt_sweep_matches_oracle_fixture(tmp_path, data_dir):
+def test_enaqt_sweep_matches_oracle_fixture(tmp_path, data_dir, capsys):
     cfg = write_config(tmp_path, "sweep.cfg", sweep_config(data_dir))
     assert main(["enaqt-sweep", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""  # every point converged
     meta, header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["gamma", "eta", "converged"]
     assert meta["tool"].startswith("aqsim ")
@@ -149,6 +158,19 @@ def test_enaqt_sweep_matches_oracle_fixture(tmp_path, data_dir):
     assert sidecar["command"] == "enaqt-sweep"
     assert sidecar["t_max"] == 300.0
     assert len(sidecar["gamma_grid"]) == 9
+
+
+def test_enaqt_sweep_warns_on_unconverged_points(tmp_path, data_dir, capsys):
+    text = sweep_config(data_dir).replace("gamma_min 0.01", "gamma_min 1e2")
+    text = text.replace("gamma_max 100.0", "gamma_max 1e4")
+    text = text.replace("gamma_steps 9", "gamma_steps 3")
+    cfg = write_config(tmp_path, "sweep.cfg", text.replace("t_max 300.0", "t_max 50"))
+    assert main(["enaqt-sweep", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [r[2] for r in rows] == ["false"] * 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: 3 of 3 sweep points did not converge")
 
 
 def test_cli_outputs_are_byte_identical_on_rerun(tmp_path, data_dir):
@@ -187,15 +209,21 @@ output walk.csv
     assert sidecar["evolution_time"] == 1.5 * 0.03 / 299_792_458.0
 
 
-def test_invalid_network_file_fails_parse_without_outputs(tmp_path, data_dir):
+def test_invalid_network_file_fails_parse_without_outputs(tmp_path, data_dir, capsys):
     bad = tmp_path / "bad.net"
-    bad.write_text("sites 2\nsite 0 a 0.0\n")  # site 1 missing
     cfg = write_config(tmp_path, "sweep.cfg",
                        sweep_config(tmp_path, output="out.csv").replace(
                            f"network {tmp_path}/dimer.net", f"network {bad}"))
-    assert main(["enaqt-sweep", str(cfg)]) == 2
-    assert not (tmp_path / "out.csv").exists()
-    assert not (tmp_path / "out.csv.meta.json").exists()
+    for content, fragment in [
+            (b"sites 2\nsite 0 a 0.0\n", "missing 'site' records"),
+            (b"sites 2\nsite 0 \xff 0.0\n", "line 2: not UTF-8 text"),
+            (b"sites 99999999999999999999\n",
+             "line 1: site count 99999999999999999999 is too large")]:
+        bad.write_bytes(content)
+        assert main(["enaqt-sweep", str(cfg)]) == 2
+        assert f"error: network ({bad}): {fragment}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.csv.meta.json").exists()
 
 
 def test_unknown_key_exit_code(tmp_path, data_dir, capsys):
@@ -203,6 +231,49 @@ def test_unknown_key_exit_code(tmp_path, data_dir, capsys):
                        sweep_config(data_dir) + "gamm 1.0\n")
     assert main(["enaqt-sweep", str(cfg)]) == 2
     assert "'gamm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ConfigError(["line 3: first", "config: second"]), 2, "error"),
+    (NetfileError("line 1: bad record"), 2, "error"),
+    (BasisSizeError("basis over the cap"), 2, "error"),
+    (np.linalg.LinAlgError("no convergence"), 3, "numerical failure"),
+    (EigenConvergenceError("residual too large"), 3, "numerical failure"),
+    (RuntimeError("integrator failed"), 3, "numerical failure"),
+    (StateInvariantError("trace drift"), 4, "invariant violation"),
+    (NegativeAbsorptionError("below -1e-9"), 4, "invariant violation"),
+    (ValueError("dimension mismatch"), 4, "invariant violation"),
+])
+def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code, prefix):
+    import aqsim.cli
+
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(aqsim.cli, "run", failing)
+    assert main(["bh-spectrum", str(spectrum_config(tmp_path))]) == code
+    messages = getattr(exc, "violations", [str(exc)])
+    assert capsys.readouterr().err == "".join(f"{prefix}: {m}\n" for m in messages)
+
+
+def test_unmapped_exception_propagates(tmp_path, monkeypatch):
+    import aqsim.cli
+
+    def failing(config):
+        raise KeyError("no such column")
+
+    monkeypatch.setattr(aqsim.cli, "run", failing)
+    with pytest.raises(KeyError):  # exit code 1 from the interpreter
+        main(["bh-spectrum", str(spectrum_config(tmp_path))])
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"command walk\n# \xff\n")
+    assert main(["walk", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8'")
+    assert main(["walk", str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config:")
 
 
 def spectrum_config(tmp_path):
@@ -279,6 +350,18 @@ def test_bh_scan_oversized_basis_is_a_config_error(tmp_path, capsys):
     assert "over the cap" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()
     assert not (tmp_path / "scan.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("sites, bosons, message", [
+    (3, 0, "line 3: N must be >= 2"),  # the drive annihilates N < 2
+    (3, 1, "line 3: N must be >= 2"),
+    (1, 3, "line 2: L must be >= 2"),  # one state: nothing to excite
+])
+def test_bh_scan_needs_two_sites_and_two_bosons(tmp_path, capsys, sites, bosons,
+                                                message):
+    assert main(["bh-scan", str(scan_config(tmp_path, sites, bosons))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
@@ -360,6 +443,21 @@ def test_validate_emulation_role_is_rejected(tmp_path, data_dir, capsys):
     cfg = write_config(tmp_path, "val.cfg", validate_config(data_dir, "emulation"))
     assert main(["validate", str(cfg)]) == 4
     assert "external" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("net_a, net_b, mapping, sizes", [
+    ("dimer.net", "fmo7.net", "fmo_to_wg.map", "2 sites), network_b (7 sites) and mapping (7"),
+    ("dimer.net", "dimer.net", "fmo_to_wg.map", "2 sites), network_b (2 sites) and mapping (7"),
+])
+def test_validate_size_mismatch_is_a_config_error(tmp_path, data_dir, capsys, net_a,
+                                                  net_b, mapping, sizes):
+    text = validate_config(data_dir).replace("wg7.net", net_a).replace(
+        f"{data_dir}/fmo7.net", f"{data_dir}/{net_b}").replace("fmo_to_wg.map", mapping)
+    cfg = write_config(tmp_path, "val.cfg", text)
+    assert main(["validate", str(cfg)]) == 2
+    assert (f"error: config: network_a ({sizes} entries) differ in size"
+            in capsys.readouterr().err)
     assert not (tmp_path / "report.json").exists()
 
 

@@ -56,6 +56,7 @@ def test_comments_and_blank_lines_ignored():
     ("site 0 a 0\n", "'site' before 'sites'"),
     ("", "missing 'sites'"),
     ("sites 1\nsite 0 a inf\n", "must be finite"),
+    ("sites 99999999999999999999\n", "line 1: site count 99999999999999999999 is too large"),
 ])
 def test_network_errors(text, fragment):
     with pytest.raises(NetfileError) as err:
@@ -94,6 +95,33 @@ def test_geometry_missing_scales():
         loads_geometry(text)
 
 
+@pytest.mark.parametrize("loads, text, message", [
+    (loads_geometry, "guides 2\nguide 0 a 0\nguide 1 b 0\nseparation 0 1 -1.5\n",
+     "line 4: separation must be positive, got '-1.5'"),
+    (loads_geometry, "guides 1\nguide 0 a 0\ncoupling_scale 0\n",
+     "line 3: coupling scale must be positive"),
+    (loads_geometry, "guides 1\nguide 0 a 0\ncoupling_scale 1\ndecay_length -2\n",
+     "line 4: decay length must be positive"),
+    (loads_geometry, "guides 99999999999999999999\n",
+     "line 1: guide count 99999999999999999999 is too large"),
+    (loads_mapping, "permutation 1 0\nunit_scale -2\n",
+     "line 2: unit scale must be positive"),
+])
+def test_model_rules_are_netfile_errors_with_line_numbers(loads, text, message):
+    with pytest.raises(NetfileError) as err:
+        loads(text)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("load", [aqsim.load_network, aqsim.load_geometry,
+                                  aqsim.load_mapping])
+def test_load_rejects_non_utf8(tmp_path, load):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# header\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(NetfileError, match="line 2: not UTF-8 text"):
+        load(path)
+
+
 def test_mapping_round_trip_and_defaults():
     rec = loads_mapping("permutation 2 0 1\n")
     assert rec.site_bijection == (2, 0, 1)
@@ -103,8 +131,9 @@ def test_mapping_round_trip_and_defaults():
 
 
 def test_mapping_rejects_non_permutation():
-    with pytest.raises(aqsim.MappingError):
+    with pytest.raises(NetfileError, match="line 1: .* not a permutation") as err:
         loads_mapping("permutation 0 0 1\nunit_scale 1.0\n")
+    assert isinstance(err.value.__cause__, aqsim.MappingError)
 
 
 def test_file_io_round_trip(tmp_path, data_dir):
