@@ -9,8 +9,9 @@ model-correspondence validation reports.
 __version__ = "0.1.0"
 
 from .bose_hubbard import (AbsorptionSpectrum, BasisSizeError,
-                           BoseHubbardParams, EigenConvergenceError,
-                           FockBasis, NegativeAbsorptionError, build_bh,
+                           BoseHubbardParams, DriveCouplingError,
+                           EigenConvergenceError, FockBasis,
+                           NegativeAbsorptionError, build_bh,
                            chain_edges, condensate_fraction,
                            drive_coupled_gap, enumerate_basis, low_spectrum,
                            modulation_absorption, one_body_density_matrix,

@@ -42,6 +42,10 @@ class NegativeAbsorptionError(RuntimeError):
     """A driven state ended below the ground-state energy."""
 
 
+class DriveCouplingError(ValueError):
+    """No drive-coupled excitation among the k lowest states; k is too small."""
+
+
 class FockBasis:
     """Occupation-number states for n_sites sites and n_bosons conserved bosons.
 
@@ -419,7 +423,8 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray,
     Takes the k lowest eigenpairs as low_spectrum returns them and returns
     min(E_i - E_0) over excited states whose pair-count matrix element with
     the ground state is non-negligible relative to ||pair-count applied to
-    the ground state||.
+    the ground state||.  Raises DriveCouplingError when none of the k
+    states is drive-coupled.
     """
     k = len(energies)
     driven = onsite_pair_count(basis) * vectors[:, 0]
@@ -432,5 +437,5 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray,
             continue
         if abs(np.vdot(vectors[:, i], driven)) > coupling_floor * scale:
             return float(gap)
-    raise ValueError(
-        f"no drive-coupled excitation among the lowest {k} states; raise k")
+    raise DriveCouplingError(
+        f"no drive-coupled excitation among the lowest k = {k} states; raise k")

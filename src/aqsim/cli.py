@@ -32,9 +32,10 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           NegativeAbsorptionError, condensate_fraction,
-                           drive_coupled_gap, enumerate_basis, low_spectrum,
-                           build_bh, modulation_absorption)
+                           DriveCouplingError, NegativeAbsorptionError,
+                           condensate_fraction, drive_coupled_gap,
+                           enumerate_basis, low_spectrum, build_bh,
+                           modulation_absorption)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
@@ -72,7 +73,8 @@ class ConfigError(ValueError):
 # subclass must precede its base (LinAlgError is a ValueError, the two
 # invariant errors are RuntimeErrors)
 _EXIT_CODES = (
-    ((ConfigError, NetfileError, BasisSizeError), EXIT_CONFIG, "error"),
+    ((ConfigError, NetfileError, BasisSizeError, DriveCouplingError),
+     EXIT_CONFIG, "error"),
     ((np.linalg.LinAlgError,), EXIT_NUMERICAL, "numerical failure"),
     ((StateInvariantError, NegativeAbsorptionError, ValueError),
      EXIT_INVARIANT, "invariant violation"),
@@ -246,7 +248,7 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
     values["command"] = command
 
     for lineno, key, rest in entries:
-        if key == "command":
+        if lineno == linenos["command"]:
             continue
         if key not in schema:
             violations.append(f"line {lineno}: unknown key {key!r}")
@@ -291,6 +293,9 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
             if not os.path.isfile(target):
                 violations.append(f"line {linenos.get(key, '?')}: "
                                   f"{key} file not found: {target}")
+    if "output" in values and os.path.isdir(base / values["output"]):
+        violations.append(f"line {linenos['output']}: "
+                          f"output names a directory: {base / values['output']}")
 
     violations.extend(_COMMANDS[command].check(values, linenos))
     if violations:

@@ -72,14 +72,6 @@ class SiteNetwork:
     def n_sites(self) -> int:
         return self.on_site.size
 
-    def __add__(self, other: "SiteNetwork") -> "SiteNetwork":
-        if not isinstance(other, SiteNetwork):
-            return NotImplemented
-        if other.n_sites != self.n_sites or other.labels != self.labels:
-            raise NetworkError("can only add networks sharing sites and labels")
-        return SiteNetwork(self.on_site + other.on_site,
-                           self.couplings + other.couplings, self.labels)
-
 
 @dataclass(frozen=True)
 class WaveguideGeometry:

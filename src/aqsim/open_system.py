@@ -7,13 +7,22 @@ population from every site into the loss register.  Both channels are
 ordinary Lindblad dissipators, so the generator is trace preserving and
 transport efficiency is a plain population readout on the sink register.
 
-Generator, acting on vectorized rho (column stacking):
+Master equation:
 
     d rho/dt = -i[H, rho] + sum_m gamma_m D[|m><m|] rho
                + trap_rate D[|sink><sink_site|] rho
                + recombination_rate sum_m D[|loss><m|] rho
 
 with D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A) / 2.
+
+Every jump is a matrix unit A = |a><b| with a rate, so A^dag A = |b><b|
+and A rho A^dag = rho_bb |a><a|.  The anticommutators fold into the
+non-Hermitian H_eff = H - (i/2) sum rate |b><b|, and the generator on
+vectorized rho (column stacking, rho_ij at index i + d j) is
+
+    L = -i (1 (x) H_eff - conj(H_eff) (x) 1)
+
+plus, per jump, rate at row a + d a, column b + d b.
 
 The generator does not depend on time, so states are propagated exactly by
 the matrix exponential expm(L t) (scaling and squaring) rather than by an
@@ -141,8 +150,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     n_sites: int
-    spec: TransportSpec
-    h_hash: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -158,50 +165,32 @@ class Liouvillian:
     def sink_index(self) -> int:
         return self.n_sites
 
-    @property
-    def loss_index(self) -> int:
-        return self.n_sites + 1
-
-
-def _dissipator_term(a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    eye = np.eye(d)
-    ada = a.conj().T @ a
-    return (np.kron(a.conj(), a)
-            - 0.5 * np.kron(eye, ada)
-            - 0.5 * np.kron(ada.T, eye))
-
 
 def build_liouvillian(h: Hamiltonian, spec: TransportSpec) -> Liouvillian:
     """Assemble the generator for a Hamiltonian and a transport spec.
 
     The Hamiltonian acts on the system sites and is embedded in the
-    site + sink + loss space with zero rows for the registers.
+    site + sink + loss space with zero rows for the registers.  Each jump
+    (a, b, rate) stands for rate D[|a><b|]: its decay enters H_eff, and its
+    refill rho_bb -> rho_aa is one generator entry.
     """
     n = spec.n_sites
     if h.dim != n:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match spec with {n} sites")
     d = n + 2
     sink, loss = n, n + 1
-    hd = np.zeros((d, d), dtype=complex)
-    hd[:n, :n] = h.dense()
+    jumps = ([(m, m, gamma) for m, gamma in enumerate(spec.dephasing_rates)]
+             + [(sink, spec.sink_site, spec.trap_rate)]
+             + [(loss, m, spec.recombination_rate) for m in range(n)])
+    h_eff = np.zeros((d, d), dtype=complex)
+    h_eff[:n, :n] = h.dense()
+    for _, b, rate in jumps:
+        h_eff[b, b] -= 0.5j * rate
     eye = np.eye(d)
-    gen = -1j * (np.kron(eye, hd) - np.kron(hd.T, eye))
-    for m, gamma in enumerate(spec.dephasing_rates):
-        if gamma > 0:
-            a = np.zeros((d, d))
-            a[m, m] = 1.0
-            gen = gen + gamma * _dissipator_term(a)
-    if spec.trap_rate > 0:
-        a = np.zeros((d, d))
-        a[sink, spec.sink_site] = 1.0
-        gen = gen + spec.trap_rate * _dissipator_term(a)
-    if spec.recombination_rate > 0:
-        for m in range(n):
-            a = np.zeros((d, d))
-            a[loss, m] = 1.0
-            gen = gen + spec.recombination_rate * _dissipator_term(a)
-    return Liouvillian(gen, n, spec, h.content_hash())
+    gen = -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+    for a, b, rate in jumps:
+        gen[a + d * a, b + d * b] += rate
+    return Liouvillian(gen, n)
 
 
 def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:

@@ -1,16 +1,20 @@
 """Independent reference computations the tests check the package against.
 
-These deliberately avoid the code paths they validate: the master-equation
-oracle integrates the ODE with an adaptive Runge-Kutta stepper (the
-implementation takes a dense matrix exponential), the chain oracle is the
-closed-form eigensystem (the implementation calls a numerical eigensolver),
-the strong-dephasing oracle is a classical Markov chain, the mean-channel
-oracle evolves the density matrix of the infinite-shot ensemble, the
-segment-by-segment ensemble draws each shot's phases one segment at a time
-over one state holding every shot (the implementation draws a shot's phases
-at once and runs shots in chunks), and the Fock-space oracles find each
-hop's target state in a dict of occupation tuples, one state at a time
-(the implementation ranks whole batches of states).
+These deliberately avoid the code paths they validate: the generator
+oracle builds the master equation one dense kron dissipator per channel
+(the implementation folds every decay into one non-Hermitian H_eff and
+writes one entry per jump), and the master-equation oracle builds its own
+generator that way and integrates it with an adaptive Runge-Kutta stepper
+(the implementation takes a dense matrix exponential of its own
+generator); the chain oracle is the closed-form eigensystem (the
+implementation calls a numerical eigensolver), the strong-dephasing oracle
+is a classical Markov chain, the mean-channel oracle evolves the density
+matrix of the infinite-shot ensemble, the segment-by-segment ensemble draws
+each shot's phases one segment at a time over one state holding every shot
+(the implementation draws a shot's phases at once and runs shots in
+chunks), and the Fock-space oracles find each hop's target state in a dict
+of occupation tuples, one state at a time (the implementation ranks whole
+batches of states).
 """
 
 import math
@@ -20,9 +24,45 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 
-def liouvillian_runge_kutta(generator: np.ndarray, rho0: np.ndarray,
-                            t: float) -> np.ndarray:
-    """rho(t) by DOP853 on the vectorized master equation, at tight tolerances."""
+def _dissipator_term(a: np.ndarray) -> np.ndarray:
+    d = a.shape[0]
+    eye = np.eye(d)
+    ada = a.conj().T @ a
+    return (np.kron(a.conj(), a)
+            - 0.5 * np.kron(eye, ada)
+            - 0.5 * np.kron(ada.T, eye))
+
+
+def liouvillian_by_kron(h, spec) -> np.ndarray:
+    """Vectorized generator (column stacking) on sites + sink + loss, one
+    kron dissipator D[A] per channel with A the channel's jump operator."""
+    n = spec.n_sites
+    d = n + 2
+    sink, loss = n, n + 1
+    hd = np.zeros((d, d), dtype=complex)
+    hd[:n, :n] = h.dense()
+    eye = np.eye(d)
+    gen = -1j * (np.kron(eye, hd) - np.kron(hd.T, eye))
+    for m, gamma in enumerate(spec.dephasing_rates):
+        if gamma > 0:
+            a = np.zeros((d, d))
+            a[m, m] = 1.0
+            gen = gen + gamma * _dissipator_term(a)
+    if spec.trap_rate > 0:
+        a = np.zeros((d, d))
+        a[sink, spec.sink_site] = 1.0
+        gen = gen + spec.trap_rate * _dissipator_term(a)
+    if spec.recombination_rate > 0:
+        for m in range(n):
+            a = np.zeros((d, d))
+            a[loss, m] = 1.0
+            gen = gen + spec.recombination_rate * _dissipator_term(a)
+    return gen
+
+
+def liouvillian_runge_kutta(h, spec, rho0: np.ndarray, t: float) -> np.ndarray:
+    """rho(t) by DOP853 on liouvillian_by_kron's generator, at tight tolerances."""
+    generator = liouvillian_by_kron(h, spec)
     d = rho0.shape[0]
     sol = solve_ivp(lambda _, y: generator @ y, (0.0, t), rho0.reshape(-1, order="F"),
                     method="DOP853", rtol=1e-12, atol=1e-14)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from aqsim.bose_hubbard import (BasisSizeError, EigenConvergenceError,
-                                NegativeAbsorptionError)
+from aqsim.bose_hubbard import (BasisSizeError, DriveCouplingError,
+                                EigenConvergenceError, NegativeAbsorptionError)
 from aqsim.cli import ConfigError, config_hash, main, parse_config
 from aqsim.netfiles import NetfileError
 from aqsim.open_system import StateInvariantError
@@ -243,6 +243,7 @@ def test_unknown_key_exit_code(tmp_path, data_dir, capsys):
     (StateInvariantError("trace drift"), 4, "invariant violation"),
     (NegativeAbsorptionError("below -1e-9"), 4, "invariant violation"),
     (ValueError("dimension mismatch"), 4, "invariant violation"),
+    (DriveCouplingError("raise k"), 2, "error"),  # a ValueError, mapped ahead of it
 ])
 def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code, prefix):
     import aqsim.cli
@@ -399,6 +400,35 @@ def test_bh_scan_k_above_basis_size(tmp_path):
     assert all(float(r[1]) > 0 for r in rows)
     sidecar = json.loads((tmp_path / "scan.csv.meta.json").read_text())
     assert sidecar["basis_states"] == 3 and sidecar["k"] == 10
+
+
+def test_bh_scan_k_too_small_is_a_config_error(tmp_path, capsys):
+    # 3 states; the first excited state is odd under reflection, so the
+    # drive cannot reach it and k = 2 holds no drive-coupled state
+    cfg = scan_config(tmp_path, 2, 2, k=2)
+    assert main(["bh-scan", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no drive-coupled excitation among the lowest k = 2 states; raise k\n")
+    assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("output", ["outdir", "."])
+def test_output_naming_a_directory_is_a_config_error(tmp_path, capsys, output):
+    (tmp_path / "outdir").mkdir()
+    cfg = scan_config(tmp_path, 3, 3, output=output)
+    assert main(["bh-scan", str(cfg)]) == 2
+    target = tmp_path / output
+    assert capsys.readouterr().err == (
+        f"error: line 8: output names a directory: {target}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "scan.cfg"]
+
+
+def test_second_command_line_is_a_duplicate_key(tmp_path, capsys):
+    cfg = scan_config(tmp_path, 3, 3)
+    cfg.write_text(cfg.read_text() + "command validate\n")
+    assert main(["bh-scan", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: line 9: duplicate key 'command'\n"
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_bh_scan_is_byte_identical_on_rerun(tmp_path):

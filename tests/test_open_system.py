@@ -8,8 +8,8 @@ from aqsim.hamiltonians import NetworkError
 from aqsim.open_system import build_liouvillian, initial_excitation
 
 from conftest import detuned_dimer, make_chain
-from oracles import (liouvillian_runge_kutta, random_density_matrix,
-                     random_transport_instance)
+from oracles import (liouvillian_by_kron, liouvillian_runge_kutta,
+                     random_density_matrix, random_transport_instance)
 
 # Sink population of the detuned dimer at t = 300 over geomspace(0.01, 100, 9),
 # tabulated with a dense exponential of the generator before any integrator
@@ -126,8 +126,17 @@ def test_evolve_matches_dense_exponential_oracle():
         rho0 = DensityMatrix(random_density_matrix(rng, gen.dim))
         t = float(rng.uniform(0.0, 5.0))
         out = aqsim.evolve(rho0, gen, t)
-        want = liouvillian_runge_kutta(gen.matrix, rho0.matrix, t)
+        want = liouvillian_runge_kutta(h, spec, rho0.matrix, t)
         assert np.abs(out.matrix - want).max() <= 1e-8
+
+
+def test_generator_matches_kron_oracle():
+    rng = np.random.default_rng(2008)
+    for _ in range(250):
+        h, spec = random_transport_instance(rng, max_sites=6)
+        got = build_liouvillian(h, spec).matrix
+        want = liouvillian_by_kron(h, spec)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_evolve_rejects_bad_arguments():
