@@ -15,7 +15,8 @@ from .bose_hubbard import (AbsorptionSpectrum, BasisSizeError,
                            chain_edges, condensate_fraction,
                            drive_coupled_gap, enumerate_basis, low_spectrum,
                            modulation_absorption, one_body_density_matrix,
-                           onsite_pair_count, plaquette_edges)
+                           onsite_pair_count, plaquette_edges,
+                           reflection_sector)
 from .hamiltonians import (GeometryError, Hamiltonian, MappingError,
                            MappingRecord, NetworkError, SiteNetwork,
                            WaveguideGeometry, apply_static_disorder,

@@ -10,6 +10,11 @@ diagnostic, and energy absorption under a periodic modulation of the
 interaction U(t) = U (1 + delta sin(2 pi nu t)).  Absorption peaks sit at
 transition frequencies (E_k - E_0) / 2 pi of states the modulation couples
 to, which is how the gap and its softening show up at desk scale.
+
+The gap scan solves in the sector of states even under the site reversal
+j -> L - 1 - j (reflection_sector): the ground state and every state the
+drive couples to lie there, so the eigensolve needs only about half the
+Fock basis.
 """
 
 from __future__ import annotations
@@ -246,6 +251,44 @@ def hopping_matrix(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix
     mat = sp.coo_matrix((-params.hopping * amps, (targets, sources)),
                         shape=(dim, dim))
     return mat.tocsr()
+
+
+def reflection_sector(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:
+    """Isometry P (m x dim, orthonormal rows) onto the reversal-even states.
+
+    The site reversal j -> L - 1 - j maps each Fock state to its mirror,
+    ranked as basis._rank(states[:, ::-1]).  A state is a representative
+    when its index is at most its mirror's; a mirror pair enters its row of
+    P with weights 1/sqrt(2) on both states, a palindrome with weight 1.
+    Rows follow the representatives' basis order.
+
+    When the edge set maps onto itself under the reversal (the chain's
+    mirror, the row-major plaquette's 180 degree rotation), H commutes with
+    it and P H P^T is H on the even sector.  For J > 0 on a connected
+    lattice the ground state is unique and nodeless (Perron-Frobenius), so
+    it is even; the pair-count drive commutes with every site permutation,
+    so only even states couple to it.  The gap and the condensate fraction
+    therefore need only the even sector.  Raises ValueError for an edge set
+    the reversal does not preserve.
+    """
+    if params.n_sites != basis.n_sites:
+        raise ValueError(
+            f"geometry has {params.n_sites} sites, basis has {basis.n_sites}")
+    last = params.n_sites - 1
+    mirrored = {(last - k, last - j) for j, k in params.edges}  # edges are j < k
+    if mirrored != set(params.edges):
+        raise ValueError("edge set is not invariant under site reversal")
+    mirror = basis._rank(basis.states[:, ::-1])
+    (reps,) = np.nonzero(np.arange(len(basis)) <= mirror)
+    partners = mirror[reps]
+    paired = partners != reps
+    weights = np.where(paired, math.sqrt(0.5), 1.0)
+    rows = np.arange(reps.size)
+    return sp.csr_matrix(
+        (np.concatenate([weights, weights[paired]]),
+         (np.concatenate([rows, rows[paired]]),
+          np.concatenate([reps, partners[paired]]))),
+        shape=(reps.size, len(basis)))
 
 
 def build_bh(params: BoseHubbardParams, basis: FockBasis) -> Hamiltonian:

@@ -35,8 +35,8 @@ from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
                            DriveCouplingError, NegativeAbsorptionError,
                            condensate_fraction, drive_coupled_gap,
                            enumerate_basis, low_spectrum, build_bh,
-                           modulation_absorption)
-from .hamiltonians import apply_static_disorder, build_tight_binding
+                           modulation_absorption, reflection_sector)
+from .hamiltonians import Hamiltonian, apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
 from .validation import (build_report, check_isomorphism, classify_speedup,
@@ -470,11 +470,15 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     grid = np.geomspace(v["j_min"], v["j_max"], v["j_steps"])
-    k = min(v["k"], len(basis))
+    points = [_bh_params(v, j * v["U"], v["U"]) for j in grid]
+    # J > 0: the ground state and all it is drive-coupled to are even
+    sector = reflection_sector(points[0], basis)
+    k = min(v["k"], sector.shape[0])
     rows = []
-    for j in grid:
-        params = _bh_params(v, j * v["U"], v["U"])
-        energies, vectors = low_spectrum(build_bh(params, basis), k)
+    for j, params in zip(grid, points):
+        h = sector @ build_bh(params, basis).matrix @ sector.T
+        energies, even = low_spectrum(Hamiltonian(h), k)
+        vectors = sector.T @ even
         gap = drive_coupled_gap(energies, vectors, basis)
         fraction = condensate_fraction(vectors[:, 0], basis)
         rows.append((j, gap, fraction))
@@ -482,6 +486,7 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
         "j_grid": [float(g) for g in grid],
         "k": v["k"],
         "basis_states": len(basis),
+        "sector_states": sector.shape[0],
     })
 
 

@@ -12,9 +12,10 @@ is a classical Markov chain, the mean-channel oracle evolves the density
 matrix of the infinite-shot ensemble, the segment-by-segment ensemble draws
 each shot's phases one segment at a time over one state holding every shot
 (the implementation draws a shot's phases at once and runs shots in
-chunks), and the Fock-space oracles find each hop's target state in a dict
+chunks), the Fock-space oracles find each hop's target state in a dict
 of occupation tuples, one state at a time (the implementation ranks whole
-batches of states).
+batches of states), and the scan-point oracle diagonalizes the full-basis
+Hamiltonian densely (the implementation solves the reversal-even sector).
 """
 
 import math
@@ -217,3 +218,26 @@ def one_body_density_matrix_by_lookup(psi: np.ndarray, basis) -> np.ndarray:
                 t = lookup[tuple(int(m) for m in target)]
                 rho[i, j] += np.conj(psi[t]) * math.sqrt(state[j] * (state[i] + 1)) * psi[s]
     return rho
+
+
+def scan_point_by_lookup(params, basis, k: int) -> tuple:
+    """(gap, condensate fraction) of one bh-scan point on the full basis.
+
+    H is the lookup hopping matrix plus U times the pair count read off the
+    occupations, diagonalized whole with dense eigh.  The gap is that of the
+    first of the k lowest states whose pair-count element with the ground
+    state exceeds 1e-8 of ||pair-count applied to the ground state||.
+    """
+    pairs = np.array([sum(n * (n - 1) // 2 for n in state)
+                      for state in basis.states.tolist()], dtype=float)
+    h = hopping_matrix_by_lookup(params, basis).toarray() + np.diag(
+        params.interaction * pairs)
+    energies, vectors = np.linalg.eigh(h)
+    ground = vectors[:, 0]
+    driven = pairs * ground
+    floor = 1e-8 * np.linalg.norm(driven)
+    gap = next(energies[i] - energies[0] for i in range(1, k)
+               if energies[i] - energies[0] > 1e-10
+               and abs(vectors[:, i] @ driven) > floor)
+    rho = one_body_density_matrix_by_lookup(ground, basis)
+    return float(gap), float(np.linalg.eigvalsh(rho).max()) / basis.n_bosons

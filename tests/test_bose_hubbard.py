@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import aqsim
-from aqsim import BasisSizeError, BoseHubbardParams
+from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
 from aqsim.bose_hubbard import basis_size, hopping_matrix, onsite_pair_count
 
 from oracles import (chain_eigensystem, hopping_matrix_by_lookup,
@@ -294,6 +294,40 @@ def test_drive_coupled_gap_skips_uncoupled_state():
     h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
     gap = aqsim.drive_coupled_gap(*aqsim.low_spectrum(h, 3), basis)
     assert gap == pytest.approx(SQRT17, abs=1e-9)
+
+
+def test_drive_coupled_gap_with_ground_state_alone_raises():
+    basis = aqsim.enumerate_basis(2, 2)
+    h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
+    with pytest.raises(DriveCouplingError, match="lowest k = 1 states; raise k"):
+        aqsim.drive_coupled_gap(*aqsim.low_spectrum(h, 1), basis)
+
+
+@pytest.mark.parametrize("params, bosons, even", [
+    (BoseHubbardParams.chain(7, 0.1, 1.0), 7, 868),
+    (BoseHubbardParams.plaquette(2, 3, 0.3, 1.0), 5, 126),  # no palindromes
+], ids=["chain7-N7", "plaquette2x3-N5"])
+def test_reflection_sector_is_an_isometry_that_h_keeps(params, bosons, even):
+    basis = aqsim.enumerate_basis(params.n_sites, bosons)
+    p = aqsim.reflection_sector(params, basis)
+    assert p.shape == (even, len(basis))
+    assert np.abs(p @ p.T - sp.identity(even)).max() <= 1e-15
+    h = aqsim.build_bh(params, basis).matrix
+    leak = abs(h @ p.T - p.T @ (p @ h @ p.T)).max()
+    assert leak <= 1e-14 * abs(h).sum(axis=1).max()
+
+
+def test_reflection_sector_size_on_the_3x3_plaquette():
+    basis = aqsim.enumerate_basis(9, 9)
+    p = aqsim.reflection_sector(BoseHubbardParams.plaquette(3, 3, 0.1, 1.0), basis)
+    assert p.shape == (12190, 24310)
+
+
+def test_reflection_sector_rejects_edges_reversal_moves():
+    basis = aqsim.enumerate_basis(4, 2)
+    params = BoseHubbardParams(4, 1.0, 1.0, ((0, 1), (1, 2)))  # reversal: (2, 3), (1, 2)
+    with pytest.raises(ValueError, match="not invariant under site reversal"):
+        aqsim.reflection_sector(params, basis)
 
 
 def test_gap_softens_toward_crossover():

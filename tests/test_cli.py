@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from aqsim.bose_hubbard import (BasisSizeError, DriveCouplingError,
-                                EigenConvergenceError, NegativeAbsorptionError)
+from aqsim.bose_hubbard import (BasisSizeError, BoseHubbardParams,
+                                DriveCouplingError, EigenConvergenceError,
+                                NegativeAbsorptionError, enumerate_basis)
 from aqsim.cli import ConfigError, config_hash, main, parse_config
 from aqsim.netfiles import NetfileError
 from aqsim.open_system import StateInvariantError
 
+from oracles import scan_point_by_lookup
 from test_open_system import DIMER_ETA_ORACLE, DIMER_GAMMA_GRID
 
 
@@ -333,7 +335,8 @@ def test_bh_spectrum_negative_absorption_is_an_invariant_violation(
     assert not (tmp_path / "spec.csv").exists()
 
 
-def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv"):
+def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv",
+                geometry=""):
     return write_config(tmp_path, "scan.cfg", f"""command bh-scan
 L {sites}
 N {bosons}
@@ -342,7 +345,27 @@ j_max 0.2
 j_steps {j_steps}
 k {k}
 output {output}
-""")
+{geometry}""")
+
+
+@pytest.mark.parametrize("sites, bosons, shape", [
+    (3, 3, None), (4, 4, None), (5, 5, None), (6, 6, None),
+    (4, 4, (2, 2)), (6, 5, (2, 3)),
+], ids=["chain3", "chain4", "chain5", "chain6", "plaquette2x2", "plaquette2x3"])
+def test_bh_scan_matches_full_basis_dense_oracle(tmp_path, sites, bosons, shape):
+    geometry = "" if shape is None else (
+        f"geometry plaquette\nrows {shape[0]}\ncols {shape[1]}\n")
+    cfg = scan_config(tmp_path, sites, bosons, geometry=geometry)
+    assert main(["bh-scan", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "scan.csv")
+    assert len(rows) == 3
+    basis = enumerate_basis(sites, bosons)
+    for j, gap, fraction in (map(float, row) for row in rows):
+        params = (BoseHubbardParams.chain(sites, j, 1.0) if shape is None
+                  else BoseHubbardParams.plaquette(*shape, j, 1.0))
+        want_gap, want_fraction = scan_point_by_lookup(params, basis, 10)
+        assert abs(gap - want_gap) <= 1e-10
+        assert abs(fraction - want_fraction) <= 1e-10
 
 
 def test_bh_scan_oversized_basis_is_a_config_error(tmp_path, capsys):
@@ -375,7 +398,7 @@ def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
         return aqsim.low_spectrum(h, k)
 
     monkeypatch.setattr(aqsim.cli, "low_spectrum", counting)
-    cfg = scan_config(tmp_path, 6, 6, k=10, j_steps=4)  # 462 states: Lanczos path
+    cfg = scan_config(tmp_path, 7, 6, k=10, j_steps=4)  # 472 even states: Lanczos path
     assert main(["bh-scan", str(cfg)]) == 0
     assert calls == [10] * 4
 
@@ -400,16 +423,18 @@ def test_bh_scan_k_above_basis_size(tmp_path):
     assert all(float(r[1]) > 0 for r in rows)
     sidecar = json.loads((tmp_path / "scan.csv.meta.json").read_text())
     assert sidecar["basis_states"] == 3 and sidecar["k"] == 10
+    assert sidecar["sector_states"] == 2
 
 
-def test_bh_scan_k_too_small_is_a_config_error(tmp_path, capsys):
-    # 3 states; the first excited state is odd under reflection, so the
-    # drive cannot reach it and k = 2 holds no drive-coupled state
+def test_bh_scan_k_two_fills_the_even_block(tmp_path):
+    # the odd state (2,0) - (0,2) is not in the solve; the even block on
+    # (2,0) + (0,2) and (1,1) is [[U, -2J], [-2J, 0]], gap sqrt(U^2 + 16 J^2)
     cfg = scan_config(tmp_path, 2, 2, k=2)
-    assert main(["bh-scan", str(cfg)]) == 2
-    assert capsys.readouterr().err == (
-        "error: no drive-coupled excitation among the lowest k = 2 states; raise k\n")
-    assert not (tmp_path / "scan.csv").exists()
+    assert main(["bh-scan", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / "scan.csv")
+    assert len(rows) == 3
+    for j, gap, _ in (map(float, row) for row in rows):
+        assert abs(gap - np.sqrt(1.0 + 16.0 * j * j)) <= 1e-12
 
 
 @pytest.mark.parametrize("output", ["outdir", "."])
