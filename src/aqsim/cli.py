@@ -29,13 +29,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
                            DriveCouplingError, NegativeAbsorptionError,
                            condensate_fraction, drive_coupled_gap,
-                           enumerate_basis, low_spectrum, build_bh,
-                           modulation_absorption, reflection_sector)
+                           enumerate_basis, hopping_matrix, low_spectrum,
+                           modulation_absorption, onsite_pair_count,
+                           reflection_sector)
 from .hamiltonians import Hamiltonian, apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
@@ -470,13 +472,17 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     grid = np.geomspace(v["j_min"], v["j_max"], v["j_steps"])
-    points = [_bh_params(v, j * v["U"], v["U"]) for j in grid]
+    unit = _bh_params(v, 1.0, v["U"])
     # J > 0: the ground state and all it is drive-coupled to are even
-    sector = reflection_sector(points[0], basis)
+    sector = reflection_sector(unit, basis)
     k = min(v["k"], sector.shape[0])
+    # only J changes along the scan: project the unit-J hopping and the
+    # U pair-count parts once, then H_s(J) = J hop_s + pairs_s
+    hop = sector @ hopping_matrix(unit, basis) @ sector.T
+    pairs = sector @ sp.diags(v["U"] * onsite_pair_count(basis)) @ sector.T
     rows = []
-    for j, params in zip(grid, points):
-        h = sector @ build_bh(params, basis).matrix @ sector.T
+    for j in grid:
+        h = (j * v["U"]) * hop + pairs
         energies, even = low_spectrum(Hamiltonian(h), k)
         vectors = sector.T @ even
         gap = drive_coupled_gap(energies, vectors, basis)

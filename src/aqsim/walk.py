@@ -165,7 +165,8 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
         phases = np.empty((width, n_segments, dim))
         for j in range(width):
             rng = np.random.default_rng(np.random.SeedSequence([base, lo + j]))
-            phases[j] = rng.normal(0.0, phase_sigma, (n_segments, dim))
+            rng.standard_normal(out=phases[j])
+        phases *= phase_sigma
         amps = np.zeros((dim, width), dtype=complex)
         amps[input_mode, :] = 1.0
         kick = np.empty((dim, width), dtype=complex)

@@ -348,21 +348,24 @@ output {output}
 {geometry}""")
 
 
-@pytest.mark.parametrize("sites, bosons, shape", [
-    (3, 3, None), (4, 4, None), (5, 5, None), (6, 6, None),
-    (4, 4, (2, 2)), (6, 5, (2, 3)),
-], ids=["chain3", "chain4", "chain5", "chain6", "plaquette2x2", "plaquette2x3"])
-def test_bh_scan_matches_full_basis_dense_oracle(tmp_path, sites, bosons, shape):
-    geometry = "" if shape is None else (
-        f"geometry plaquette\nrows {shape[0]}\ncols {shape[1]}\n")
+@pytest.mark.parametrize("sites, bosons, shape, interaction", [
+    (3, 3, None, 1.0), (4, 4, None, 1.0), (5, 5, None, 1.0), (6, 6, None, 1.0),
+    (4, 4, (2, 2), 1.0), (6, 5, (2, 3), 1.0), (5, 5, None, 2.5),
+], ids=["chain3", "chain4", "chain5", "chain6", "plaquette2x2", "plaquette2x3",
+        "chain5-U2.5"])
+def test_bh_scan_matches_full_basis_dense_oracle(tmp_path, sites, bosons, shape,
+                                                 interaction):
+    geometry = f"U {interaction!r}\n" + ("" if shape is None else (
+        f"geometry plaquette\nrows {shape[0]}\ncols {shape[1]}\n"))
     cfg = scan_config(tmp_path, sites, bosons, geometry=geometry)
     assert main(["bh-scan", str(cfg)]) == 0
     _, _, rows = read_csv(tmp_path / "scan.csv")
     assert len(rows) == 3
     basis = enumerate_basis(sites, bosons)
     for j, gap, fraction in (map(float, row) for row in rows):
-        params = (BoseHubbardParams.chain(sites, j, 1.0) if shape is None
-                  else BoseHubbardParams.plaquette(*shape, j, 1.0))
+        hopping = j * interaction
+        params = (BoseHubbardParams.chain(sites, hopping, interaction) if shape is None
+                  else BoseHubbardParams.plaquette(*shape, hopping, interaction))
         want_gap, want_fraction = scan_point_by_lookup(params, basis, 10)
         assert abs(gap - want_gap) <= 1e-10
         assert abs(fraction - want_fraction) <= 1e-10

@@ -5,11 +5,13 @@ import aqsim
 from aqsim import (DensityMatrix, NoSinkError, StateInvariantError,
                    TransportSpec, WalkState)
 from aqsim.hamiltonians import NetworkError
-from aqsim.open_system import build_liouvillian, initial_excitation
+from aqsim import open_system
+from aqsim.open_system import TRACE_TOL, build_liouvillian, initial_excitation
 
-from conftest import detuned_dimer, make_chain
+from conftest import DATA_DIR, detuned_dimer, make_chain
 from oracles import (liouvillian_by_kron, liouvillian_runge_kutta,
-                     random_density_matrix, random_transport_instance)
+                     random_density_matrix, random_transport_instance,
+                     transport_efficiency_full_space)
 
 # Sink population of the detuned dimer at t = 300 over geomspace(0.01, 100, 9),
 # tabulated with a dense exponential of the generator before any integrator
@@ -233,3 +235,84 @@ def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         aqsim.EfficiencyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.2]),
                               (True, True), "x", spec, 10.0, 1e-8)
+
+
+def fmo7_panel():
+    """The fmo7 sigma = 0.5 disorder panel, seeds 1-6, with its transport spec."""
+    h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "fmo7.net"))
+    spec = TransportSpec(0, 6, 1.0, 0.05, np.zeros(7))
+    return [aqsim.apply_static_disorder(h, 0.5, seed) for seed in range(1, 7)], spec
+
+
+def test_efficiency_matches_full_space_oracle_on_fmo_panel():
+    hs, spec = fmo7_panel()
+    for h in hs:
+        for gamma in np.geomspace(1e-3, 1e2, 11):
+            point = spec.with_uniform_dephasing(gamma)
+            eta, converged = aqsim.transport_efficiency(h, point, t_max=600.0, tol=1e-8)
+            want, want_converged, _ = transport_efficiency_full_space(
+                h, point, t_max=600.0, tol=1e-8)
+            assert abs(eta - want) <= 1e-12
+            assert converged == want_converged
+
+
+def test_efficiency_matches_runge_kutta_at_the_stop_time():
+    hs, spec = fmo7_panel()
+    h, point = hs[2], spec.with_uniform_dephasing(1.0)
+    eta, converged = aqsim.transport_efficiency(h, point, t_max=600.0, tol=1e-8)
+    _, _, t_stop = transport_efficiency_full_space(h, point, t_max=600.0, tol=1e-8)
+    rho = liouvillian_runge_kutta(h, point, initial_excitation(7, 0).matrix, t_stop)
+    assert converged and t_stop < 600.0
+    assert abs(eta - rho[7, 7].real) <= 1e-8
+
+
+def _patched_step(monkeypatch, change):
+    real = open_system.expm
+    monkeypatch.setattr(open_system, "expm", lambda a: change(real, a))
+
+
+def test_scaled_step_raises_trace_drift(monkeypatch):
+    _patched_step(monkeypatch, lambda expm, a: 1.01 * expm(a))
+    with pytest.raises(StateInvariantError, match="trace drift"):
+        aqsim.transport_efficiency(*detuned_dimer(), t_max=300.0, tol=1e-8)
+
+
+def test_backward_step_raises_negative_eigenvalue(monkeypatch):
+    # expm(-L dt) runs time backwards: the sink and loss registers give
+    # up population they never had, at trace 1 and Hermitian
+    _patched_step(monkeypatch, lambda expm, a: expm(-a))
+    with pytest.raises(StateInvariantError, match="negative eigenvalue"):
+        aqsim.transport_efficiency(*detuned_dimer(), t_max=300.0, tol=1e-8)
+
+
+def test_step_failing_after_the_stop_does_not_raise(monkeypatch):
+    h, spec = detuned_dimer()
+    _, converged, t_stop = transport_efficiency_full_space(h, spec, t_max=300.0, tol=1e-8)
+    stop = round(t_stop / 3.0)
+    assert converged and stop < 100
+    # the trace drifts by about eps per checkpoint and passes TRACE_TOL
+    # between the stop and the checkpoint after it
+    eps = TRACE_TOL / (stop + 0.5)
+    _patched_step(monkeypatch, lambda expm, a: (1.0 + eps) * expm(a))
+    eta, converged = aqsim.transport_efficiency(h, spec, t_max=300.0, tol=1e-8)
+    assert converged and eta > 0.0
+    # the same steps checked up to the horizon do fail
+    with pytest.raises(StateInvariantError, match="trace drift"):
+        aqsim.transport_efficiency(h, spec, t_max=300.0, tol=1e-300)
+
+
+def test_stack_check_reports_the_first_failing_state_and_test():
+    good = initial_excitation(2, 0).matrix
+    heavy = 1.5 * good  # trace drift 0.5
+    lopsided = good + np.diag([0.0, 0.0, 0.2, -0.2])  # eigenvalue -0.2
+    skew = heavy + np.triu(np.full((4, 4), 1e-3), 1)  # not Hermitian, drift 0.5
+    nan = np.full((4, 4), np.nan)
+    cases = [([good, heavy, nan], "trace drift 5.000e-01"),
+             ([good, nan, heavy], "non-finite"),
+             ([good, 1.25 * good, heavy], "trace drift 2.500e-01"),
+             ([good, skew], "not Hermitian"),
+             ([lopsided, heavy], "negative eigenvalue -2.000e-01")]
+    open_system._check_states(np.array([good, good]))
+    for states, message in cases:
+        with pytest.raises(StateInvariantError, match=message):
+            open_system._check_states(np.array(states))

@@ -3,12 +3,17 @@
 perfbench/tracing.py patches each (module, name) in its EXTERNALS on
 aqsim.<module> by attribute name, so a binding that disappears from the
 program breaks every traced benchmark run.  The tuple is read from the
-source without importing or changing the tracer.
+source without importing or changing the tracer.  The tracer also wraps
+open_system.DensityMatrix.__post_init__ and the public
+open_system.build_liouvillian by name.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+from aqsim import open_system
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +32,12 @@ def test_tracer_externals_are_bound_in_the_package():
     for module, name in externals:
         assert hasattr(importlib.import_module(f"aqsim.{module}"), name), (
             f"aqsim.{module} no longer binds {name!r}, which {TRACING.name} patches")
+
+
+def test_tracer_patch_targets_exist_in_open_system():
+    # the tracer wraps DensityMatrix.__post_init__ by name, and it wraps
+    # (and reads the generator size off) build_liouvillian because that is
+    # a public function of the module
+    assert inspect.isfunction(getattr(open_system.DensityMatrix, "__post_init__", None))
+    build = getattr(open_system, "build_liouvillian", None)
+    assert inspect.isfunction(build) and build.__module__ == open_system.__name__
