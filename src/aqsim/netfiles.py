@@ -1,27 +1,37 @@
 """Plain-text parameter files for networks, geometries, and mappings.
 
-Grammar (one record per line, ``#`` starts a comment, blank lines ignored):
+One record per line, ``#`` starts a comment, blank lines are ignored.
+Network and geometry files share one record grammar:
+
+    <count> <n>                            n >= 1, before any item or pair
+    <item> <index> <label> <value>         one per index, 0-based
+    <pair> <m> <n> <value>                 m != n, each unordered pair once
+    <scalar> <value>                       at most once
+
+A label is one token without ``#``.
 
 network file
     sites <n>
-    site <index> <label> <energy>          one line per site, 0-based
-    coupling <m> <n> <value>               m != n, each unordered pair once
+    site <index> <label> <energy>
+    coupling <m> <n> <value>               pairs not listed are uncoupled
 
 geometry file
     guides <n>
     guide <index> <label> <beta>
     separation <m> <n> <distance>          micrometres, every pair required
-    coupling_scale <C0>
-    decay_length <d0>                      distance, C0 and d0 positive
+    coupling_scale <C0>                    required
+    decay_length <d0>                      required; distance, C0, d0 positive
 
 mapping file
     permutation <p0> <p1> ... <p(n-1)>
     unit_scale <s>                         positive
 
 Files are UTF-8.  Every malformed file raises NetfileError, with the line
-number where one applies.  Numbers are decimal literals.  Serializers write the shortest decimal that
-round-trips the stored double, so save -> load -> save is byte-identical
-and any finite decimal input is re-read to the exact same value.
+number where one applies.  Numbers are ASCII decimal literals (no ``_``
+separators, no other scripts' digits).  Serializers write the shortest
+decimal that round-trips the stored double, so save -> load -> save is
+byte-identical and any finite decimal input is re-read to the exact same
+value; they raise NetfileError for a label the readers could not read back.
 """
 
 from __future__ import annotations
@@ -46,16 +56,23 @@ def _records(text: str):
             yield lineno, line.split()
 
 
+def _decimal(token: str) -> str:
+    # int() and float() also take '_' separators and non-ASCII digits
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return token
+
+
 def _parse_int(token: str, lineno: int, what: str) -> int:
     try:
-        return int(token)
+        return int(_decimal(token))
     except ValueError:
         raise NetfileError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
-        value = float(token)
+        value = float(_decimal(token))
     except ValueError:
         raise NetfileError(f"line {lineno}: {what} must be a number, got {token!r}") from None
     if not np.isfinite(value):
@@ -77,72 +94,85 @@ def _square_zeros(n: int, lineno: int, what: str) -> np.ndarray:
         raise NetfileError(f"line {lineno}: {what} {n} is too large") from None
 
 
-def _site_index(token: str, lineno: int, n: int, what: str = "site index") -> int:
+def _site_index(token: str, lineno: int, n: int, what: str) -> int:
     idx = _parse_int(token, lineno, what)
     if not 0 <= idx < n:
         raise NetfileError(f"line {lineno}: {what} {idx} out of range 0..{n - 1}")
     return idx
 
 
-def loads_network(text: str) -> SiteNetwork:
+def _read_indexed(text: str, count: str, item: str, value_name: str, pair: str,
+                  pair_value, scalars: tuple = ()):
+    """Read the count, indexed item, symmetric pair and positive scalar records.
+
+    Returns (labels, item values, pair matrix, {keyword: value} of the count
+    and scalar records found).
+    """
     n = None
-    energies = labels = None
-    seen_sites = set()
-    seen_pairs = set()
-    couplings = None
+    seen, seen_pairs, found = set(), set(), {}
     for lineno, fields in _records(text):
         key, args = fields[0], fields[1:]
-        if key == "sites":
-            if n is not None:
-                raise NetfileError(f"line {lineno}: duplicate 'sites' record")
+        if key == count or key in scalars:
+            if key in found:
+                raise NetfileError(f"line {lineno}: duplicate '{key}' record")
             if len(args) != 1:
-                raise NetfileError(f"line {lineno}: 'sites' takes one value")
-            n = _parse_int(args[0], lineno, "site count")
+                raise NetfileError(f"line {lineno}: '{key}' takes one value")
+            if key in scalars:
+                found[key] = _parse_positive(args[0], lineno, key.replace("_", " "))
+                continue
+            n = found[key] = _parse_int(args[0], lineno, f"{item} count")
             if n < 1:
-                raise NetfileError(f"line {lineno}: site count must be >= 1")
-            couplings = _square_zeros(n, lineno, "site count")
-            energies = np.zeros(n)
-            labels = [""] * n
-        elif key == "site":
-            if n is None:
-                raise NetfileError(f"line {lineno}: 'site' before 'sites'")
-            if len(args) != 3:
-                raise NetfileError(f"line {lineno}: 'site' takes index, label, energy")
-            idx = _site_index(args[0], lineno, n)
-            if idx in seen_sites:
-                raise NetfileError(f"line {lineno}: duplicate site {idx}")
-            seen_sites.add(idx)
-            labels[idx] = args[1]
-            energies[idx] = _parse_float(args[2], lineno, "site energy")
-        elif key == "coupling":
-            if n is None:
-                raise NetfileError(f"line {lineno}: 'coupling' before 'sites'")
-            if len(args) != 3:
-                raise NetfileError(f"line {lineno}: 'coupling' takes m, n, value")
-            a = _site_index(args[0], lineno, n)
-            b = _site_index(args[1], lineno, n)
-            if a == b:
-                raise NetfileError(f"line {lineno}: coupling requires two distinct sites")
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                raise NetfileError(f"line {lineno}: duplicate coupling for pair {pair}")
-            seen_pairs.add(pair)
-            value = _parse_float(args[2], lineno, "coupling value")
-            couplings[a, b] = couplings[b, a] = value
-        else:
+                raise NetfileError(f"line {lineno}: {item} count must be >= 1")
+            matrix = _square_zeros(n, lineno, f"{item} count")
+            values, labels = np.zeros(n), [""] * n
+        elif key not in (item, pair):
             raise NetfileError(f"line {lineno}: unknown record {key!r}")
+        elif n is None:
+            raise NetfileError(f"line {lineno}: '{key}' before '{count}'")
+        elif len(args) != 3:
+            shape = f"index, label, {value_name}" if key == item else "m, n, value"
+            raise NetfileError(f"line {lineno}: '{key}' takes {shape}")
+        elif key == item:
+            idx = _site_index(args[0], lineno, n, f"{item} index")
+            if idx in seen:
+                raise NetfileError(f"line {lineno}: duplicate {item} {idx}")
+            seen.add(idx)
+            labels[idx] = args[1]
+            values[idx] = _parse_float(args[2], lineno, value_name)
+        else:
+            a, b = (_site_index(t, lineno, n, f"{item} index") for t in args[:2])
+            if a == b:
+                raise NetfileError(f"line {lineno}: {pair} requires two distinct {item}s")
+            ab = (min(a, b), max(a, b))
+            if ab in seen_pairs:
+                raise NetfileError(f"line {lineno}: duplicate {pair} for pair {ab}")
+            seen_pairs.add(ab)
+            matrix[a, b] = matrix[b, a] = pair_value(args[2], lineno, pair)
     if n is None:
-        raise NetfileError("missing 'sites' record")
-    if len(seen_sites) != n:
-        missing = sorted(set(range(n)) - seen_sites)
-        raise NetfileError(f"missing 'site' records for indices {missing}")
-    return SiteNetwork(energies, couplings, tuple(labels))
+        raise NetfileError(f"missing '{count}' record")
+    if len(seen) != n:
+        missing = sorted(set(range(n)) - seen)
+        raise NetfileError(f"missing '{item}' records for indices {missing}")
+    return tuple(labels), values, matrix, found
+
+
+def _label(label, i: int, item: str) -> str:
+    label = str(label)
+    if label.split() != [label] or "#" in label:
+        raise NetfileError(f"{item} {i}: label {label!r} must be one token without '#'")
+    return label
+
+
+def loads_network(text: str) -> SiteNetwork:
+    labels, energies, couplings, _ = _read_indexed(
+        text, "sites", "site", "site energy", "coupling", _parse_float)
+    return SiteNetwork(energies, couplings, labels)
 
 
 def dumps_network(net: SiteNetwork) -> str:
     lines = [f"sites {net.n_sites}"]
     for i in range(net.n_sites):
-        lines.append(f"site {i} {net.labels[i]} {_fmt(net.on_site[i])}")
+        lines.append(f"site {i} {_label(net.labels[i], i, 'site')} {_fmt(net.on_site[i])}")
     for a in range(net.n_sites):
         for b in range(a + 1, net.n_sites):
             if net.couplings[a, b] != 0.0:
@@ -151,82 +181,24 @@ def dumps_network(net: SiteNetwork) -> str:
 
 
 def loads_geometry(text: str) -> WaveguideGeometry:
-    n = None
-    betas = labels = separations = None
-    seen_guides = set()
-    seen_pairs = set()
-    scale = decay = None
-    for lineno, fields in _records(text):
-        key, args = fields[0], fields[1:]
-        if key == "guides":
-            if n is not None:
-                raise NetfileError(f"line {lineno}: duplicate 'guides' record")
-            if len(args) != 1:
-                raise NetfileError(f"line {lineno}: 'guides' takes one value")
-            n = _parse_int(args[0], lineno, "guide count")
-            if n < 1:
-                raise NetfileError(f"line {lineno}: guide count must be >= 1")
-            separations = _square_zeros(n, lineno, "guide count")
-            betas = np.zeros(n)
-            labels = [""] * n
-        elif key == "guide":
-            if n is None:
-                raise NetfileError(f"line {lineno}: 'guide' before 'guides'")
-            if len(args) != 3:
-                raise NetfileError(f"line {lineno}: 'guide' takes index, label, beta")
-            idx = _site_index(args[0], lineno, n, "guide index")
-            if idx in seen_guides:
-                raise NetfileError(f"line {lineno}: duplicate guide {idx}")
-            seen_guides.add(idx)
-            labels[idx] = args[1]
-            betas[idx] = _parse_float(args[2], lineno, "propagation constant")
-        elif key == "separation":
-            if n is None:
-                raise NetfileError(f"line {lineno}: 'separation' before 'guides'")
-            if len(args) != 3:
-                raise NetfileError(f"line {lineno}: 'separation' takes m, n, distance")
-            a = _site_index(args[0], lineno, n, "guide index")
-            b = _site_index(args[1], lineno, n, "guide index")
-            if a == b:
-                raise NetfileError(f"line {lineno}: separation requires two distinct guides")
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                raise NetfileError(f"line {lineno}: duplicate separation for pair {pair}")
-            seen_pairs.add(pair)
-            separations[a, b] = separations[b, a] = _parse_positive(
-                args[2], lineno, "separation")
-        elif key == "coupling_scale":
-            if scale is not None:
-                raise NetfileError(f"line {lineno}: duplicate 'coupling_scale'")
-            if len(args) != 1:
-                raise NetfileError(f"line {lineno}: 'coupling_scale' takes one value")
-            scale = _parse_positive(args[0], lineno, "coupling scale")
-        elif key == "decay_length":
-            if decay is not None:
-                raise NetfileError(f"line {lineno}: duplicate 'decay_length'")
-            if len(args) != 1:
-                raise NetfileError(f"line {lineno}: 'decay_length' takes one value")
-            decay = _parse_positive(args[0], lineno, "decay length")
-        else:
-            raise NetfileError(f"line {lineno}: unknown record {key!r}")
-    if n is None:
-        raise NetfileError("missing 'guides' record")
-    if len(seen_guides) != n:
-        missing = sorted(set(range(n)) - seen_guides)
-        raise NetfileError(f"missing 'guide' records for indices {missing}")
-    if n > 1 and len(seen_pairs) != n * (n - 1) // 2:
+    labels, betas, separations, found = _read_indexed(
+        text, "guides", "guide", "propagation constant", "separation", _parse_positive,
+        ("coupling_scale", "decay_length"))
+    n = len(labels)
+    if np.count_nonzero(separations) != n * (n - 1):  # separations are positive
         raise NetfileError("missing 'separation' records for some guide pair")
-    if scale is None:
-        raise NetfileError("missing 'coupling_scale' record")
-    if decay is None:
-        raise NetfileError("missing 'decay_length' record")
-    return WaveguideGeometry(separations, betas, scale, decay, tuple(labels))
+    for key in ("coupling_scale", "decay_length"):
+        if key not in found:
+            raise NetfileError(f"missing '{key}' record")
+    return WaveguideGeometry(separations, betas, found["coupling_scale"],
+                             found["decay_length"], labels)
 
 
 def dumps_geometry(geom: WaveguideGeometry) -> str:
     lines = [f"guides {geom.n_guides}"]
     for i in range(geom.n_guides):
-        lines.append(f"guide {i} {geom.labels[i]} {_fmt(geom.prop_constants[i])}")
+        lines.append(f"guide {i} {_label(geom.labels[i], i, 'guide')} "
+                     f"{_fmt(geom.prop_constants[i])}")
     for a in range(geom.n_guides):
         for b in range(a + 1, geom.n_guides):
             lines.append(f"separation {a} {b} {_fmt(geom.separations[a, b])}")

@@ -37,6 +37,9 @@ def test_finite_decimal_inputs_parse_exact():
     assert net.couplings[0, 1] == 0.03
     # canonical re-serialization is stable from then on
     assert dumps_network(loads_network(dumps_network(net))) == dumps_network(net)
+    # the exponent and signed-zero forms that repr(float) writes
+    back = loads_network("sites 2\nsite 0 a 1e-05\nsite 1 b -0.0\n").on_site
+    assert back[0] == 1e-05 and back[1] == 0.0 and np.signbit(back[1])
 
 
 def test_comments_and_blank_lines_ignored():
@@ -57,6 +60,14 @@ def test_comments_and_blank_lines_ignored():
     ("", "missing 'sites'"),
     ("sites 1\nsite 0 a inf\n", "must be finite"),
     ("sites 99999999999999999999\n", "line 1: site count 99999999999999999999 is too large"),
+    # numbers are ASCII decimal literals: int() and float() would take these
+    ("sites 1_0\n", "line 1: site count must be an integer, got '1_0'"),
+    ("sites \u0663\n", "line 1: site count must be an integer"),
+    ("sites 1\nsite 0 s \uff11\n", "line 2: site energy must be a number"),
+    ("sites 2\nsite 0 a 0\nsite 1 b 0\ncoupling 0 1 1_0.5\n", "line 4: coupling must be a number"),
+    # the geometry grammar's keywords are not network records
+    ("sites 1\nsite 0 a 0\ncoupling_scale 1\n", "line 3: unknown record 'coupling_scale'"),
+    ("sites 1\nsite 0 a 0\nguide 0 a 0\n", "line 3: unknown record 'guide'"),
 ])
 def test_network_errors(text, fragment):
     with pytest.raises(NetfileError) as err:
@@ -104,6 +115,10 @@ def test_geometry_missing_scales():
      "line 4: decay length must be positive"),
     (loads_geometry, "guides 99999999999999999999\n",
      "line 1: guide count 99999999999999999999 is too large"),
+    # the network grammar's keywords are not geometry records
+    (loads_geometry, "guides 2\nguide 0 a 0\nguide 1 b 0\ncoupling 0 1 1\n",
+     "line 4: unknown record 'coupling'"),
+    (loads_geometry, "sites 2\n", "line 1: unknown record 'sites'"),
     (loads_mapping, "permutation 1 0\nunit_scale -2\n",
      "line 2: unit scale must be positive"),
 ])
@@ -111,6 +126,24 @@ def test_model_rules_are_netfile_errors_with_line_numbers(loads, text, message):
     with pytest.raises(NetfileError) as err:
         loads(text)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("labels, index, label", [
+    (("a b", "c"), 0, "a b"),
+    (("a", "x#1"), 1, "x#1"),
+    (("", "c"), 0, ""),
+    (("a", " c"), 1, " c"),
+    (("a", "c\t"), 1, "c\t"),
+])
+@pytest.mark.parametrize("dumps, model", [
+    (dumps_network, lambda labels: aqsim.SiteNetwork([0, 1], np.zeros((2, 2)), labels)),
+    (dumps_geometry, lambda labels: aqsim.WaveguideGeometry(
+        [[0, 1], [1, 0]], [0, 0], 1.0, 1.0, labels)),
+])
+def test_writers_reject_labels_the_readers_cannot_read(labels, index, label, dumps, model):
+    with pytest.raises(NetfileError) as err:
+        dumps(model(labels))
+    assert f" {index}: label {label!r} must be one token without '#'" in str(err.value)
 
 
 @pytest.mark.parametrize("load", [aqsim.load_network, aqsim.load_geometry,
