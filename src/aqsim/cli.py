@@ -2,8 +2,9 @@
 
 One executable with subcommands enaqt-sweep, walk, bh-spectrum, bh-scan,
 and validate.  Each subcommand takes a single plain-text config file of
-``key value`` lines (``#`` comments); unknown keys are hard errors and all
-violations are reported at once with their line numbers.  Paths inside a
+``key value`` lines (``#`` comments); unknown keys are hard errors, numbers
+are ASCII decimal literals as in the parameter files, and all violations
+are reported at once with their line numbers.  Paths inside a
 config are resolved relative to the config file.
 
 Outputs are written atomically (write to a temp file, then rename) and are
@@ -39,7 +40,7 @@ from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
                            modulation_absorption, onsite_pair_count,
                            reflection_sector)
 from .hamiltonians import Hamiltonian, apply_static_disorder, build_tight_binding
-from .netfiles import NetfileError, load_mapping, load_network
+from .netfiles import NetfileError, _decimal, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
 from .validation import (build_report, check_isomorphism, classify_speedup,
                          report_to_json)
@@ -114,8 +115,12 @@ class _Key:
     rest_of_line: bool = False
 
 
+def _integer(token: str) -> int:
+    return int(_decimal(token))
+
+
 def _finite_float(token: str) -> float:
-    value = float(token)
+    value = float(_decimal(token))
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
@@ -524,59 +529,59 @@ _COMMANDS = {
     "enaqt-sweep": _Command(
         "dephasing sweep of transport efficiency (CSV gamma,eta,converged)", {
             "network": _Key(str, required=True, is_path=True),
-            "source": _Key(int, required=True, check=_non_negative),
-            "sink": _Key(int, required=True, check=_non_negative),
+            "source": _Key(_integer, required=True, check=_non_negative),
+            "sink": _Key(_integer, required=True, check=_non_negative),
             "trap_rate": _Key(_finite_float, required=True, check=_positive),
             "recombination_rate": _Key(_finite_float, default=0.0, check=_non_negative),
             "gamma_min": _Key(_finite_float, required=True, check=_positive),
             "gamma_max": _Key(_finite_float, required=True, check=_positive),
-            "gamma_steps": _Key(int, required=True, check=_at_least(2)),
+            "gamma_steps": _Key(_integer, required=True, check=_at_least(2)),
             "t_max": _Key(_finite_float, default=1000.0, check=_positive),
             "tol": _Key(_finite_float, default=1e-8, check=_positive),
             "disorder_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
-            "seed": _Key(int, check=_non_negative),
+            "seed": _Key(_integer, check=_non_negative),
         }, _check_sweep, _run_enaqt_sweep),
     "walk": _Command(
         "single-excitation walk populations (CSV site,population)", {
             "network": _Key(str, required=True, is_path=True),
-            "input_mode": _Key(int, required=True, check=_non_negative),
+            "input_mode": _Key(_integer, required=True, check=_non_negative),
             "time": _Key(_finite_float, check=_non_negative),
             "length": _Key(_finite_float, check=_non_negative),
             "n_index": _Key(_finite_float, check=_positive),
-            "n_segments": _Key(int, check=_at_least(1)),
+            "n_segments": _Key(_integer, check=_at_least(1)),
             "phase_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
-            "shots": _Key(int, check=_at_least(1)),
-            "seed": _Key(int),
+            "shots": _Key(_integer, check=_at_least(1)),
+            "seed": _Key(_integer),
         }, _check_walk, _run_walk),
     "bh-spectrum": _Command(
         "interaction-modulation absorption spectrum (CSV nu,absorbed_energy)", {
-            "L": _Key(int, required=True, check=_at_least(1)),
-            "N": _Key(int, required=True, check=_non_negative),
+            "L": _Key(_integer, required=True, check=_at_least(1)),
+            "N": _Key(_integer, required=True, check=_non_negative),
             "J": _Key(_finite_float, required=True, check=_non_negative),
             "U": _Key(_finite_float, required=True, check=_non_negative),
             "delta": _Key(_finite_float, required=True, check=_in_unit_tenth),
             "nu_min": _Key(_finite_float, required=True, check=_non_negative),
             "nu_max": _Key(_finite_float, required=True, check=_positive),
-            "nu_steps": _Key(int, required=True, check=_at_least(1)),
+            "nu_steps": _Key(_integer, required=True, check=_at_least(1)),
             "t_drive": _Key(_finite_float, required=True, check=_positive),
             "tol": _Key(_finite_float, default=1e-9, check=_positive),
             "geometry": _Key(str, default="chain", check=_geometry),
-            "rows": _Key(int, check=_at_least(1)),
-            "cols": _Key(int, check=_at_least(1)),
+            "rows": _Key(_integer, check=_at_least(1)),
+            "cols": _Key(_integer, check=_at_least(1)),
         }, _check_spectrum, _run_bh_spectrum),
     "bh-scan": _Command(
         "gap and condensate fraction over J/U (CSV j_ratio,gap,condensate_fraction)", {
             # the drive needs two bosons and a second site to excite
-            "L": _Key(int, required=True, check=_at_least(2)),
-            "N": _Key(int, required=True, check=_at_least(2)),
+            "L": _Key(_integer, required=True, check=_at_least(2)),
+            "N": _Key(_integer, required=True, check=_at_least(2)),
             "U": _Key(_finite_float, default=1.0, check=_positive),
             "j_min": _Key(_finite_float, required=True, check=_positive),
             "j_max": _Key(_finite_float, required=True, check=_positive),
-            "j_steps": _Key(int, required=True, check=_at_least(2)),
-            "k": _Key(int, default=10, check=_at_least(2)),
+            "j_steps": _Key(_integer, required=True, check=_at_least(2)),
+            "k": _Key(_integer, default=10, check=_at_least(2)),
             "geometry": _Key(str, default="chain", check=_geometry),
-            "rows": _Key(int, check=_at_least(1)),
-            "cols": _Key(int, check=_at_least(1)),
+            "rows": _Key(_integer, check=_at_least(1)),
+            "cols": _Key(_integer, check=_at_least(1)),
         }, _check_scan, _run_bh_scan),
     "validate": _Command(
         "isomorphism check and validation report (JSON)", {

@@ -57,9 +57,10 @@ def _records(text: str):
 
 
 def _decimal(token: str) -> str:
-    # int() and float() also take '_' separators and non-ASCII digits
+    # int() and float() also take '_' separators and non-ASCII digits;
+    # the config parser shares this rule
     if not token.isascii() or "_" in token:
-        raise ValueError(token)
+        raise ValueError(f"not an ASCII decimal number: {token!r}")
     return token
 
 

@@ -34,12 +34,20 @@ populations (n^2 + 2 of the (n + 2)^2 coordinates): every jump refills a
 population, never a coherence between a site and a register, and the
 register rows of H_eff are zero, so those coherences start at 0 and stay
 exactly 0.  transport_efficiency therefore exponentiates only that block
-of the generator.
+of the generator, and does so in real coordinates.  The generator maps
+Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
+Hermitian matrices B_k (inner product tr(A^dag B)) its entries
+tr(B_k L(B_l)) are traces of products of two Hermitian matrices, hence
+real.  The basis is the n site populations E_ii, then (E_ij + E_ji)/sqrt 2
+and i (E_ij - E_ji)/sqrt 2 for each i < j, then the sink and loss
+populations: real coordinates are stepped by a real step matrix, and map
+back to exactly Hermitian site blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 # Not called: perfbench/tracing.py wraps open_system.solve_ivp by name when it
@@ -105,21 +113,29 @@ class TransportSpec:
         return replace(self, dephasing_rates=np.full(self.n_sites, float(gamma)))
 
 
-def _check_states(stack: np.ndarray) -> None:
-    """Validate a (k, d, d) stack of density matrices.
+def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> None:
+    """Validate a stack of k density matrices, each given as a (k, m, m)
+    block plus, optionally, (k, r) populations on the diagonal after it.
 
-    Tests finite entries, Hermiticity, unit trace and positivity, and
-    raises StateInvariantError for the first failing state and, within
-    it, for the first failing test in that order.  States from the first
-    non-finite one on are not diagonalized.
+    The block-diagonal state is never formed: its trace is the block's
+    plus the populations, and its eigenvalues are the block's plus the
+    populations.  Tests finite entries, Hermiticity, unit trace and
+    positivity, and raises StateInvariantError for the first failing state
+    and, within it, for the first failing test in that order.  States from
+    the first non-finite one on are not diagonalized.
     """
-    non_finite = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    m = stack[:non_finite[0]] if non_finite.size else stack
+    if registers is None:
+        registers = np.zeros((blocks.shape[0], 0))
+    finite = np.isfinite(blocks).all(axis=(1, 2)) & np.isfinite(registers).all(axis=1)
+    non_finite = np.flatnonzero(~finite)
+    k = non_finite[0] if non_finite.size else blocks.shape[0]
+    m, pops = blocks[:k], registers[:k]
     dagger = m.conj().transpose(0, 2, 1)
     herm = np.abs(m - dagger).max(axis=(1, 2))
-    trace = np.trace(m, axis1=1, axis2=2)
+    trace = np.trace(m, axis1=1, axis2=2) + pops.sum(axis=1)
     drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
-    lowest = np.linalg.eigvalsh(0.5 * (m + dagger)).min(axis=1)
+    lowest = np.minimum(np.linalg.eigvalsh(0.5 * (m + dagger)).min(axis=1),
+                        pops.min(axis=1, initial=np.inf))
     failing = (herm > HERM_TOL) | (drift > TRACE_TOL) | (lowest < POSITIVITY_FLOOR)
     if failing.any():
         i = int(np.argmax(failing))
@@ -211,8 +227,11 @@ def build_liouvillian(h: Hamiltonian, spec: TransportSpec) -> Liouvillian:
     h_eff[:n, :n] = h.dense()
     for _, b, rate in jumps:
         h_eff[b, b] -= 0.5j * rate
+    # the two Kronecker products 1 (x) H_eff and conj(H_eff) (x) 1, each
+    # indexed [i, k, j, l] -> row i d + k, column j d + l
     eye = np.eye(d)
-    gen = -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+    gen = -1j * (eye[:, None, :, None] * h_eff[None, :, None, :]
+                 - h_eff.conj()[:, None, :, None] * eye[None, :, None, :]).reshape(d * d, d * d)
     for a, b, rate in jumps:
         gen[a + d * a, b + d * b] += rate
     return Liouvillian(gen, n)
@@ -236,6 +255,30 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
     return DensityMatrix(vec.reshape((gen.dim, gen.dim), order="F"))
 
 
+@lru_cache(maxsize=8)
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of the invariant block, one per column.
+
+    Rows are the block's coordinates (rho_ij at i + n j, then sink and
+    loss); columns are the n populations E_ii, then (E_ij + E_ji)/sqrt 2
+    and i (E_ij - E_ji)/sqrt 2 for each i < j, then sink and loss.  Read
+    only: a sweep shares one basis across its grid points.
+    """
+    size = n * n + 2
+    q = np.zeros((size, size), dtype=complex)
+    sites = np.arange(n)
+    q[sites * (n + 1), sites] = 1.0
+    i, j = np.triu_indices(n, 1)
+    even = n + 2 * np.arange(i.size)
+    half = np.sqrt(0.5)
+    q[i + n * j, even] = q[j + n * i, even] = half
+    q[i + n * j, even + 1] = 1j * half
+    q[j + n * i, even + 1] = -1j * half
+    q[size - 2, size - 2] = q[size - 1, size - 1] = 1.0
+    q.setflags(write=False)
+    return q
+
+
 def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
                          t_max: float = 1000.0, tol: float = 1e-8,
                          _checkpoints: int = 100) -> tuple:
@@ -243,16 +286,23 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
 
     The sink fills at trap_rate * rho[sink_site, sink_site]; the run stops
     early once that feed rate has risen above tol * trap_rate and dropped
-    back below it (checked at checkpoint times).  One exact step matrix
-    carries the state from checkpoint to checkpoint: expm(L t_max /
-    _checkpoints) with L cut to the rows and columns of build_liouvillian's
-    generator that span the invariant subspace of the module docstring (the
-    site block plus the sink and loss populations, 51 of 81 coordinates at
-    n = 7).  The whole trajectory is stepped first; the checkpoints up to
-    the stop are then embedded back into full density matrices and
-    validated as one stack, which raises for the first invalid state just
-    as checking each checkpoint in turn would.  Returns (eta, converged)
-    where converged reports whether the flow criterion fired before t_max.
+    back below it (checked at checkpoint times).
+
+    Only the invariant subspace of the module docstring evolves: the site
+    block plus the sink and loss populations, n^2 + 2 of build_liouvillian's
+    (n + 2)^2 coordinates (51 of 81 at n = 7).  Those rows and columns of
+    the generator are written in a real orthonormal basis of Hermitian
+    matrices Q (_hermitian_basis).  The generator maps Hermitian matrices
+    to Hermitian matrices, and the trace of a product of two Hermitian
+    matrices is real, so each entry tr(B_k L(B_l)) of Q^dag L Q is real up
+    to rounding, whose imaginary part is dropped.  One real step matrix
+    expm(Q^dag L Q t_max / _checkpoints) carries the real coordinates from
+    checkpoint to checkpoint.  The whole trajectory is stepped first; the
+    checkpoints up to the stop are then mapped back through Q to their
+    site blocks and validated, with the two register populations, as one
+    stack, which raises for the first invalid state just as checking each
+    checkpoint in turn would.  Returns (eta, converged) where converged
+    reports whether the flow criterion fired before t_max.
     """
     if spec.trap_rate == 0:
         raise NoSinkError("transport efficiency needs trap_rate > 0")
@@ -265,22 +315,25 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     # the two register populations
     keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
                            [sink + d * sink, loss + d * loss]])
-    step = expm(gen.matrix[np.ix_(keep, keep)] * (t_max / _checkpoints))
-    path = np.empty((_checkpoints + 1, keep.size), dtype=complex)
-    path[0] = initial_excitation(n, spec.source_site).matrix.reshape(-1, order="F")[keep]
+    q = _hermitian_basis(n)
+    real_gen = (q.conj().T @ gen.matrix[np.ix_(keep, keep)] @ q).real
+    step = expm(real_gen * (t_max / _checkpoints))
+    # coordinates: site populations first, sink population at n^2
+    path = np.zeros((_checkpoints + 1, keep.size))
+    path[0, spec.source_site] = 1.0
     for c in range(_checkpoints):
         path[c + 1] = step @ path[c]
-    # the feed rho_kk sits at k + n k of the block; the run is armed once
-    # some earlier feed exceeded tol and stops at the first armed
-    # checkpoint whose feed is back at or below it
-    above = path[:, spec.sink_site * (n + 1)].real > tol
+    # the run is armed once some earlier feed exceeded tol and stops at the
+    # first armed checkpoint whose feed is back at or below it
+    above = path[:, spec.sink_site] > tol
     fired = np.flatnonzero(np.logical_or.accumulate(above)[:-1] & ~above[1:])
     converged = fired.size > 0
     stop = int(fired[0]) + 1 if converged else _checkpoints
-    full = np.zeros((stop, d * d), dtype=complex)
-    full[:, keep] = path[1:stop + 1]
-    _check_states(full.reshape(stop, d, d).transpose(0, 2, 1))
-    eta = path[stop, -2].real  # the sink population
+    states = path[1:stop + 1]
+    # rho_ij at i + n j, so the row-major reshape holds each rho transposed
+    blocks = (states[:, :n * n] @ q[:n * n, :n * n].T).reshape(stop, n, n)
+    _check_states(blocks.transpose(0, 2, 1), states[:, n * n:])
+    eta = path[stop, n * n]
     if not -1e-8 <= eta <= 1 + 1e-8:
         raise StateInvariantError(f"sink population {eta} outside [0, 1]")
     return float(min(max(eta, 0.0), 1.0)), converged

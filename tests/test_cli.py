@@ -85,6 +85,21 @@ def test_parse_rejects_non_finite_floats(tmp_path, data_dir):
     assert "line 9: gamma_max: must be finite" in err.value.violations
 
 
+def test_numbers_must_be_ascii_decimal_literals(tmp_path, capsys):
+    # int() and float() alone would read these as 10, 3 and 10.0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("command bh-scan\nL 1_0\nN \u0663\nj_min inf\nj_max 1_0\n"
+                   "j_steps 3\noutput scan.csv\n", encoding="utf-8")
+    assert main(["bh-scan", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2: L: not an ASCII decimal number: '1_0'",
+        "error: line 3: N: not an ASCII decimal number: '\u0663'",
+        "error: line 4: j_min: must be finite",
+        "error: line 5: j_max: not an ASCII decimal number: '1_0'",
+    ]
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_parse_collects_all_violations(tmp_path):
     text = ("command enaqt-sweep\nnetwork missing.net\nsource -1\n"
             "trap_rate 0.0\ngamma_min 1.0\ngamma_max 0.1\ngamma_steps 1\n"

@@ -302,6 +302,8 @@ def test_step_failing_after_the_stop_does_not_raise(monkeypatch):
 
 
 def test_stack_check_reports_the_first_failing_state_and_test():
+    # each stack is also checked as transport passes it, the 2 x 2 site
+    # blocks plus the two register populations, and must fail the same way
     good = initial_excitation(2, 0).matrix
     heavy = 1.5 * good  # trace drift 0.5
     lopsided = good + np.diag([0.0, 0.0, 0.2, -0.2])  # eigenvalue -0.2
@@ -314,5 +316,49 @@ def test_stack_check_reports_the_first_failing_state_and_test():
              ([lopsided, heavy], "negative eigenvalue -2.000e-01")]
     open_system._check_states(np.array([good, good]))
     for states, message in cases:
-        with pytest.raises(StateInvariantError, match=message):
-            open_system._check_states(np.array(states))
+        stack = np.array(states)
+        with pytest.raises(StateInvariantError, match=message) as embedded:
+            open_system._check_states(stack)
+        registers = np.diagonal(stack[:, 2:, 2:], axis1=1, axis2=2).real
+        with pytest.raises(StateInvariantError) as split:
+            open_system._check_states(stack[:, :2, :2], registers)
+        assert str(split.value) == str(embedded.value)
+
+
+def test_hermitian_basis_is_orthonormal_and_real_vectors_map_to_hermitian_blocks():
+    rng = np.random.default_rng(113)
+    for n in range(1, 8):
+        q = open_system._hermitian_basis(n)
+        assert np.abs(q.conj().T @ q - np.eye(n * n + 2)).max() <= 1e-15
+        for _ in range(20):
+            x = rng.normal(size=(n * n + 2))
+            v = q @ x
+            block = v[:n * n].reshape((n, n), order="F")
+            assert np.array_equal(block, block.conj().T)
+            assert np.array_equal(v[n * n:], x[n * n:])
+            assert np.array_equal(np.diagonal(block).real, x[:n])
+
+
+def test_generator_is_real_in_the_hermitian_basis():
+    rng = np.random.default_rng(1130)
+    for _ in range(250):
+        h, spec = random_transport_instance(rng, max_sites=6)
+        gen = build_liouvillian(h, spec).matrix
+        n, d = spec.n_sites, spec.n_sites + 2
+        # the site block in column-stacking order, then sink and loss
+        keep = [i + d * j for j in range(n) for i in range(n)] + [n * (d + 1), d * d - 1]
+        q = open_system._hermitian_basis(n)
+        mixed = q.conj().T @ gen[np.ix_(keep, keep)] @ q
+        assert np.abs(mixed.imag).max() <= 1e-14 * np.abs(gen).max()
+
+
+def test_efficiency_matches_full_space_oracle_on_random_instances():
+    # complex couplings and a different dephasing rate on every site
+    rng = np.random.default_rng(2009)
+    for _ in range(100):
+        h, spec = random_transport_instance(rng, max_sites=6)
+        eta, converged = aqsim.transport_efficiency(h, spec, t_max=60.0, tol=1e-8)
+        want, want_converged, _ = transport_efficiency_full_space(
+            h, spec, t_max=60.0, tol=1e-8)
+        assert abs(eta - want) <= 1e-12
+        assert converged == want_converged

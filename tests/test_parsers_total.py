@@ -51,6 +51,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 @PROPERTY
 @given(documents(CONFIG_WORDS))
 @example("command bh-scan\nL 99999999999999999999\nN -1\n")
+@example("command bh-scan\nL 1_0\nN \u0663\nj_max 1_0\n")  # not ASCII decimals
 @example("command walk\nnetwork " + "x" * 300 + "\n")  # a name too long to stat
 def test_parse_config_is_total(text):
     parses_or_raises(lambda t: parse_config(t, base_dir=DATA_DIR), ConfigError, text)
