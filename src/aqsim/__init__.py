@@ -1,9 +1,9 @@
 """Desk-scale analogue-experiment toolkit.
 
-Tight-binding site networks and waveguide arrays, Lindblad transport with
-dephasing/trapping/recombination, stochastic-phase quantum walks,
-Bose-Hubbard exact diagonalization with modulation spectroscopy, and
-model-correspondence validation reports.
+Tight-binding site networks, Lindblad transport with dephasing/trapping/
+recombination, stochastic-phase quantum walks, Bose-Hubbard exact
+diagonalization with modulation spectroscopy, and model-correspondence
+validation reports.
 """
 
 __version__ = "0.1.0"
@@ -17,13 +17,10 @@ from .bose_hubbard import (AbsorptionSpectrum, BasisSizeError,
                            modulation_absorption, one_body_density_matrix,
                            onsite_pair_count, plaquette_edges,
                            reflection_sector)
-from .hamiltonians import (GeometryError, Hamiltonian, MappingError,
-                           MappingRecord, NetworkError, SiteNetwork,
-                           WaveguideGeometry, apply_static_disorder,
-                           build_tight_binding, map_network,
-                           waveguide_hamiltonian)
-from .netfiles import (NetfileError, load_geometry, load_mapping,
-                       load_network, save_geometry, save_mapping,
+from .hamiltonians import (Hamiltonian, MappingError, MappingRecord,
+                           NetworkError, SiteNetwork, apply_static_disorder,
+                           build_tight_binding, map_network)
+from .netfiles import (NetfileError, load_mapping, load_network, save_mapping,
                        save_network)
 from .open_system import (DensityMatrix, EfficiencyCurve, Liouvillian,
                           NoSinkError, StateInvariantError, TransportSpec,

@@ -33,10 +33,13 @@ from .hamiltonians import Hamiltonian
 BASIS_CAP = 200_000
 _DENSE_LIMIT = 400
 RESIDUAL_TOL = 1e-9
+# drive_coupled_gap: smallest pair-count overlap, relative to its norm, that
+# counts an excited state as reached by the modulation
+_COUPLING_FLOOR = 1e-8
 
 
 class BasisSizeError(ValueError):
-    """Requested Fock basis exceeds the configured state cap."""
+    """Requested Fock basis has more than BASIS_CAP states."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -114,22 +117,21 @@ def basis_size(n_sites: int, n_bosons: int) -> int:
     return math.comb(n_bosons + n_sites - 1, n_bosons)
 
 
-def enumerate_basis(n_sites: int, n_bosons: int,
-                    max_states: int = BASIS_CAP) -> FockBasis:
+def enumerate_basis(n_sites: int, n_bosons: int) -> FockBasis:
     """Enumerate the full fixed-number Fock basis.
 
     Raises BasisSizeError before allocating anything if the binomial count
-    C(N + L - 1, N) exceeds max_states.
+    C(N + L - 1, N) exceeds BASIS_CAP.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if n_bosons < 0:
         raise ValueError("n_bosons must be >= 0")
     count = basis_size(n_sites, n_bosons)
-    if count > max_states:
+    if count > BASIS_CAP:
         raise BasisSizeError(
             f"basis for {n_sites} sites / {n_bosons} bosons has {count} states, "
-            f"over the cap of {max_states}")
+            f"over the cap of {BASIS_CAP}")
     states = np.empty((count, n_sites), dtype=np.int64)
     occ = np.zeros(n_sites, dtype=np.int64)
 
@@ -378,8 +380,6 @@ class AbsorptionSpectrum:
 
     nu_grid: np.ndarray
     absorbed_energy: np.ndarray
-    drive_amplitude: float
-    drive_duration: float
 
     def __post_init__(self):
         grid = np.array(self.nu_grid, dtype=float, copy=True)
@@ -455,12 +455,10 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
                 f"absorbed energy {gain:.3e} below -1e-9 at nu={nu:g}")
         return gain
 
-    return AbsorptionSpectrum(grid, np.array([absorbed(nu) for nu in grid]),
-                              float(delta), float(t_drive))
+    return AbsorptionSpectrum(grid, np.array([absorbed(nu) for nu in grid]))
 
 
-def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray,
-                      basis: FockBasis, coupling_floor: float = 1e-8) -> float:
+def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasis) -> float:
     """Lowest excitation gap reachable by the interaction modulation.
 
     Takes the k lowest eigenpairs as low_spectrum returns them and returns
@@ -478,7 +476,7 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray,
         gap = energies[i] - energies[0]
         if gap <= 1e-10:
             continue
-        if abs(np.vdot(vectors[:, i], driven)) > coupling_floor * scale:
+        if abs(np.vdot(vectors[:, i], driven)) > _COUPLING_FLOOR * scale:
             return float(gap)
     raise DriveCouplingError(
         f"no drive-coupled excitation among the lowest k = {k} states; raise k")

@@ -142,12 +142,8 @@ def _in_unit_tenth(x):
     return None if 0 <= x <= 0.1 else "must lie in [0, 0.1]"
 
 
-def _role(x):
-    return None if x in ("simulation", "emulation") else "must be simulation or emulation"
-
-
-def _geometry(x):
-    return None if x in ("chain", "plaquette") else "must be chain or plaquette"
+def _one_of(*words):
+    return lambda x: None if x in words else f"must be {' or '.join(words)}"
 
 
 _COMMON = {
@@ -565,7 +561,7 @@ _COMMANDS = {
             "nu_steps": _Key(_integer, required=True, check=_at_least(1)),
             "t_drive": _Key(_finite_float, required=True, check=_positive),
             "tol": _Key(_finite_float, default=1e-9, check=_positive),
-            "geometry": _Key(str, default="chain", check=_geometry),
+            "geometry": _Key(str, default="chain", check=_one_of("chain", "plaquette")),
             "rows": _Key(_integer, check=_at_least(1)),
             "cols": _Key(_integer, check=_at_least(1)),
         }, _check_spectrum, _run_bh_spectrum),
@@ -579,7 +575,7 @@ _COMMANDS = {
             "j_max": _Key(_finite_float, required=True, check=_positive),
             "j_steps": _Key(_integer, required=True, check=_at_least(2)),
             "k": _Key(_integer, default=10, check=_at_least(2)),
-            "geometry": _Key(str, default="chain", check=_geometry),
+            "geometry": _Key(str, default="chain", check=_one_of("chain", "plaquette")),
             "rows": _Key(_integer, check=_at_least(1)),
             "cols": _Key(_integer, check=_at_least(1)),
         }, _check_scan, _run_bh_scan),
@@ -589,7 +585,7 @@ _COMMANDS = {
             "network_b": _Key(str, required=True, is_path=True),
             "mapping": _Key(str, required=True, is_path=True),
             "tolerance": _Key(_finite_float, required=True, check=_positive),
-            "role": _Key(str, default="simulation", check=_role),
+            "role": _Key(str, default="simulation", check=_one_of("simulation", "emulation")),
             "hardness_proof": _Key(_parse_bool, required=True),
             "efficient_classical_known": _Key(_parse_bool, required=True),
             "scalable_accuracy": _Key(_parse_bool, required=True),

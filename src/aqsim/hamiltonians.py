@@ -1,9 +1,8 @@
-"""Site networks, waveguide arrays, and the Hamiltonians built from them.
+"""Site networks and the Hamiltonians built from them.
 
 Single-excitation tight-binding models: a network of sites with on-site
-energies and pairwise couplings, or an array of evanescently coupled
-waveguides with propagation constants.  All energies are angular
-frequencies with hbar = 1; see the README units note.
+energies and pairwise couplings.  All energies are angular frequencies
+with hbar = 1; see the README units note.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ HERMITICITY_TOL = 1e-12
 
 class NetworkError(ValueError):
     """Inconsistent site network (shape mismatch, asymmetry, bad diagonal)."""
-
-
-class GeometryError(ValueError):
-    """Invalid waveguide geometry (non-positive separations or scales)."""
 
 
 class MappingError(ValueError):
@@ -71,47 +66,6 @@ class SiteNetwork:
     @property
     def n_sites(self) -> int:
         return self.on_site.size
-
-
-@dataclass(frozen=True)
-class WaveguideGeometry:
-    """Waveguide array: pairwise separations plus the evanescent-coupling scales.
-
-    Couplings follow the coupled-mode form C(d) = coupling_scale *
-    exp(-d / decay_length); separations are in micrometres.
-    """
-
-    separations: np.ndarray
-    prop_constants: np.ndarray
-    coupling_scale: float
-    decay_length: float
-    labels: tuple = ()
-
-    def __post_init__(self):
-        beta = _frozen_array(self.prop_constants, float)
-        if beta.ndim != 1 or beta.size == 0:
-            raise GeometryError("prop_constants must be a non-empty 1-d sequence")
-        n = beta.size
-        d = _frozen_array(self.separations, float)
-        if d.shape != (n, n):
-            raise GeometryError(f"separations shape {d.shape} does not match {n} guides")
-        if not np.array_equal(d, d.T):
-            raise GeometryError("separations must be symmetric")
-        off = d[~np.eye(n, dtype=bool)]
-        if off.size and np.any(off <= 0.0):
-            raise GeometryError("off-diagonal separations must be positive")
-        if not (self.coupling_scale > 0.0 and self.decay_length > 0.0):
-            raise GeometryError("coupling_scale and decay_length must be positive")
-        labels = tuple(self.labels) or _default_labels("g", n)
-        if len(labels) != n:
-            raise GeometryError(f"{len(labels)} labels for {n} guides")
-        object.__setattr__(self, "separations", d)
-        object.__setattr__(self, "prop_constants", beta)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_guides(self) -> int:
-        return self.prop_constants.size
 
 
 @dataclass(frozen=True)
@@ -209,19 +163,6 @@ def build_tight_binding(net: SiteNetwork) -> Hamiltonian:
     h = net.couplings.astype(complex)
     h[np.diag_indices(net.n_sites)] = net.on_site
     return Hamiltonian(h, net.labels)
-
-
-def waveguide_hamiltonian(geom: WaveguideGeometry) -> Hamiltonian:
-    """Coupled-mode Hamiltonian of a waveguide array.
-
-    Diagonal entries are the propagation constants; pair (m, n) couples with
-    coupling_scale * exp(-separation / decay_length).
-    """
-    n = geom.n_guides
-    h = geom.coupling_scale * np.exp(-geom.separations / geom.decay_length)
-    h = h.astype(complex)
-    h[np.diag_indices(n)] = geom.prop_constants
-    return Hamiltonian(h, geom.labels)
 
 
 def map_network(h_target: Hamiltonian, rec: MappingRecord) -> Hamiltonian:

@@ -1,26 +1,14 @@
-"""Plain-text parameter files for networks, geometries, and mappings.
+"""Plain-text parameter files for networks and mappings.
 
 One record per line, ``#`` starts a comment, blank lines are ignored.
-Network and geometry files share one record grammar:
-
-    <count> <n>                            n >= 1, before any item or pair
-    <item> <index> <label> <value>         one per index, 0-based
-    <pair> <m> <n> <value>                 m != n, each unordered pair once
-    <scalar> <value>                       at most once
-
-A label is one token without ``#``.
 
 network file
-    sites <n>
-    site <index> <label> <energy>
-    coupling <m> <n> <value>               pairs not listed are uncoupled
+    sites <n>                              n >= 1, once, before any site or coupling
+    site <index> <label> <energy>          one per index, 0-based
+    coupling <m> <n> <value>               m != n, each unordered pair once;
+                                           pairs not listed are uncoupled
 
-geometry file
-    guides <n>
-    guide <index> <label> <beta>
-    separation <m> <n> <distance>          micrometres, every pair required
-    coupling_scale <C0>                    required
-    decay_length <d0>                      required; distance, C0, d0 positive
+A label is one token without ``#``.
 
 mapping file
     permutation <p0> <p1> ... <p(n-1)>
@@ -38,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import MappingRecord, SiteNetwork, WaveguideGeometry
+from .hamiltonians import MappingRecord, SiteNetwork
 
 
 class NetfileError(ValueError):
@@ -81,130 +69,77 @@ def _parse_float(token: str, lineno: int, what: str) -> float:
     return value
 
 
-def _parse_positive(token: str, lineno: int, what: str) -> float:
-    value = _parse_float(token, lineno, what)
-    if not value > 0:
-        raise NetfileError(f"line {lineno}: {what} must be positive, got {token!r}")
-    return value
-
-
-def _square_zeros(n: int, lineno: int, what: str) -> np.ndarray:
-    try:
-        return np.zeros((n, n))
-    except (ValueError, MemoryError):  # numpy's limits on shape and memory
-        raise NetfileError(f"line {lineno}: {what} {n} is too large") from None
-
-
-def _site_index(token: str, lineno: int, n: int, what: str) -> int:
-    idx = _parse_int(token, lineno, what)
+def _site_index(token: str, lineno: int, n: int) -> int:
+    idx = _parse_int(token, lineno, "site index")
     if not 0 <= idx < n:
-        raise NetfileError(f"line {lineno}: {what} {idx} out of range 0..{n - 1}")
+        raise NetfileError(f"line {lineno}: site index {idx} out of range 0..{n - 1}")
     return idx
 
 
-def _read_indexed(text: str, count: str, item: str, value_name: str, pair: str,
-                  pair_value, scalars: tuple = ()):
-    """Read the count, indexed item, symmetric pair and positive scalar records.
-
-    Returns (labels, item values, pair matrix, {keyword: value} of the count
-    and scalar records found).
-    """
-    n = None
-    seen, seen_pairs, found = set(), set(), {}
-    for lineno, fields in _records(text):
-        key, args = fields[0], fields[1:]
-        if key == count or key in scalars:
-            if key in found:
-                raise NetfileError(f"line {lineno}: duplicate '{key}' record")
-            if len(args) != 1:
-                raise NetfileError(f"line {lineno}: '{key}' takes one value")
-            if key in scalars:
-                found[key] = _parse_positive(args[0], lineno, key.replace("_", " "))
-                continue
-            n = found[key] = _parse_int(args[0], lineno, f"{item} count")
-            if n < 1:
-                raise NetfileError(f"line {lineno}: {item} count must be >= 1")
-            matrix = _square_zeros(n, lineno, f"{item} count")
-            values, labels = np.zeros(n), [""] * n
-        elif key not in (item, pair):
-            raise NetfileError(f"line {lineno}: unknown record {key!r}")
-        elif n is None:
-            raise NetfileError(f"line {lineno}: '{key}' before '{count}'")
-        elif len(args) != 3:
-            shape = f"index, label, {value_name}" if key == item else "m, n, value"
-            raise NetfileError(f"line {lineno}: '{key}' takes {shape}")
-        elif key == item:
-            idx = _site_index(args[0], lineno, n, f"{item} index")
-            if idx in seen:
-                raise NetfileError(f"line {lineno}: duplicate {item} {idx}")
-            seen.add(idx)
-            labels[idx] = args[1]
-            values[idx] = _parse_float(args[2], lineno, value_name)
-        else:
-            a, b = (_site_index(t, lineno, n, f"{item} index") for t in args[:2])
-            if a == b:
-                raise NetfileError(f"line {lineno}: {pair} requires two distinct {item}s")
-            ab = (min(a, b), max(a, b))
-            if ab in seen_pairs:
-                raise NetfileError(f"line {lineno}: duplicate {pair} for pair {ab}")
-            seen_pairs.add(ab)
-            matrix[a, b] = matrix[b, a] = pair_value(args[2], lineno, pair)
-    if n is None:
-        raise NetfileError(f"missing '{count}' record")
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
-        raise NetfileError(f"missing '{item}' records for indices {missing}")
-    return tuple(labels), values, matrix, found
-
-
-def _label(label, i: int, item: str) -> str:
+def _label(label, i: int) -> str:
     label = str(label)
     if label.split() != [label] or "#" in label:
-        raise NetfileError(f"{item} {i}: label {label!r} must be one token without '#'")
+        raise NetfileError(f"site {i}: label {label!r} must be one token without '#'")
     return label
 
 
 def loads_network(text: str) -> SiteNetwork:
-    labels, energies, couplings, _ = _read_indexed(
-        text, "sites", "site", "site energy", "coupling", _parse_float)
-    return SiteNetwork(energies, couplings, labels)
+    n = None
+    seen, seen_pairs = set(), set()
+    for lineno, fields in _records(text):
+        key, args = fields[0], fields[1:]
+        if key == "sites":
+            if n is not None:
+                raise NetfileError(f"line {lineno}: duplicate 'sites' record")
+            if len(args) != 1:
+                raise NetfileError(f"line {lineno}: 'sites' takes one value")
+            n = _parse_int(args[0], lineno, "site count")
+            if n < 1:
+                raise NetfileError(f"line {lineno}: site count must be >= 1")
+            try:
+                couplings = np.zeros((n, n))
+            except (ValueError, MemoryError):  # numpy's limits on shape and memory
+                raise NetfileError(f"line {lineno}: site count {n} is too large") from None
+            energies, labels = np.zeros(n), [""] * n
+        elif key not in ("site", "coupling"):
+            raise NetfileError(f"line {lineno}: unknown record {key!r}")
+        elif n is None:
+            raise NetfileError(f"line {lineno}: '{key}' before 'sites'")
+        elif len(args) != 3:
+            shape = "index, label, site energy" if key == "site" else "m, n, value"
+            raise NetfileError(f"line {lineno}: '{key}' takes {shape}")
+        elif key == "site":
+            idx = _site_index(args[0], lineno, n)
+            if idx in seen:
+                raise NetfileError(f"line {lineno}: duplicate site {idx}")
+            seen.add(idx)
+            labels[idx] = args[1]
+            energies[idx] = _parse_float(args[2], lineno, "site energy")
+        else:
+            a, b = (_site_index(t, lineno, n) for t in args[:2])
+            if a == b:
+                raise NetfileError(f"line {lineno}: coupling requires two distinct sites")
+            ab = (min(a, b), max(a, b))
+            if ab in seen_pairs:
+                raise NetfileError(f"line {lineno}: duplicate coupling for pair {ab}")
+            seen_pairs.add(ab)
+            couplings[a, b] = couplings[b, a] = _parse_float(args[2], lineno, "coupling")
+    if n is None:
+        raise NetfileError("missing 'sites' record")
+    if len(seen) != n:
+        missing = sorted(set(range(n)) - seen)
+        raise NetfileError(f"missing 'site' records for indices {missing}")
+    return SiteNetwork(energies, couplings, tuple(labels))
 
 
 def dumps_network(net: SiteNetwork) -> str:
     lines = [f"sites {net.n_sites}"]
     for i in range(net.n_sites):
-        lines.append(f"site {i} {_label(net.labels[i], i, 'site')} {_fmt(net.on_site[i])}")
+        lines.append(f"site {i} {_label(net.labels[i], i)} {_fmt(net.on_site[i])}")
     for a in range(net.n_sites):
         for b in range(a + 1, net.n_sites):
             if net.couplings[a, b] != 0.0:
                 lines.append(f"coupling {a} {b} {_fmt(net.couplings[a, b])}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_geometry(text: str) -> WaveguideGeometry:
-    labels, betas, separations, found = _read_indexed(
-        text, "guides", "guide", "propagation constant", "separation", _parse_positive,
-        ("coupling_scale", "decay_length"))
-    n = len(labels)
-    if np.count_nonzero(separations) != n * (n - 1):  # separations are positive
-        raise NetfileError("missing 'separation' records for some guide pair")
-    for key in ("coupling_scale", "decay_length"):
-        if key not in found:
-            raise NetfileError(f"missing '{key}' record")
-    return WaveguideGeometry(separations, betas, found["coupling_scale"],
-                             found["decay_length"], labels)
-
-
-def dumps_geometry(geom: WaveguideGeometry) -> str:
-    lines = [f"guides {geom.n_guides}"]
-    for i in range(geom.n_guides):
-        lines.append(f"guide {i} {_label(geom.labels[i], i, 'guide')} "
-                     f"{_fmt(geom.prop_constants[i])}")
-    for a in range(geom.n_guides):
-        for b in range(a + 1, geom.n_guides):
-            lines.append(f"separation {a} {b} {_fmt(geom.separations[a, b])}")
-    lines.append(f"coupling_scale {_fmt(geom.coupling_scale)}")
-    lines.append(f"decay_length {_fmt(geom.decay_length)}")
     return "\n".join(lines) + "\n"
 
 
@@ -225,7 +160,9 @@ def loads_mapping(text: str) -> MappingRecord:
                 raise NetfileError(f"line {lineno}: duplicate 'unit_scale'")
             if len(args) != 1:
                 raise NetfileError(f"line {lineno}: 'unit_scale' takes one value")
-            scale = _parse_positive(args[0], lineno, "unit scale")
+            scale = _parse_float(args[0], lineno, "unit scale")
+            if not scale > 0:
+                raise NetfileError(f"line {lineno}: unit scale must be positive, got {args[0]!r}")
         else:
             raise NetfileError(f"line {lineno}: unknown record {key!r}")
     if perm is None:
@@ -258,15 +195,6 @@ def load_network(path) -> SiteNetwork:
 def save_network(net: SiteNetwork, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_network(net))
-
-
-def load_geometry(path) -> WaveguideGeometry:
-    return loads_geometry(_read_text(path))
-
-
-def save_geometry(geom: WaveguideGeometry, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_geometry(geom))
 
 
 def load_mapping(path) -> MappingRecord:

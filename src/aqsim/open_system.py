@@ -60,6 +60,9 @@ from .hamiltonians import Hamiltonian
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
+# transport_efficiency: equal steps from 0 to t_max at which the sink feed
+# is checked and the state validated
+_CHECKPOINTS = 100
 
 
 class StateInvariantError(RuntimeError):
@@ -280,8 +283,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 
 def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
-                         t_max: float = 1000.0, tol: float = 1e-8,
-                         _checkpoints: int = 100) -> tuple:
+                         t_max: float = 1000.0, tol: float = 1e-8) -> tuple:
     """Sink population at the flow-convergence time or at the horizon.
 
     The sink fills at trap_rate * rho[sink_site, sink_site]; the run stops
@@ -296,7 +298,7 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     to Hermitian matrices, and the trace of a product of two Hermitian
     matrices is real, so each entry tr(B_k L(B_l)) of Q^dag L Q is real up
     to rounding, whose imaginary part is dropped.  One real step matrix
-    expm(Q^dag L Q t_max / _checkpoints) carries the real coordinates from
+    expm(Q^dag L Q t_max / _CHECKPOINTS) carries the real coordinates from
     checkpoint to checkpoint.  The whole trajectory is stepped first; the
     checkpoints up to the stop are then mapped back through Q to their
     site blocks and validated, with the two register populations, as one
@@ -317,18 +319,18 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
                            [sink + d * sink, loss + d * loss]])
     q = _hermitian_basis(n)
     real_gen = (q.conj().T @ gen.matrix[np.ix_(keep, keep)] @ q).real
-    step = expm(real_gen * (t_max / _checkpoints))
+    step = expm(real_gen * (t_max / _CHECKPOINTS))
     # coordinates: site populations first, sink population at n^2
-    path = np.zeros((_checkpoints + 1, keep.size))
+    path = np.zeros((_CHECKPOINTS + 1, keep.size))
     path[0, spec.source_site] = 1.0
-    for c in range(_checkpoints):
+    for c in range(_CHECKPOINTS):
         path[c + 1] = step @ path[c]
     # the run is armed once some earlier feed exceeded tol and stops at the
     # first armed checkpoint whose feed is back at or below it
     above = path[:, spec.sink_site] > tol
     fired = np.flatnonzero(np.logical_or.accumulate(above)[:-1] & ~above[1:])
     converged = fired.size > 0
-    stop = int(fired[0]) + 1 if converged else _checkpoints
+    stop = int(fired[0]) + 1 if converged else _CHECKPOINTS
     states = path[1:stop + 1]
     # rho_ij at i + n j, so the row-major reshape holds each rho transposed
     blocks = (states[:, :n * n] @ q[:n * n, :n * n].T).reshape(stop, n, n)
@@ -341,15 +343,12 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
 
 @dataclass(frozen=True)
 class EfficiencyCurve:
-    """Transport efficiency over a dephasing-rate grid, plus run metadata."""
+    """Transport efficiency over a dephasing-rate grid, plus the Hamiltonian's hash."""
 
     gamma_grid: np.ndarray
     efficiencies: np.ndarray
     converged: tuple
     h_hash: str
-    spec: TransportSpec
-    t_max: float
-    tol: float
 
     def __post_init__(self):
         grid = np.array(self.gamma_grid, dtype=float, copy=True)
@@ -391,5 +390,4 @@ def goldilocks_sweep(h: Hamiltonian, spec_template: TransportSpec,
                for gamma in grid]
     eff = np.array([r[0] for r in results])
     flags = tuple(r[1] for r in results)
-    return EfficiencyCurve(grid, eff, flags, h.content_hash(), spec_template,
-                           float(t_max), float(tol))
+    return EfficiencyCurve(grid, eff, flags, h.content_hash())

@@ -100,6 +100,16 @@ def test_numbers_must_be_ascii_decimal_literals(tmp_path, capsys):
     assert not (tmp_path / "scan.csv").exists()
 
 
+def test_parse_rejects_words_outside_their_choices(tmp_path):
+    for text, violation in [("command bh-scan\ngeometry ring\n",
+                             "line 2: geometry must be chain or plaquette"),
+                            ("command validate\nrole observer\n",
+                             "line 2: role must be simulation or emulation")]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, base_dir=tmp_path)
+        assert violation in err.value.violations
+
+
 def test_parse_collects_all_violations(tmp_path):
     text = ("command enaqt-sweep\nnetwork missing.net\nsource -1\n"
             "trap_rate 0.0\ngamma_min 1.0\ngamma_max 0.1\ngamma_steps 1\n"

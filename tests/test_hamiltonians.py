@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import aqsim
-from aqsim import (GeometryError, Hamiltonian, MappingError, MappingRecord,
-                   NetworkError, SiteNetwork, WaveguideGeometry)
+from aqsim import Hamiltonian, MappingError, MappingRecord, NetworkError, SiteNetwork
 
 
 def test_single_site():
@@ -56,42 +55,6 @@ def test_build_is_linear():
                        aqsim.build_tight_binding(nets[0]).matrix
                        + aqsim.build_tight_binding(nets[1]).matrix,
                        atol=1e-15)
-
-
-def two_guide_geometry(separation, c0=1.0, d0=1.0):
-    sep = np.array([[0.0, separation], [separation, 0.0]])
-    return WaveguideGeometry(sep, [0.0, 0.0], c0, d0)
-
-
-def test_waveguide_decoupled_limit():
-    h = aqsim.waveguide_hamiltonian(two_guide_geometry(100.0))
-    assert abs(h.matrix[0, 1]) <= np.exp(-100.0)
-
-
-def test_waveguide_coupling_formula():
-    h = aqsim.waveguide_hamiltonian(two_guide_geometry(1.0))
-    assert h.matrix[0, 1].real == pytest.approx(np.exp(-1.0), abs=1e-15)
-
-
-def test_waveguide_three_guides_product_rule():
-    # exponential model: C_13 = C_12^2 / C0 for equally spaced guides
-    d = 0.7
-    sep = np.array([[0.0, d, 2 * d], [d, 0.0, d], [2 * d, d, 0.0]])
-    geom = WaveguideGeometry(sep, [0.0, 0.0, 0.0], 2.0, 1.3)
-    h = aqsim.waveguide_hamiltonian(geom)
-    c12, c13 = h.matrix[0, 1].real, h.matrix[0, 2].real
-    assert c13 == pytest.approx(c12 ** 2 / geom.coupling_scale, rel=1e-14)
-
-
-def test_waveguide_geometry_errors():
-    with pytest.raises(GeometryError):
-        two_guide_geometry(-1.0)
-    with pytest.raises(GeometryError):
-        two_guide_geometry(0.0)
-    with pytest.raises(GeometryError):
-        two_guide_geometry(1.0, c0=-1.0)
-    with pytest.raises(GeometryError):
-        two_guide_geometry(1.0, d0=0.0)
 
 
 def test_map_network_identity():

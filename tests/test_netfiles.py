@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import aqsim
-from aqsim.netfiles import (NetfileError, dumps_geometry, dumps_mapping,
-                            dumps_network, loads_geometry, loads_mapping,
-                            loads_network)
+from aqsim.netfiles import (NetfileError, dumps_mapping, dumps_network,
+                            loads_mapping, loads_network)
 
 
 def test_canonical_files_round_trip_bytes(data_dir):
@@ -65,9 +64,18 @@ def test_comments_and_blank_lines_ignored():
     ("sites \u0663\n", "line 1: site count must be an integer"),
     ("sites 1\nsite 0 s \uff11\n", "line 2: site energy must be a number"),
     ("sites 2\nsite 0 a 0\nsite 1 b 0\ncoupling 0 1 1_0.5\n", "line 4: coupling must be a number"),
-    # the geometry grammar's keywords are not network records
+    ("sites 1\nsites 1\n", "line 2: duplicate 'sites' record"),
+    ("sites 1 2\n", "line 1: 'sites' takes one value"),
+    ("sites 0\n", "line 1: site count must be >= 1"),
+    ("sites 1\nsite 0 a\n", "line 2: 'site' takes index, label, site energy"),
+    ("sites 2\nsite 0 a 0\nsite 1 b 0\ncoupling 0 1\n", "line 4: 'coupling' takes m, n, value"),
+    # keywords of the retired waveguide-geometry format are not network records
     ("sites 1\nsite 0 a 0\ncoupling_scale 1\n", "line 3: unknown record 'coupling_scale'"),
     ("sites 1\nsite 0 a 0\nguide 0 a 0\n", "line 3: unknown record 'guide'"),
+    ("guides 1\n", "line 1: unknown record 'guides'"),
+    ("sites 2\nsite 0 a 0\nsite 1 b 0\nseparation 0 1 1\n",
+     "line 4: unknown record 'separation'"),
+    ("sites 1\nsite 0 a 0\ndecay_length 1\n", "line 3: unknown record 'decay_length'"),
 ])
 def test_network_errors(text, fragment):
     with pytest.raises(NetfileError) as err:
@@ -80,47 +88,29 @@ def test_error_carries_line_number():
         loads_network("sites 2\nsite 0 a 0\nsite 1 b 0\nbogus x\n")
 
 
-def test_geometry_round_trip():
-    sep = np.array([[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]])
-    geom = aqsim.WaveguideGeometry(sep, [0.1, 0.2, 0.3], 2.0, 0.9, ("u", "v", "w"))
-    text = dumps_geometry(geom)
-    back = loads_geometry(text)
-    assert np.array_equal(back.separations, geom.separations)
-    assert np.array_equal(back.prop_constants, geom.prop_constants)
-    assert back.coupling_scale == geom.coupling_scale
-    assert back.decay_length == geom.decay_length
-    assert dumps_geometry(back) == text
-
-
-def test_geometry_requires_all_pairs():
-    text = ("guides 3\nguide 0 a 0.0\nguide 1 b 0.0\nguide 2 c 0.0\n"
-            "separation 0 1 1.0\nseparation 0 2 2.0\n"
-            "coupling_scale 1.0\ndecay_length 1.0\n")
-    with pytest.raises(NetfileError, match="missing 'separation'"):
-        loads_geometry(text)
-
-
-def test_geometry_missing_scales():
-    text = "guides 1\nguide 0 a 0.0\n"
-    with pytest.raises(NetfileError, match="coupling_scale"):
-        loads_geometry(text)
-
-
 @pytest.mark.parametrize("loads, text, message", [
-    (loads_geometry, "guides 2\nguide 0 a 0\nguide 1 b 0\nseparation 0 1 -1.5\n",
-     "line 4: separation must be positive, got '-1.5'"),
-    (loads_geometry, "guides 1\nguide 0 a 0\ncoupling_scale 0\n",
-     "line 3: coupling scale must be positive"),
-    (loads_geometry, "guides 1\nguide 0 a 0\ncoupling_scale 1\ndecay_length -2\n",
-     "line 4: decay length must be positive"),
-    (loads_geometry, "guides 99999999999999999999\n",
-     "line 1: guide count 99999999999999999999 is too large"),
-    # the network grammar's keywords are not geometry records
-    (loads_geometry, "guides 2\nguide 0 a 0\nguide 1 b 0\ncoupling 0 1 1\n",
-     "line 4: unknown record 'coupling'"),
-    (loads_geometry, "sites 2\n", "line 1: unknown record 'sites'"),
     (loads_mapping, "permutation 1 0\nunit_scale -2\n",
      "line 2: unit scale must be positive"),
+    (loads_network, "sites 1\nsite 3 a 0\n", "line 2: site index 3 out of range 0..0"),
+    (loads_mapping, "permutation 0\npermutation 0\n", "line 2: duplicate 'permutation'"),
+    (loads_mapping, "permutation\n", "line 1: 'permutation' needs at least one index"),
+    (loads_mapping, "permutation 0\nunit_scale 1\nunit_scale 1\n",
+     "line 3: duplicate 'unit_scale'"),
+    (loads_mapping, "permutation 0\nunit_scale 1 2\n", "line 2: 'unit_scale' takes one value"),
+    # the unit scale is finite and strictly positive
+    (loads_mapping, "permutation 0\nunit_scale 0\n",
+     "line 2: unit scale must be positive, got '0'"),
+    (loads_mapping, "permutation 0\nunit_scale -0.0\n",
+     "line 2: unit scale must be positive, got '-0.0'"),
+    (loads_mapping, "permutation 0\nunit_scale nan\n",
+     "line 2: unit scale must be finite, got 'nan'"),
+    (loads_mapping, "permutation 0\nunit_scale inf\n",
+     "line 2: unit scale must be finite, got 'inf'"),
+    (loads_mapping, "permutation 0\nunit_scale 1_0\n",
+     "line 2: unit scale must be a number, got '1_0'"),
+    (loads_mapping, "permutation 0 x\n", "line 1: permutation entry must be an integer, got 'x'"),
+    (loads_mapping, "unit_scale 1\n", "missing 'permutation' record"),
+    (loads_mapping, "permutation 0\nsites 1\n", "line 2: unknown record 'sites'"),
 ])
 def test_model_rules_are_netfile_errors_with_line_numbers(loads, text, message):
     with pytest.raises(NetfileError) as err:
@@ -135,19 +125,13 @@ def test_model_rules_are_netfile_errors_with_line_numbers(loads, text, message):
     (("a", " c"), 1, " c"),
     (("a", "c\t"), 1, "c\t"),
 ])
-@pytest.mark.parametrize("dumps, model", [
-    (dumps_network, lambda labels: aqsim.SiteNetwork([0, 1], np.zeros((2, 2)), labels)),
-    (dumps_geometry, lambda labels: aqsim.WaveguideGeometry(
-        [[0, 1], [1, 0]], [0, 0], 1.0, 1.0, labels)),
-])
-def test_writers_reject_labels_the_readers_cannot_read(labels, index, label, dumps, model):
+def test_writers_reject_labels_the_readers_cannot_read(labels, index, label):
     with pytest.raises(NetfileError) as err:
-        dumps(model(labels))
-    assert f" {index}: label {label!r} must be one token without '#'" in str(err.value)
+        dumps_network(aqsim.SiteNetwork([0, 1], np.zeros((2, 2)), labels))
+    assert f"site {index}: label {label!r} must be one token without '#'" in str(err.value)
 
 
-@pytest.mark.parametrize("load", [aqsim.load_network, aqsim.load_geometry,
-                                  aqsim.load_mapping])
+@pytest.mark.parametrize("load", [aqsim.load_network, aqsim.load_mapping])
 def test_load_rejects_non_utf8(tmp_path, load):
     path = tmp_path / "latin1.txt"
     path.write_bytes("# header\n# caf\u00e9\n".encode("latin-1"))
@@ -174,3 +158,10 @@ def test_file_io_round_trip(tmp_path, data_dir):
     out = tmp_path / "copy.net"
     aqsim.save_network(net, out)
     assert out.read_bytes() == (data_dir / "fmo7.net").read_bytes()
+
+
+def test_mapping_file_io_round_trip(tmp_path, data_dir):
+    rec = aqsim.load_mapping(data_dir / "fmo_to_wg.map")
+    out = tmp_path / "copy.map"
+    aqsim.save_mapping(rec, out)
+    assert out.read_bytes() == (data_dir / "fmo_to_wg.map").read_bytes()

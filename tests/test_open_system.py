@@ -233,8 +233,7 @@ def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         aqsim.goldilocks_sweep(h, spec, [-1.0, 1.0])
     with pytest.raises(ValueError):
-        aqsim.EfficiencyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.2]),
-                              (True, True), "x", spec, 10.0, 1e-8)
+        aqsim.EfficiencyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.2]), (True, True), "x")
 
 
 def fmo7_panel():
