@@ -33,8 +33,8 @@ subspace spanned by the n^2 site-block entries plus the sink and loss
 populations (n^2 + 2 of the (n + 2)^2 coordinates): every jump refills a
 population, never a coherence between a site and a register, and the
 register rows of H_eff are zero, so those coherences start at 0 and stay
-exactly 0.  transport_efficiency therefore exponentiates only that block
-of the generator, and does so in real coordinates.  The generator maps
+exactly 0.  Transport therefore exponentiates only that block of the
+generator, and does so in real coordinates.  The generator maps
 Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
 Hermitian matrices B_k (inner product tr(A^dag B)) its entries
 tr(B_k L(B_l)) are traces of products of two Hermitian matrices, hence
@@ -42,6 +42,13 @@ real.  The basis is the n site populations E_ii, then (E_ij + E_ji)/sqrt 2
 and i (E_ij - E_ji)/sqrt 2 for each i < j, then the sink and loss
 populations: real coordinates are stepped by a real step matrix, and map
 back to exactly Hermitian site blocks.
+
+In that basis site dephasing is a diagonal shift.  The rate gamma_m damps
+every coherence rho_ij with i or j = m, so both coordinates of coherence
+(i, j) decay at (gamma_i + gamma_j) / 2, while on a population the refill
+gamma_m rho_mm cancels the decay it adds to H_eff.  A dephasing sweep
+therefore builds one generator G_0 without dephasing and steps every grid
+point under G_0 minus its own diagonal, all points at once.
 """
 
 from __future__ import annotations
@@ -60,9 +67,12 @@ from .hamiltonians import Hamiltonian
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
-# transport_efficiency: equal steps from 0 to t_max at which the sink feed
-# is checked and the state validated
+# transport: equal steps from 0 to t_max at which the sink feed is checked
+# and the state validated
 _CHECKPOINTS = 100
+# transport: a dephasing grid runs in chunks of points whose step matrices,
+# checkpoint paths and validated site blocks fit in this many bytes
+_CHUNK_BYTES = 8 << 20
 
 
 class StateInvariantError(RuntimeError):
@@ -282,6 +292,88 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return q
 
 
+def _chunk_width(n: int) -> int:
+    """Grid points per chunk at n sites: as many as keep one chunk's real
+    step matrices and checkpoint paths plus its complex site blocks within
+    _CHUNK_BYTES, and at least one."""
+    size = n * n + 2
+    per_point = 8 * size * (size + _CHECKPOINTS + 1) + 16 * _CHECKPOINTS * n * n
+    return max(1, _CHUNK_BYTES // per_point)
+
+
+def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
+                     t_max: float, tol: float) -> tuple:
+    """transport_efficiency at every row of rates, one row of per-site
+    dephasing rates per grid point, in place of spec.dephasing_rates.
+
+    build_liouvillian runs once, without dephasing; its invariant block is
+    written once in the Hermitian basis as the real generator G_0, and each
+    point's generator is G_0 minus its diagonal coherence damping (module
+    docstring).  The points run in chunks of _chunk_width(n).  A chunk
+    takes one expm of its stacked step matrices and steps a real
+    (checkpoint, point, coordinate) path, each point by its own step
+    matrix; every point's result is the same as when it runs alone.  The
+    stop rule, the validation and the sink range check then act on the
+    whole chunk, and the error raised is the one that running the points
+    one by one in grid order would raise first: the checkpoints up to each
+    point's stop are validated as one stack, point by point in grid order,
+    and only up to the first point whose sink population is out of range,
+    whose range error is raised if its states pass.  Returns the clamped
+    efficiencies and the converged flags, one per row.
+    """
+    if spec.trap_rate == 0:
+        raise NoSinkError("transport efficiency needs trap_rate > 0")
+    if not 0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
+    gen = build_liouvillian(h, spec.with_uniform_dephasing(0.0))
+    n, d = spec.n_sites, gen.dim
+    sink, loss = gen.sink_index, gen.sink_index + 1
+    # rho_ij sits at i + d j; the site block in column-stacking order, then
+    # the two register populations
+    keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
+                           [sink + d * sink, loss + d * loss]])
+    q = _hermitian_basis(n)
+    real_gen = (q.conj().T @ gen.matrix[np.ix_(keep, keep)] @ q).real
+    i, j = np.triu_indices(n, 1)
+    damping = np.zeros((rates.shape[0], keep.size))
+    damping[:, n:n * n] = np.repeat(0.5 * (rates[:, i] + rates[:, j]), 2, axis=1)
+    diagonal = np.arange(keep.size)
+    checkpoints = np.arange(1, _CHECKPOINTS + 1)
+    eta = np.empty(rates.shape[0])
+    converged = np.empty(rates.shape[0], dtype=bool)
+    width = _chunk_width(n)
+    for lo in range(0, rates.shape[0], width):
+        points = slice(lo, lo + width)
+        shift = damping[points]
+        a = np.repeat(real_gen[np.newaxis], shift.shape[0], axis=0)
+        a[:, diagonal, diagonal] -= shift
+        a *= t_max / _CHECKPOINTS
+        steps = expm(a)
+        # coordinates: site populations first, sink population at n^2
+        path = np.zeros((_CHECKPOINTS + 1, shift.shape[0], keep.size))
+        path[0, :, spec.source_site] = 1.0
+        for c in range(_CHECKPOINTS):
+            np.matmul(steps, path[c, :, :, np.newaxis], out=path[c + 1, :, :, np.newaxis])
+        # a run is armed once some earlier feed exceeded tol and stops at the
+        # first armed checkpoint whose feed is back at or below it
+        above = path[:, :, spec.sink_site] > tol
+        fired = np.logical_or.accumulate(above, axis=0)[:-1] & ~above[1:]
+        converged[points] = fired.any(axis=0)
+        stop = np.where(converged[points], fired.argmax(axis=0) + 1, _CHECKPOINTS)
+        sink_pop = path[stop, np.arange(shift.shape[0]), n * n]
+        outside = ~((sink_pop >= -1e-8) & (sink_pop <= 1 + 1e-8))
+        checked = int(np.argmax(outside)) + 1 if outside.any() else shift.shape[0]
+        # point-major, so the first failing state belongs to the earliest point
+        states = path[1:, :checked].transpose(1, 0, 2)[checkpoints <= stop[:checked, np.newaxis]]
+        # rho_ij at i + n j, so the row-major reshape holds each rho transposed
+        blocks = (states[:, :n * n] @ q[:n * n, :n * n].T).reshape(-1, n, n)
+        _check_states(blocks.transpose(0, 2, 1), states[:, n * n:])
+        if outside.any():
+            raise StateInvariantError(f"sink population {sink_pop[checked - 1]} outside [0, 1]")
+        eta[points] = np.clip(sink_pop, 0.0, 1.0)
+    return eta, converged
+
+
 def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
                          t_max: float = 1000.0, tol: float = 1e-8) -> tuple:
     """Sink population at the flow-convergence time or at the horizon.
@@ -297,48 +389,19 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     matrices Q (_hermitian_basis).  The generator maps Hermitian matrices
     to Hermitian matrices, and the trace of a product of two Hermitian
     matrices is real, so each entry tr(B_k L(B_l)) of Q^dag L Q is real up
-    to rounding, whose imaginary part is dropped.  One real step matrix
-    expm(Q^dag L Q t_max / _CHECKPOINTS) carries the real coordinates from
-    checkpoint to checkpoint.  The whole trajectory is stepped first; the
-    checkpoints up to the stop are then mapped back through Q to their
-    site blocks and validated, with the two register populations, as one
-    stack, which raises for the first invalid state just as checking each
-    checkpoint in turn would.  Returns (eta, converged) where converged
-    reports whether the flow criterion fired before t_max.
+    to rounding, whose imaginary part is dropped.  The site dephasing
+    rates enter as a diagonal shift of the generator without dephasing.
+    One real step matrix expm(Q^dag L Q t_max / _CHECKPOINTS) carries the
+    real coordinates from checkpoint to checkpoint.  The whole trajectory
+    is stepped first; the checkpoints up to the stop are then mapped back
+    through Q to their site blocks and validated, with the two register
+    populations, as one stack, which raises for the first invalid state
+    just as checking each checkpoint in turn would.  This is the one-point
+    case of the batch that goldilocks_sweep runs.  Returns (eta, converged)
+    where converged reports whether the flow criterion fired before t_max.
     """
-    if spec.trap_rate == 0:
-        raise NoSinkError("transport efficiency needs trap_rate > 0")
-    if not 0 < t_max < np.inf:
-        raise ValueError("t_max must be positive and finite")
-    gen = build_liouvillian(h, spec)
-    n, d = spec.n_sites, gen.dim
-    sink, loss = gen.sink_index, gen.sink_index + 1
-    # rho_ij sits at i + d j; the site block in column-stacking order, then
-    # the two register populations
-    keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
-                           [sink + d * sink, loss + d * loss]])
-    q = _hermitian_basis(n)
-    real_gen = (q.conj().T @ gen.matrix[np.ix_(keep, keep)] @ q).real
-    step = expm(real_gen * (t_max / _CHECKPOINTS))
-    # coordinates: site populations first, sink population at n^2
-    path = np.zeros((_CHECKPOINTS + 1, keep.size))
-    path[0, spec.source_site] = 1.0
-    for c in range(_CHECKPOINTS):
-        path[c + 1] = step @ path[c]
-    # the run is armed once some earlier feed exceeded tol and stops at the
-    # first armed checkpoint whose feed is back at or below it
-    above = path[:, spec.sink_site] > tol
-    fired = np.flatnonzero(np.logical_or.accumulate(above)[:-1] & ~above[1:])
-    converged = fired.size > 0
-    stop = int(fired[0]) + 1 if converged else _CHECKPOINTS
-    states = path[1:stop + 1]
-    # rho_ij at i + n j, so the row-major reshape holds each rho transposed
-    blocks = (states[:, :n * n] @ q[:n * n, :n * n].T).reshape(stop, n, n)
-    _check_states(blocks.transpose(0, 2, 1), states[:, n * n:])
-    eta = path[stop, n * n]
-    if not -1e-8 <= eta <= 1 + 1e-8:
-        raise StateInvariantError(f"sink population {eta} outside [0, 1]")
-    return float(min(max(eta, 0.0), 1.0)), converged
+    eta, converged = _transport_batch(h, spec, spec.dephasing_rates[np.newaxis], t_max, tol)
+    return float(eta[0]), bool(converged[0])
 
 
 @dataclass(frozen=True)
@@ -376,8 +439,12 @@ def goldilocks_sweep(h: Hamiltonian, spec_template: TransportSpec,
                      tol: float = 1e-8) -> EfficiencyCurve:
     """Sweep uniform dephasing over a grid and collect efficiencies.
 
-    Each grid point is one transport_efficiency run; results are returned
-    in grid order.
+    Every grid point gets the result transport_efficiency would give it,
+    and a failing point raises the error that running the points one by
+    one in grid order would raise first.  The points run as one batch
+    (_transport_batch): one generator without dephasing, shifted by each
+    point's damping, one stacked expm and one stepping loop per chunk of
+    the grid.  Results are returned in grid order.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -385,9 +452,6 @@ def goldilocks_sweep(h: Hamiltonian, spec_template: TransportSpec,
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("gamma grid must be strictly ascending and positive")
 
-    results = [transport_efficiency(h, spec_template.with_uniform_dephasing(gamma),
-                                    t_max=t_max, tol=tol)
-               for gamma in grid]
-    eff = np.array([r[0] for r in results])
-    flags = tuple(r[1] for r in results)
+    rates = np.repeat(grid[:, np.newaxis], spec_template.n_sites, axis=1)
+    eff, flags = _transport_batch(h, spec_template, rates, t_max, tol)
     return EfficiencyCurve(grid, eff, flags, h.content_hash())

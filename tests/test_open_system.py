@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,9 @@ def test_sweep_rejects_bad_grid():
         aqsim.EfficiencyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.2]), (True, True), "x")
 
 
+FMO_GAMMA_GRID = np.geomspace(1e-3, 1e2, 11)
+
+
 def fmo7_panel():
     """The fmo7 sigma = 0.5 disorder panel, seeds 1-6, with its transport spec."""
     h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "fmo7.net"))
@@ -243,16 +248,53 @@ def fmo7_panel():
     return [aqsim.apply_static_disorder(h, 0.5, seed) for seed in range(1, 7)], spec
 
 
+@cache
+def fmo7_panel_oracle():
+    """(eta, converged) of the full-space oracle at every panel point, one
+    row per Hamiltonian, at t_max 600."""
+    hs, spec = fmo7_panel()
+    return [[transport_efficiency_full_space(h, spec.with_uniform_dephasing(gamma),
+                                             t_max=600.0, tol=1e-8)[:2]
+             for gamma in FMO_GAMMA_GRID] for h in hs]
+
+
 def test_efficiency_matches_full_space_oracle_on_fmo_panel():
     hs, spec = fmo7_panel()
-    for h in hs:
-        for gamma in np.geomspace(1e-3, 1e2, 11):
+    for h, row in zip(hs, fmo7_panel_oracle()):
+        for gamma, (want, want_converged) in zip(FMO_GAMMA_GRID, row):
             point = spec.with_uniform_dephasing(gamma)
             eta, converged = aqsim.transport_efficiency(h, point, t_max=600.0, tol=1e-8)
-            want, want_converged, _ = transport_efficiency_full_space(
-                h, point, t_max=600.0, tol=1e-8)
             assert abs(eta - want) <= 1e-12
             assert converged == want_converged
+
+
+def test_sweep_matches_full_space_oracle_on_fmo_panel():
+    hs, spec = fmo7_panel()
+    for h, row in zip(hs, fmo7_panel_oracle()):
+        curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0, tol=1e-8)
+        want, want_converged = zip(*row)
+        assert np.abs(curve.efficiencies - want).max() <= 1e-12
+        assert curve.converged == want_converged
+
+
+def test_sweep_does_not_depend_on_the_chunk_width(monkeypatch):
+    hs, spec = fmo7_panel()
+    assert open_system._chunk_width(7) >= FMO_GAMMA_GRID.size
+    whole = [aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0) for h in hs]
+    monkeypatch.setattr(open_system, "_CHUNK_BYTES", 1)
+    assert open_system._chunk_width(7) == 1
+    for h, want in zip(hs, whole):
+        curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0)
+        assert np.array_equal(curve.efficiencies, want.efficiencies)
+        assert curve.converged == want.converged
+
+
+def test_chunk_width_keeps_the_step_matrices_within_the_byte_budget():
+    for n in (1, 2, 7, 30, 60):
+        assert open_system._chunk_width(n) >= 1
+    for n in (7, 30):
+        step_bytes = 8 * (n * n + 2) ** 2
+        assert open_system._chunk_width(n) * step_bytes <= open_system._CHUNK_BYTES
 
 
 def test_efficiency_matches_runge_kutta_at_the_stop_time():
@@ -268,6 +310,13 @@ def test_efficiency_matches_runge_kutta_at_the_stop_time():
 def _patched_step(monkeypatch, change):
     real = open_system.expm
     monkeypatch.setattr(open_system, "expm", lambda a: change(real, a))
+
+
+def _patched_points(monkeypatch, changes):
+    """Patch expm so that the k-th step matrix of a stack gets changes[k]."""
+    def change(expm, a):
+        return np.array([fault(expm, m) for fault, m in zip(changes, a)])
+    _patched_step(monkeypatch, change)
 
 
 def test_scaled_step_raises_trace_drift(monkeypatch):
@@ -298,6 +347,30 @@ def test_step_failing_after_the_stop_does_not_raise(monkeypatch):
     # the same steps checked up to the horizon do fail
     with pytest.raises(StateInvariantError, match="trace drift"):
         aqsim.transport_efficiency(h, spec, t_max=300.0, tol=1e-300)
+
+
+def test_sweep_raises_the_first_failure_in_grid_order(monkeypatch):
+    h, spec = detuned_dimer()
+    grid = np.array([0.5, 1.0, 2.0])
+    # at tol 1e-300 no run stops early: the drifting point passes TRACE_TOL
+    # near checkpoint 50, the backward one goes negative at checkpoint 1, so
+    # only a point-by-point order puts the drift first
+    eps = TRACE_TOL / 50.0
+    clean = lambda expm, a: expm(a)
+    drift = lambda expm, a: (1.0 + eps) * expm(a)
+    backward = lambda expm, a: expm(-a)
+    for faults, message in (((clean, drift, backward), "trace drift"),
+                            ((clean, backward, drift), "negative eigenvalue")):
+        monkeypatch.undo()
+        _patched_points(monkeypatch, faults[1:2])
+        with pytest.raises(StateInvariantError, match=message) as alone:
+            aqsim.transport_efficiency(h, spec.with_uniform_dephasing(grid[1]),
+                                       t_max=30.0, tol=1e-300)
+        monkeypatch.undo()
+        _patched_points(monkeypatch, faults)
+        with pytest.raises(StateInvariantError) as swept:
+            aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0, tol=1e-300)
+        assert str(swept.value) == str(alone.value)
 
 
 def test_stack_check_reports_the_first_failing_state_and_test():
@@ -338,17 +411,40 @@ def test_hermitian_basis_is_orthonormal_and_real_vectors_map_to_hermitian_blocks
             assert np.array_equal(np.diagonal(block).real, x[:n])
 
 
+def _rotated_block(h, spec):
+    """build_liouvillian's invariant block written in the Hermitian basis,
+    and the largest generator entry."""
+    gen = build_liouvillian(h, spec).matrix
+    n, d = spec.n_sites, spec.n_sites + 2
+    # the site block in column-stacking order, then sink and loss
+    keep = [i + d * j for j in range(n) for i in range(n)] + [n * (d + 1), d * d - 1]
+    q = open_system._hermitian_basis(n)
+    return q.conj().T @ gen[np.ix_(keep, keep)] @ q, np.abs(gen).max()
+
+
 def test_generator_is_real_in_the_hermitian_basis():
     rng = np.random.default_rng(1130)
     for _ in range(250):
         h, spec = random_transport_instance(rng, max_sites=6)
-        gen = build_liouvillian(h, spec).matrix
-        n, d = spec.n_sites, spec.n_sites + 2
-        # the site block in column-stacking order, then sink and loss
-        keep = [i + d * j for j in range(n) for i in range(n)] + [n * (d + 1), d * d - 1]
-        q = open_system._hermitian_basis(n)
-        mixed = q.conj().T @ gen[np.ix_(keep, keep)] @ q
-        assert np.abs(mixed.imag).max() <= 1e-14 * np.abs(gen).max()
+        mixed, scale = _rotated_block(h, spec)
+        assert np.abs(mixed.imag).max() <= 1e-14 * scale
+
+
+def test_dephasing_is_a_diagonal_shift_in_the_hermitian_basis():
+    rng = np.random.default_rng(1131)
+    for _ in range(250):
+        h, spec = random_transport_instance(rng, max_sites=6)
+        n, gamma = spec.n_sites, spec.dephasing_rates
+        full, scale = _rotated_block(h, spec)
+        bare, _ = _rotated_block(h, spec.with_uniform_dephasing(0.0))
+        # populations and registers 0, both coordinates of coherence (i, j)
+        # (gamma_i + gamma_j) / 2, pairs in the basis's i < j order
+        damping = [0.0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                damping += [0.5 * (gamma[i] + gamma[j])] * 2
+        damping += [0.0, 0.0]
+        assert np.abs(full - (bare - np.diag(damping))).max() <= 1e-14 * scale
 
 
 def test_efficiency_matches_full_space_oracle_on_random_instances():
