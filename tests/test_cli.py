@@ -223,6 +223,26 @@ output walk.csv
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_overflowing_phases_are_an_invariant_violation(tmp_path, data_dir, capsys):
+    # half phases 0.5 * phase_sigma * z overflow to inf for |z| > 2.1, the
+    # kicks turn NaN, and a NaN population sum must fail the norm check
+    # rather than be written out
+    cfg = write_config(tmp_path, "walk.cfg", f"""command walk
+network {data_dir}/dimer.net
+input_mode 0
+time 1.0
+phase_sigma 1.7e308
+n_segments 4
+shots 20
+seed 3
+output walk.csv
+""")
+    assert main(["walk", str(cfg)]) == 4
+    assert "ensemble populations sum to nan" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+    assert not (tmp_path / "walk.csv.meta.json").exists()
+
+
 def test_walk_length_input(tmp_path, data_dir):
     cfg = write_config(tmp_path, "walk.cfg", f"""command walk
 network {data_dir}/dimer.net

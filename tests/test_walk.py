@@ -190,6 +190,9 @@ def test_spreading_dephased_times_must_align():
 
 
 CHUNK_CHAIN, CHUNK_SEGS, CHUNK_SIGMA, CHUNK_SEED = 21, 12, 0.7, 2024
+# the kick arithmetic differs from the oracle's exp(-1j * phases): agreement
+# to within a few ulps of a unit population, not bit for bit
+ORACLE_ATOL = 1e-14
 
 
 def _chunk_shot_counts():
@@ -197,49 +200,115 @@ def _chunk_shot_counts():
     return [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]
 
 
+def _use_16_shot_chunks(monkeypatch):
+    # a budget of 21 shots' phases, rounded down to chunks of 16
+    monkeypatch.setattr(walk, "_PHASE_BYTES", 21 * 8 * CHUNK_SEGS * CHUNK_CHAIN)
+    assert walk._chunk_width(CHUNK_SEGS, CHUNK_CHAIN) == 16
+
+
+@pytest.mark.parametrize("shots", _chunk_shot_counts())
+def test_dephased_walk_is_chunk_invariant(monkeypatch, shots):
+    # one bulk draw per shot gives the same bytes in one chunk or in many
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    whole = aqsim.dephased_walk(h, 10, 3.0, spec)
+    _use_16_shot_chunks(monkeypatch)
+    assert np.array_equal(aqsim.dephased_walk(h, 10, 3.0, spec), whole)
+
+
 @pytest.mark.parametrize("shots", _chunk_shot_counts())
 def test_dephased_walk_matches_segment_by_segment_ensemble(shots):
-    # one bulk draw per shot, in chunks, gives the bytes of the per-segment draws
     h = make_chain(CHUNK_CHAIN)
     t = 3.0
     spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
     got = aqsim.dephased_walk(h, 10, t, spec)
     want = ensemble_populations_by_segment(h, 10, t / CHUNK_SEGS, CHUNK_SEGS,
                                            CHUNK_SIGMA, shots, CHUNK_SEED)
-    assert np.array_equal(got, want[CHUNK_SEGS])
+    np.testing.assert_allclose(got, want[CHUNK_SEGS], rtol=0, atol=ORACLE_ATOL)
+
+
+SPREAD_TAU = 0.25
+SPREAD_SEGS = [0, 3, 7, CHUNK_SEGS]
+SPREAD_TIMES = SPREAD_TAU * np.array(SPREAD_SEGS)
+
+
+@pytest.mark.parametrize("shots", _chunk_shot_counts())
+def test_spreading_stats_are_chunk_invariant(monkeypatch, shots):
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    whole = aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec)
+    _use_16_shot_chunks(monkeypatch)
+    assert aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec) == whole
 
 
 @pytest.mark.parametrize("shots", _chunk_shot_counts())
 def test_spreading_stats_match_segment_by_segment_ensemble(shots):
     h = make_chain(CHUNK_CHAIN)
-    tau = 0.25
-    times = tau * np.array([0, 3, 7, CHUNK_SEGS])
     spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
-    got = aqsim.spreading_stats(h, 10, times, dephasing=spec)
-    pops = ensemble_populations_by_segment(h, 10, tau, CHUNK_SEGS, CHUNK_SIGMA,
-                                           shots, CHUNK_SEED,
-                                           sample_at=[0, 3, 7, CHUNK_SEGS])
+    got = aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec)
+    pops = ensemble_populations_by_segment(h, 10, SPREAD_TAU, CHUNK_SEGS,
+                                           CHUNK_SIGMA, shots, CHUNK_SEED,
+                                           sample_at=SPREAD_SEGS)
     offsets = np.arange(CHUNK_CHAIN) - 10
-    want = [(float(t), float(np.sqrt(np.sum(pops[k] * offsets ** 2))))
-            for t, k in zip(times, [0, 3, 7, CHUNK_SEGS])]
-    assert got == want
+    want = [np.sqrt(np.sum(pops[k] * offsets ** 2)) for k in SPREAD_SEGS]
+    assert [t for t, _ in got] == list(SPREAD_TIMES)
+    np.testing.assert_allclose([s for _, s in got], want, rtol=0, atol=ORACLE_ATOL)
 
 
-@pytest.mark.parametrize("shots", [1, 15, 16, 17, 33, 35, 49])
-def test_small_chunks_match_segment_by_segment_ensemble(monkeypatch, shots):
-    # a budget of 21 shots' phases, rounded down to chunks of 16: many
-    # chunks, a lone trailing shot, and sample points at zero, repeated and
-    # out of order
-    monkeypatch.setattr(walk, "_PHASE_BYTES", 21 * 8 * CHUNK_SEGS * CHUNK_CHAIN)
-    assert walk._chunk_width(CHUNK_SEGS, CHUNK_CHAIN) == 16
+# many chunks, a lone trailing shot, and sample points at zero, repeated and
+# out of order
+SMALL_SHOTS = [1, 15, 16, 17, 33, 35, 49]
+SMALL_SAMPLE_AT = [0, 5, 5, CHUNK_SEGS, 2]
+
+
+@pytest.mark.parametrize("shots", SMALL_SHOTS)
+def test_small_chunks_match_default_chunks(monkeypatch, shots):
     h = make_chain(CHUNK_CHAIN)
-    sample_at = [0, 5, 5, CHUNK_SEGS, 2]
+    args = (h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    whole = walk._ensemble_populations(*args, sample_at=SMALL_SAMPLE_AT)
+    _use_16_shot_chunks(monkeypatch)
+    got = walk._ensemble_populations(*args, sample_at=SMALL_SAMPLE_AT)
+    assert list(got) == list(whole) == [0, 2, 5, CHUNK_SEGS]
+    assert all(np.array_equal(got[k], whole[k]) for k in whole)
+
+
+@pytest.mark.parametrize("shots", SMALL_SHOTS)
+def test_small_chunks_match_segment_by_segment_ensemble(monkeypatch, shots):
+    _use_16_shot_chunks(monkeypatch)
+    h = make_chain(CHUNK_CHAIN)
     got = walk._ensemble_populations(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
-                                     shots, CHUNK_SEED, sample_at=sample_at)
+                                     shots, CHUNK_SEED, sample_at=SMALL_SAMPLE_AT)
     want = ensemble_populations_by_segment(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
-                                           shots, CHUNK_SEED, sample_at=sample_at)
+                                           shots, CHUNK_SEED,
+                                           sample_at=SMALL_SAMPLE_AT)
     assert list(got) == list(want) == [0, 2, 5, CHUNK_SEGS]
-    assert all(np.array_equal(got[k], want[k]) for k in want)
+    for k in want:
+        np.testing.assert_allclose(got[k], want[k], rtol=0, atol=ORACLE_ATOL)
+
+
+KICK_ANGLES = [0.0, 1e-8, -1e-8, np.pi / 2, -np.pi / 2, np.pi - 1e-12,
+               -(np.pi - 1e-12), np.pi, -np.pi, 1e3, -1e3]
+
+
+@pytest.mark.parametrize("phi", [np.array(KICK_ANGLES),
+                                 0.5 * np.random.default_rng(3).standard_normal(10_000),
+                                 10 * np.random.default_rng(4).standard_normal(10_000)],
+                         ids=["edge-angles", "sigma-0.5", "sigma-10"])
+def test_half_angle_kick_is_exp_minus_i_phi(phi):
+    kick = walk._half_angle_kick(np.tan(0.5 * phi), np.empty(phi.shape, dtype=complex),
+                                 np.empty(phi.shape))
+    assert np.abs(kick - np.exp(-1j * phi)).max() <= 1e-15
+    assert np.abs(np.abs(kick) - 1.0).max() <= 1e-15
+
+
+def test_long_ensemble_keeps_unit_population():
+    # 2000 kicks in a row: a kick off the unit circle would compound.  On
+    # uncoupled sites U is the identity, so only the kicks act (a coupled
+    # chain's eigh propagator alone drifts the sum by ~1e-15 per segment)
+    h = aqsim.Hamiltonian(np.zeros((5, 5)))
+    spec = DephasingEnsembleSpec(n_segments=2000, phase_sigma=3.0, shots=32, seed=5)
+    pops = aqsim.dephased_walk(h, 2, 200.0, spec)
+    assert abs(pops.sum() - 1.0) <= 1e-12
 
 
 def test_dephased_walk_matches_exact_mean_channel():
