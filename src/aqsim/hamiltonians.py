@@ -8,6 +8,7 @@ with hbar = 1; see the README units note.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,15 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _integer(value, name: str) -> int:
+    """value as an int (numpy integers too); a float or any other
+    non-integral value raises ValueError rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _default_labels(prefix: str, n: int) -> tuple:

@@ -34,27 +34,29 @@ populations (n^2 + 2 of the (n + 2)^2 coordinates): every jump refills a
 population, never a coherence between a site and a register, and the
 register rows of H_eff are zero, so those coherences start at 0 and stay
 exactly 0.  Transport therefore exponentiates only that block of the
-generator, and does so in real coordinates.  The generator maps
-Hermitian matrices to Hermitian matrices, so in an orthonormal basis of
-Hermitian matrices B_k (inner product tr(A^dag B)) its entries
-tr(B_k L(B_l)) are traces of products of two Hermitian matrices, hence
-real.  The basis is the n site populations E_ii, then (E_ij + E_ji)/sqrt 2
-and i (E_ij - E_ji)/sqrt 2 for each i < j, then the sink and loss
-populations: real coordinates are stepped by a real step matrix, and map
-back to exactly Hermitian site blocks.
+generator, and does so in real coordinates: the site block is stored as
+R = Re rho + Im rho (R_ij at i + n j), then the sink and loss populations.
+The symmetric part of R is Re rho and its antisymmetric part is Im rho, so
 
-In that basis site dephasing is a diagonal shift.  The rate gamma_m damps
-every coherence rho_ij with i or j = m, so both coordinates of coherence
-(i, j) decay at (gamma_i + gamma_j) / 2, while on a population the refill
-gamma_m rho_mm cancels the decay it adds to H_eff.  A dephasing sweep
-therefore builds one generator G_0 without dephasing and steps every grid
-point under G_0 minus its own diagonal, all points at once.
+    rho = ((1 + i) R + (1 - i) R^T) / 2,
+
+and R -> rho is an isometry of real matrices onto Hermitian ones: every
+real vector maps back to an exactly Hermitian site block, and the
+population rho_ii = R_ii sits at i (n + 1).  The generator maps Hermitian
+matrices to Hermitian matrices, so in these coordinates it is a real
+matrix, stepped by a real step matrix.
+
+In these coordinates site dephasing is a diagonal shift.  The rate
+gamma_m damps every coherence rho_ij with i or j = m, so entry i + n j
+with i != j decays at (gamma_i + gamma_j) / 2, while on a population the
+refill gamma_m rho_mm cancels the decay it adds to H_eff.  A dephasing
+sweep therefore builds one generator G_0 without dephasing and steps every
+grid point under G_0 minus its own diagonal, all points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 # Not called: perfbench/tracing.py wraps open_system.solve_ivp by name when it
@@ -62,7 +64,7 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .hamiltonians import Hamiltonian
+from .hamiltonians import Hamiltonian, _integer
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -103,17 +105,17 @@ class TransportSpec:
         if gamma.ndim != 1 or gamma.size == 0:
             raise ValueError("dephasing_rates must be a non-empty 1-d sequence")
         n = gamma.size
-        for name, idx in (("source_site", self.source_site), ("sink_site", self.sink_site)):
-            if not 0 <= int(idx) < n:
+        for name in ("source_site", "sink_site"):
+            idx = _integer(getattr(self, name), name)
+            if not 0 <= idx < n:
                 raise ValueError(f"{name} {idx} out of range for {n} sites")
+            object.__setattr__(self, name, idx)
         rates = np.append(gamma, [self.trap_rate, self.recombination_rate])
         if not np.isfinite(rates).all():
             raise ValueError("rates must be finite")
         if np.any(rates < 0):
             raise ValueError("rates must be non-negative")
         gamma.setflags(write=False)
-        object.__setattr__(self, "source_site", int(self.source_site))
-        object.__setattr__(self, "sink_site", int(self.sink_site))
         object.__setattr__(self, "trap_rate", float(self.trap_rate))
         object.__setattr__(self, "recombination_rate", float(self.recombination_rate))
         object.__setattr__(self, "dephasing_rates", gamma)
@@ -191,7 +193,7 @@ class DensityMatrix:
 
 def initial_excitation(n_sites: int, site: int) -> DensityMatrix:
     """Pure state with the excitation on one site, sink and loss empty."""
-    if not 0 <= site < n_sites:
+    if not 0 <= _integer(site, "site") < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
     m = np.zeros((n_sites + 2, n_sites + 2), dtype=complex)
     m[site, site] = 1.0
@@ -258,8 +260,8 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
     returned state is re-validated, so trace drift raises instead of being
     renormalized away.
     """
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
+    if not 0 <= t < np.inf:
+        raise ValueError("evolution time must be non-negative and finite")
     if rho0.dim != gen.dim:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {gen.dim}")
     if t == 0:
@@ -268,28 +270,28 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
     return DensityMatrix(vec.reshape((gen.dim, gen.dim), order="F"))
 
 
-@lru_cache(maxsize=8)
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of the invariant block, one per column.
+def _real_generator(h: Hamiltonian, spec: TransportSpec) -> np.ndarray:
+    """build_liouvillian's invariant block B in the real coordinates of the
+    module docstring: Re(B M) + Im(B M), where B M = ((1 + i) B + (1 - i) B P)
+    / 2 and the permutation P transposes the site block."""
+    gen = build_liouvillian(h, spec)
+    n, d = spec.n_sites, gen.dim
+    sink, loss = gen.sink_index, gen.sink_index + 1
+    # rho_ij sits at i + d j; the site block in column-stacking order, then
+    # the two register populations
+    keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
+                           [sink + d * sink, loss + d * loss]])
+    flip = np.append(np.arange(n * n).reshape(n, n).T.ravel(), [n * n, n * n + 1])
+    block = gen.matrix[np.ix_(keep, keep)]
+    mixed = 0.5 * ((1 + 1j) * block + (1 - 1j) * block[:, flip])
+    return mixed.real + mixed.imag
 
-    Rows are the block's coordinates (rho_ij at i + n j, then sink and
-    loss); columns are the n populations E_ii, then (E_ij + E_ji)/sqrt 2
-    and i (E_ij - E_ji)/sqrt 2 for each i < j, then sink and loss.  Read
-    only: a sweep shares one basis across its grid points.
-    """
-    size = n * n + 2
-    q = np.zeros((size, size), dtype=complex)
-    sites = np.arange(n)
-    q[sites * (n + 1), sites] = 1.0
-    i, j = np.triu_indices(n, 1)
-    even = n + 2 * np.arange(i.size)
-    half = np.sqrt(0.5)
-    q[i + n * j, even] = q[j + n * i, even] = half
-    q[i + n * j, even + 1] = 1j * half
-    q[j + n * i, even + 1] = -1j * half
-    q[size - 2, size - 2] = q[size - 1, size - 1] = 1.0
-    q.setflags(write=False)
-    return q
+
+def _site_blocks(coords: np.ndarray, n: int) -> np.ndarray:
+    """Site blocks rho = ((1 + i) R + (1 - i) R^T) / 2 of a (k, n^2) stack of
+    real site coordinates, R_ij at i + n j (module docstring)."""
+    r = coords.reshape(-1, n, n)  # r[k, j, i] = R_ij
+    return 0.5 * ((1 + 1j) * r.transpose(0, 2, 1) + (1 - 1j) * r)
 
 
 def _chunk_width(n: int) -> int:
@@ -306,14 +308,13 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     """transport_efficiency at every row of rates, one row of per-site
     dephasing rates per grid point, in place of spec.dephasing_rates.
 
-    build_liouvillian runs once, without dephasing; its invariant block is
-    written once in the Hermitian basis as the real generator G_0, and each
-    point's generator is G_0 minus its diagonal coherence damping (module
-    docstring).  The points run in chunks of _chunk_width(n).  A chunk
-    takes one expm of its stacked step matrices and steps a real
-    (checkpoint, point, coordinate) path, each point by its own step
-    matrix; every point's result is the same as when it runs alone.  The
-    stop rule, the validation and the sink range check then act on the
+    The real generator G_0 (_real_generator) is built once, without
+    dephasing, and each point's generator is G_0 minus its diagonal
+    coherence damping (module docstring).  The points run in chunks of
+    _chunk_width(n).  A chunk takes one expm of its stacked step matrices
+    and steps a real (checkpoint, point, coordinate) path, each point by
+    its own step matrix; every point's result is the same as when it runs
+    alone.  The stop rule, the validation and the sink range check then act on the
     whole chunk, and the error raised is the one that running the points
     one by one in grid order would raise first: the checkpoints up to each
     point's stop are validated as one stack, point by point in grid order,
@@ -325,19 +326,13 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         raise NoSinkError("transport efficiency needs trap_rate > 0")
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
-    gen = build_liouvillian(h, spec.with_uniform_dephasing(0.0))
-    n, d = spec.n_sites, gen.dim
-    sink, loss = gen.sink_index, gen.sink_index + 1
-    # rho_ij sits at i + d j; the site block in column-stacking order, then
-    # the two register populations
-    keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
-                           [sink + d * sink, loss + d * loss]])
-    q = _hermitian_basis(n)
-    real_gen = (q.conj().T @ gen.matrix[np.ix_(keep, keep)] @ q).real
-    i, j = np.triu_indices(n, 1)
-    damping = np.zeros((rates.shape[0], keep.size))
-    damping[:, n:n * n] = np.repeat(0.5 * (rates[:, i] + rates[:, j]), 2, axis=1)
-    diagonal = np.arange(keep.size)
+    real_gen = _real_generator(h, spec.with_uniform_dephasing(0.0))
+    n, size = spec.n_sites, real_gen.shape[0]
+    damping = np.zeros((rates.shape[0], size))
+    pairs = 0.5 * (rates[:, :, np.newaxis] + rates[:, np.newaxis])
+    damping[:, :n * n] = pairs.reshape(-1, n * n)
+    damping[:, :n * n:n + 1] = 0.0  # populations do not decay
+    diagonal = np.arange(size)
     checkpoints = np.arange(1, _CHECKPOINTS + 1)
     eta = np.empty(rates.shape[0])
     converged = np.empty(rates.shape[0], dtype=bool)
@@ -349,14 +344,14 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         a[:, diagonal, diagonal] -= shift
         a *= t_max / _CHECKPOINTS
         steps = expm(a)
-        # coordinates: site populations first, sink population at n^2
-        path = np.zeros((_CHECKPOINTS + 1, shift.shape[0], keep.size))
-        path[0, :, spec.source_site] = 1.0
+        # site population rho_ii at i (n + 1), sink population at n^2
+        path = np.zeros((_CHECKPOINTS + 1, shift.shape[0], size))
+        path[0, :, spec.source_site * (n + 1)] = 1.0
         for c in range(_CHECKPOINTS):
             np.matmul(steps, path[c, :, :, np.newaxis], out=path[c + 1, :, :, np.newaxis])
         # a run is armed once some earlier feed exceeded tol and stops at the
         # first armed checkpoint whose feed is back at or below it
-        above = path[:, :, spec.sink_site] > tol
+        above = path[:, :, spec.sink_site * (n + 1)] > tol
         fired = np.logical_or.accumulate(above, axis=0)[:-1] & ~above[1:]
         converged[points] = fired.any(axis=0)
         stop = np.where(converged[points], fired.argmax(axis=0) + 1, _CHECKPOINTS)
@@ -365,9 +360,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         checked = int(np.argmax(outside)) + 1 if outside.any() else shift.shape[0]
         # point-major, so the first failing state belongs to the earliest point
         states = path[1:, :checked].transpose(1, 0, 2)[checkpoints <= stop[:checked, np.newaxis]]
-        # rho_ij at i + n j, so the row-major reshape holds each rho transposed
-        blocks = (states[:, :n * n] @ q[:n * n, :n * n].T).reshape(-1, n, n)
-        _check_states(blocks.transpose(0, 2, 1), states[:, n * n:])
+        _check_states(_site_blocks(states[:, :n * n], n), states[:, n * n:])
         if outside.any():
             raise StateInvariantError(f"sink population {sink_pop[checked - 1]} outside [0, 1]")
         eta[points] = np.clip(sink_pop, 0.0, 1.0)
@@ -382,23 +375,16 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     early once that feed rate has risen above tol * trap_rate and dropped
     back below it (checked at checkpoint times).
 
-    Only the invariant subspace of the module docstring evolves: the site
-    block plus the sink and loss populations, n^2 + 2 of build_liouvillian's
-    (n + 2)^2 coordinates (51 of 81 at n = 7).  Those rows and columns of
-    the generator are written in a real orthonormal basis of Hermitian
-    matrices Q (_hermitian_basis).  The generator maps Hermitian matrices
-    to Hermitian matrices, and the trace of a product of two Hermitian
-    matrices is real, so each entry tr(B_k L(B_l)) of Q^dag L Q is real up
-    to rounding, whose imaginary part is dropped.  The site dephasing
-    rates enter as a diagonal shift of the generator without dephasing.
-    One real step matrix expm(Q^dag L Q t_max / _CHECKPOINTS) carries the
-    real coordinates from checkpoint to checkpoint.  The whole trajectory
-    is stepped first; the checkpoints up to the stop are then mapped back
-    through Q to their site blocks and validated, with the two register
-    populations, as one stack, which raises for the first invalid state
-    just as checking each checkpoint in turn would.  This is the one-point
-    case of the batch that goldilocks_sweep runs.  Returns (eta, converged)
-    where converged reports whether the flow criterion fired before t_max.
+    Only the invariant subspace of the module docstring evolves, in its
+    real coordinates: n^2 + 2 of build_liouvillian's (n + 2)^2 coordinates
+    (51 of 81 at n = 7).  One real step matrix expm(G t_max / _CHECKPOINTS)
+    carries them from checkpoint to checkpoint.  The whole trajectory is
+    stepped first; the checkpoints up to the stop are then mapped back to
+    their site blocks and validated, with the two register populations, as
+    one stack, which raises for the first invalid state just as checking
+    each checkpoint in turn would.  This is the one-point case of the batch
+    that goldilocks_sweep runs.  Returns (eta, converged) where converged
+    reports whether the flow criterion fired before t_max.
     """
     eta, converged = _transport_batch(h, spec, spec.dephasing_rates[np.newaxis], t_max, tol)
     return float(eta[0]), bool(converged[0])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian
+from .hamiltonians import Hamiltonian, _integer
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 NORM_TOL = 1e-10
@@ -77,16 +77,15 @@ class DephasingEnsembleSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_segments", "shots", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
         if not 0 <= self.phase_sigma < np.inf:
             raise ValueError("phase_sigma must be non-negative and finite")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        object.__setattr__(self, "n_segments", int(self.n_segments))
         object.__setattr__(self, "phase_sigma", float(self.phase_sigma))
-        object.__setattr__(self, "shots", int(self.shots))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def propagator(h: Hamiltonian, t: float) -> np.ndarray:
@@ -95,12 +94,18 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def _check_walk(h: Hamiltonian, input_mode: int, t: float) -> None:
+    """Reject an input mode that is not a site index of h and a negative or
+    non-finite time, before any work."""
+    if not 0 <= _integer(input_mode, "input mode") < h.dim:
+        raise ValueError(f"input mode {input_mode} out of range for dimension {h.dim}")
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be non-negative and finite")
+
+
 def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
     """State exp(-iHt)|input_mode> of a walk started on one site."""
-    if not 0 <= input_mode < h.dim:
-        raise ValueError(f"input mode {input_mode} out of range for dimension {h.dim}")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    _check_walk(h, input_mode, t)
     if t == 0:
         amps = np.zeros(h.dim, dtype=complex)
         amps[input_mode] = 1.0
@@ -111,19 +116,19 @@ def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
 
 def length_to_time(z: float, n_index: float) -> float:
     """Propagation length (metres) to evolution time: t = n_index * z / c."""
-    if z < 0:
-        raise ValueError("length must be non-negative")
-    if n_index <= 0:
-        raise ValueError("refractive index must be positive")
+    if not 0 <= z < np.inf:
+        raise ValueError("length must be non-negative and finite")
+    if not 0 < n_index < np.inf:
+        raise ValueError("refractive index must be positive and finite")
     return n_index * z / SPEED_OF_LIGHT
 
 
 def time_to_length(t: float, n_index: float) -> float:
     """Inverse of length_to_time: z = c * t / n_index."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    if n_index <= 0:
-        raise ValueError("refractive index must be positive")
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be non-negative and finite")
+    if not 0 < n_index < np.inf:
+        raise ValueError("refractive index must be positive and finite")
     return SPEED_OF_LIGHT * t / n_index
 
 
@@ -221,10 +226,7 @@ def dephased_walk(h: Hamiltonian, input_mode: int, t: float,
     With phase_sigma == 0 the ensemble is a single noiseless trajectory and
     the exact unitary populations are returned directly.
     """
-    if not 0 <= input_mode < h.dim:
-        raise ValueError(f"input mode {input_mode} out of range for dimension {h.dim}")
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    _check_walk(h, input_mode, t)
     if spec.phase_sigma == 0.0:
         return evolve_unitary(h, input_mode, t).populations()
     pops = _ensemble_populations(h, input_mode, t / spec.n_segments,

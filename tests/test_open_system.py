@@ -35,6 +35,14 @@ def test_transport_spec_validation():
         TransportSpec(0, 1, -1.0, 0.0, np.zeros(2))
     with pytest.raises(ValueError):
         TransportSpec(0, 1, 1.0, 0.0, [0.1, -0.1])
+    # a non-integral site is refused, not truncated to 0 and 1
+    with pytest.raises(ValueError, match="source_site must be an integer"):
+        TransportSpec(0.9, 1.7, 1.0, 0.0, np.zeros(2))
+    with pytest.raises(ValueError, match="sink_site must be an integer"):
+        TransportSpec(0, 1.0, 1.0, 0.0, np.zeros(2))
+    spec = TransportSpec(np.int64(0), np.int32(1), 1.0, 0.0, np.zeros(2))
+    assert (spec.source_site, spec.sink_site) == (0, 1)
+    assert type(spec.sink_site) is int
 
 
 def test_density_matrix_invariants():
@@ -151,6 +159,11 @@ def test_evolve_rejects_bad_arguments():
         aqsim.evolve(rho, gen, -1.0)
     with pytest.raises(ValueError):
         aqsim.evolve(initial_excitation(3, 0), gen, 1.0)
+    for t in (NAN, INF):
+        with pytest.raises(ValueError, match="finite"):
+            aqsim.evolve(rho, gen, t)
+    with pytest.raises(ValueError, match="site must be an integer"):
+        initial_excitation(2, 0.9)
 
 
 @pytest.mark.parametrize("gamma", [1e6, 1e18])
@@ -281,12 +294,14 @@ def test_sweep_does_not_depend_on_the_chunk_width(monkeypatch):
     hs, spec = fmo7_panel()
     assert open_system._chunk_width(7) >= FMO_GAMMA_GRID.size
     whole = [aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0) for h in hs]
-    monkeypatch.setattr(open_system, "_CHUNK_BYTES", 1)
-    assert open_system._chunk_width(7) == 1
-    for h, want in zip(hs, whole):
-        curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0)
-        assert np.array_equal(curve.efficiencies, want.efficiencies)
-        assert curve.converged == want.converged
+    # chunks of one point, and of 4, 4 and 3 points
+    for budget, width in ((1, 1), (600_000, 4)):
+        monkeypatch.setattr(open_system, "_CHUNK_BYTES", budget)
+        assert open_system._chunk_width(7) == width
+        for h, want in zip(hs, whole):
+            curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0)
+            assert np.array_equal(curve.efficiencies, want.efficiencies)
+            assert curve.converged == want.converged
 
 
 def test_chunk_width_keeps_the_step_matrices_within_the_byte_budget():
@@ -397,53 +412,56 @@ def test_stack_check_reports_the_first_failing_state_and_test():
         assert str(split.value) == str(embedded.value)
 
 
-def test_hermitian_basis_is_orthonormal_and_real_vectors_map_to_hermitian_blocks():
+def test_real_coordinates_map_back_to_hermitian_site_blocks():
     rng = np.random.default_rng(113)
     for n in range(1, 8):
-        q = open_system._hermitian_basis(n)
-        assert np.abs(q.conj().T @ q - np.eye(n * n + 2)).max() <= 1e-15
-        for _ in range(20):
-            x = rng.normal(size=(n * n + 2))
-            v = q @ x
-            block = v[:n * n].reshape((n, n), order="F")
-            assert np.array_equal(block, block.conj().T)
-            assert np.array_equal(v[n * n:], x[n * n:])
-            assert np.array_equal(np.diagonal(block).real, x[:n])
+        x = rng.normal(size=(20, n * n))
+        blocks = open_system._site_blocks(x, n)
+        assert np.array_equal(blocks, blocks.conj().transpose(0, 2, 1))
+        assert np.array_equal(np.diagonal(blocks, axis1=1, axis2=2), x[:, ::n + 1])
+        norms = np.linalg.norm(blocks, axis=(1, 2))
+        assert np.abs(norms - np.linalg.norm(x, axis=1)).max() <= 1e-15 * norms.max()
+        # R_ij at i + n j; Re + Im undoes the map up to the rounding of
+        # (R_ij + R_ji) / 2 and (R_ij - R_ji) / 2
+        back = (blocks.real + blocks.imag).transpose(0, 2, 1).reshape(-1, n * n)
+        assert np.abs(back - x).max() <= 2 * np.finfo(float).eps * np.abs(x).max()
 
 
-def _rotated_block(h, spec):
-    """build_liouvillian's invariant block written in the Hermitian basis,
-    and the largest generator entry."""
-    gen = build_liouvillian(h, spec).matrix
-    n, d = spec.n_sites, spec.n_sites + 2
-    # the site block in column-stacking order, then sink and loss
-    keep = [i + d * j for j in range(n) for i in range(n)] + [n * (d + 1), d * d - 1]
-    q = open_system._hermitian_basis(n)
-    return q.conj().T @ gen[np.ix_(keep, keep)] @ q, np.abs(gen).max()
+def _density_matrix(coords, n):
+    """The (n + 2) x (n + 2) matrix of real coordinates: the site block
+    mapped back, the sink and loss populations, and no site-register
+    coherences."""
+    rho = np.zeros((n + 2, n + 2), dtype=complex)
+    rho[:n, :n] = open_system._site_blocks(coords[:n * n], n)[0]
+    rho[n, n], rho[n + 1, n + 1] = coords[n * n:]
+    return rho
 
 
-def test_generator_is_real_in_the_hermitian_basis():
+def test_real_generator_acts_as_the_liouvillian():
+    # the site-register coherences of L rho must come out 0: the
+    # coordinates span an invariant subspace
     rng = np.random.default_rng(1130)
     for _ in range(250):
         h, spec = random_transport_instance(rng, max_sites=6)
-        mixed, scale = _rotated_block(h, spec)
-        assert np.abs(mixed.imag).max() <= 1e-14 * scale
+        n, gen = spec.n_sites, build_liouvillian(h, spec).matrix
+        x = rng.normal(size=n * n + 2)
+        got = _density_matrix(open_system._real_generator(h, spec) @ x, n)
+        want = (gen @ _density_matrix(x, n).reshape(-1, order="F")).reshape(got.shape, order="F")
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(gen).max()
 
 
-def test_dephasing_is_a_diagonal_shift_in_the_hermitian_basis():
+def test_dephasing_is_a_diagonal_shift_in_real_coordinates():
     rng = np.random.default_rng(1131)
     for _ in range(250):
         h, spec = random_transport_instance(rng, max_sites=6)
         n, gamma = spec.n_sites, spec.dephasing_rates
-        full, scale = _rotated_block(h, spec)
-        bare, _ = _rotated_block(h, spec.with_uniform_dephasing(0.0))
-        # populations and registers 0, both coordinates of coherence (i, j)
-        # (gamma_i + gamma_j) / 2, pairs in the basis's i < j order
-        damping = [0.0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                damping += [0.5 * (gamma[i] + gamma[j])] * 2
-        damping += [0.0, 0.0]
+        full = open_system._real_generator(h, spec)
+        bare = open_system._real_generator(h, spec.with_uniform_dephasing(0.0))
+        # entry i + n j decays at (gamma_i + gamma_j) / 2 for i != j;
+        # populations and registers do not decay
+        damping = [0.5 * (gamma[i] + gamma[j]) if i != j else 0.0
+                   for j in range(n) for i in range(n)] + [0.0, 0.0]
+        scale = np.abs(build_liouvillian(h, spec).matrix).max()
         assert np.abs(full - (bare - np.diag(damping))).max() <= 1e-14 * scale
 
 

@@ -27,6 +27,17 @@ def test_input_mode_range():
         aqsim.evolve_unitary(h, 3, 1.0)
     with pytest.raises(ValueError):
         aqsim.evolve_unitary(h, 0, -1.0)
+    with pytest.raises(ValueError, match="input mode must be an integer"):
+        aqsim.evolve_unitary(h, 0.9, 1.0)
+    assert aqsim.evolve_unitary(h, np.int64(1), 0.0).populations()[1] == 1.0
+    spec = DephasingEnsembleSpec(4, 0.3, 8, 1)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            aqsim.evolve_unitary(h, 0, t)
+        with pytest.raises(ValueError, match="finite"):
+            aqsim.dephased_walk(h, 0, t, spec)
+    with pytest.raises(ValueError, match="input mode must be an integer"):
+        aqsim.dephased_walk(h, 0.9, 1.0, spec)
 
 
 def test_fifty_fifty_coupler():
@@ -89,6 +100,12 @@ def test_length_time_conversion():
         aqsim.length_to_time(-1.0, 1.5)
     with pytest.raises(ValueError):
         aqsim.time_to_length(1.0, -2.0)
+    for bad in (np.nan, np.inf):
+        for args in ((bad, 1.5), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                aqsim.length_to_time(*args)
+            with pytest.raises(ValueError, match="finite"):
+                aqsim.time_to_length(*args)
 
 
 def test_ensemble_spec_validation():
@@ -98,6 +115,13 @@ def test_ensemble_spec_validation():
         DephasingEnsembleSpec(4, -0.1, 10, 1)
     with pytest.raises(ValueError):
         DephasingEnsembleSpec(4, 0.1, 0, 1)  # zero shots
+    # non-integral counts and seeds are refused, not truncated
+    for args, name in (((2.5, 0.3, 3, 1), "n_segments"), ((2, 0.3, 3.9, 1), "shots"),
+                       ((2, 0.3, 3, 1.5), "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DephasingEnsembleSpec(*args)
+    spec = DephasingEnsembleSpec(np.int64(2), 0.3, np.int32(3), np.uint64(2**63))
+    assert (spec.n_segments, spec.shots, spec.seed) == (2, 3, 2**63)
 
 
 def test_dephased_walk_noiseless_equals_unitary():
