@@ -1,6 +1,7 @@
 """Bose-Hubbard exact diagonalization and lattice-modulation spectroscopy.
 
-Number-conserving Fock basis on small lattices, sparse Hamiltonian
+Number-conserving Fock basis on small lattices, the Hamiltonian on it as a
+plain scipy CSR matrix
 
     H = -J sum_<j,k> (b_j^dag b_k + b_k^dag b_j)
         + (U/2) sum_j n_j (n_j - 1)
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .hamiltonians import Hamiltonian
+from .hamiltonians import HERMITICITY_TOL, _integer
 
 BASIS_CAP = 200_000
 _DENSE_LIMIT = 400
@@ -82,7 +83,6 @@ class FockBasis:
             [[math.comb(b + s - 1, b) if s else int(b == 0)
               for b in range(self.n_bosons + 1)]
              for s in range(self.n_sites + 1)], dtype=np.int64)
-        self._labels = None
         if (states.shape != (basis_size(self.n_sites, self.n_bosons), self.n_sites)
                 or states.min() < 0 or np.any(states.sum(axis=1) != self.n_bosons)
                 or not np.array_equal(self._rank(states), np.arange(len(states)))):
@@ -105,12 +105,6 @@ class FockBasis:
                 or sum(key) != self.n_bosons):
             raise KeyError(f"{key} is not a state of this basis")
         return int(self._rank(np.array([key], dtype=np.int64))[0])
-
-    def labels(self) -> tuple:
-        if self._labels is None:
-            self._labels = tuple(",".join(map(str, row))
-                                 for row in self.states.tolist())
-        return self._labels
 
 
 def basis_size(n_sites: int, n_bosons: int) -> int:
@@ -178,24 +172,25 @@ class BoseHubbardParams:
     edges: tuple
 
     def __post_init__(self):
-        if self.n_sites < 1:
+        n_sites = _integer(self.n_sites, "n_sites")
+        if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
         if self.hopping < 0 or self.interaction < 0:
             raise ValueError("hopping and interaction must be non-negative")
         seen = set()
         edges = []
         for edge in self.edges:
-            j, k = int(edge[0]), int(edge[1])
+            j, k = (_integer(end, "edge endpoint") for end in edge)
             if j == k:
                 raise ValueError(f"self-edge ({j}, {k}) not allowed")
-            if not (0 <= j < self.n_sites and 0 <= k < self.n_sites):
-                raise ValueError(f"edge ({j}, {k}) outside 0..{self.n_sites - 1}")
+            if not (0 <= j < n_sites and 0 <= k < n_sites):
+                raise ValueError(f"edge ({j}, {k}) outside 0..{n_sites - 1}")
             pair = (min(j, k), max(j, k))
             if pair in seen:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
             edges.append(pair)
-        object.__setattr__(self, "n_sites", int(self.n_sites))
+        object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "hopping", float(self.hopping))
         object.__setattr__(self, "interaction", float(self.interaction))
         object.__setattr__(self, "edges", tuple(edges))
@@ -293,41 +288,36 @@ def reflection_sector(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_mat
         shape=(reps.size, len(basis)))
 
 
-def build_bh(params: BoseHubbardParams, basis: FockBasis) -> Hamiltonian:
-    """Assemble the sparse Hermitian Bose-Hubbard Hamiltonian."""
+def build_bh(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:
+    """Assemble the real symmetric Bose-Hubbard Hamiltonian as a CSR matrix."""
     diag = params.interaction * onsite_pair_count(basis)
-    return _assemble(hopping_matrix(params, basis), diag, basis)
+    return (hopping_matrix(params, basis) + sp.diags(diag)).tocsr()
 
 
-def _assemble(hop: sp.csr_matrix, diag: np.ndarray, basis: FockBasis) -> Hamiltonian:
-    return Hamiltonian((hop + sp.diags(diag)).tocsr(), basis.labels())
+def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
+    """k lowest eigenpairs of a sparse Hermitian matrix, ascending; each
+    residual checked to 1e-9 ||H||.
 
-
-def _matrix_scale(m) -> float:
-    if sp.issparse(m):
-        return float(abs(m).sum(axis=1).max()) if m.nnz else 1.0
-    s = float(np.abs(m).sum(axis=1).max())
-    return s if s > 0 else 1.0
-
-
-def low_spectrum(h: Hamiltonian, k: int) -> tuple:
-    """k lowest eigenpairs, ascending; each residual checked to 1e-9 ||H||.
-
-    Small or near-full problems go through dense eigh; larger sparse ones
-    through Lanczos (ARPACK) with a deterministic start vector and a
-    Lanczos space of 3k vectors (at least 20).
+    h must match its conjugate transpose entrywise to HERMITICITY_TOL; a
+    non-finite entry fails that check too.  Small or near-full problems go
+    through dense eigh; larger ones through Lanczos (ARPACK) with a
+    deterministic start vector and a Lanczos space of 3k vectors (at
+    least 20).
     """
-    dim = h.dim
+    dim = h.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"k = {k} out of range for dimension {dim}")
-    use_dense = dim <= _DENSE_LIMIT or k > dim - 2 or not h.is_sparse
-    if use_dense:
-        vals, vecs = np.linalg.eigh(h.dense())
+    asym = abs(h - h.conj().T)
+    deviation = asym.max() if asym.nnz else 0.0
+    if not deviation <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e}")
+    if dim <= _DENSE_LIMIT or k > dim - 2:
+        vals, vecs = np.linalg.eigh(h.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     else:
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            vals, vecs = eigsh(h.matrix, k=k, which="SA", v0=v0,
+            vals, vecs = eigsh(h, k=k, which="SA", v0=v0,
                                ncv=min(dim - 1, max(3 * k, 20)),
                                maxiter=max(10 * dim, 10000))
         except ArpackNoConvergence as exc:
@@ -335,9 +325,9 @@ def low_spectrum(h: Hamiltonian, k: int) -> tuple:
                 f"Lanczos did not converge for k={k}, dim={dim}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    scale = _matrix_scale(h.matrix)
+    scale = float(abs(h).sum(axis=1).max()) or 1.0
     for i in range(k):
-        residual = np.linalg.norm(h.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+        residual = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
         if residual > RESIDUAL_TOL * scale:
             raise EigenConvergenceError(
                 f"eigenpair {i} residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * ||H||")
@@ -430,7 +420,7 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     hop = hopping_matrix(params, basis)
     pairs = onsite_pair_count(basis)
     diag0 = params.interaction * pairs
-    (e0,), vecs = low_spectrum(_assemble(hop, diag0, basis), 1)
+    (e0,), vecs = low_spectrum((hop + sp.diags(diag0)).tocsr(), 1)
     psi0 = vecs[:, 0].astype(complex)
     drive_scale = params.interaction * delta
 

@@ -39,7 +39,7 @@ from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
                            enumerate_basis, hopping_matrix, low_spectrum,
                            modulation_absorption, onsite_pair_count,
                            reflection_sector)
-from .hamiltonians import Hamiltonian, apply_static_disorder, build_tight_binding
+from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import NetfileError, _decimal, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
 from .validation import (build_report, check_isomorphism, classify_speedup,
@@ -484,7 +484,7 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
     rows = []
     for j in grid:
         h = (j * v["U"]) * hop + pairs
-        energies, even = low_spectrum(Hamiltonian(h), k)
+        energies, even = low_spectrum(h, k)
         vectors = sector.T @ even
         gap = drive_coupled_gap(energies, vectors, basis)
         fraction = condensate_fraction(vectors[:, 0], basis)

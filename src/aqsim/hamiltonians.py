@@ -1,8 +1,8 @@
 """Site networks and the Hamiltonians built from them.
 
 Single-excitation tight-binding models: a network of sites with on-site
-energies and pairwise couplings.  All energies are angular frequencies
-with hbar = 1; see the README units note.
+energies and pairwise couplings, and its dense Hamiltonian.  All energies
+are angular frequencies with hbar = 1; see the README units note.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-12
 
@@ -86,7 +85,10 @@ class MappingRecord:
     unit_scale: float = 1.0
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.site_bijection)
+        try:
+            perm = tuple(_integer(p, "site bijection entry") for p in self.site_bijection)
+        except ValueError as exc:
+            raise MappingError(str(exc)) from None
         if sorted(perm) != list(range(len(perm))):
             raise MappingError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
         if not self.unit_scale > 0.0:
@@ -99,39 +101,28 @@ class MappingRecord:
         return MappingRecord(tuple(int(i) for i in inv), 1.0 / self.unit_scale)
 
 
-def _require_finite(entries: np.ndarray):
-    if not np.isfinite(entries).all():
-        raise ValueError("matrix entries must be finite")
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Hermitian operator over a labelled finite basis.
+    """Hermitian operator over a labelled finite basis of sites.
 
-    The matrix is dense complex for site networks; the Bose-Hubbard builder
-    stores a scipy sparse matrix instead.  Hermiticity is checked entrywise
-    at construction.
+    The matrix is dense complex; Hermiticity is checked entrywise at
+    construction.  The Bose-Hubbard engine works on scipy sparse matrices
+    directly and does not use this class.
     """
 
-    matrix: object
+    matrix: np.ndarray
     basis_labels: tuple = ()
 
     def __post_init__(self):
-        m = self.matrix
-        if sp.issparse(m):
-            m = m.tocsr(copy=True)
-            _require_finite(m.data)
-            dev = abs(m - m.conjugate().T)
-            deviation = dev.max() if dev.nnz else 0.0
-        else:
-            m = np.array(m, dtype=complex, copy=True)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"matrix must be square, got shape {m.shape}")
-            _require_finite(m)
-            deviation = np.abs(m - m.conj().T).max() if m.size else 0.0
-            m.setflags(write=False)
+        m = np.array(self.matrix, dtype=complex, copy=True)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        deviation = np.abs(m - m.conj().T).max() if m.size else 0.0
         if deviation > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e}")
+        m.setflags(write=False)
         labels = tuple(self.basis_labels) or _default_labels("b", m.shape[0])
         if len(labels) != m.shape[0]:
             raise ValueError(f"{len(labels)} labels for dimension {m.shape[0]}")
@@ -142,29 +133,12 @@ class Hamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
-
-    def dense(self) -> np.ndarray:
-        """Dense complex copy of the matrix."""
-        if self.is_sparse:
-            return np.asarray(self.matrix.todense(), dtype=complex)
-        return np.array(self.matrix, dtype=complex)
-
     def content_hash(self) -> str:
         """SHA-256 over dimension, labels and matrix entries."""
         h = hashlib.sha256()
         h.update(str(self.dim).encode())
         h.update("\x1f".join(self.basis_labels).encode())
-        if self.is_sparse:
-            c = self.matrix.tocsr()
-            c.sum_duplicates()
-            h.update(np.ascontiguousarray(c.indptr).tobytes())
-            h.update(np.ascontiguousarray(c.indices).tobytes())
-            h.update(np.ascontiguousarray(c.data, dtype=complex).tobytes())
-        else:
-            h.update(np.ascontiguousarray(self.matrix, dtype=complex).tobytes())
+        h.update(np.ascontiguousarray(self.matrix).tobytes())
         return h.hexdigest()
 
 
@@ -181,8 +155,6 @@ def map_network(h_target: Hamiltonian, rec: MappingRecord) -> Hamiltonian:
     Returns H_source with H_source[p(m), p(n)] = unit_scale * H_target[m, n]
     for the bijection p in ``rec``.  Basis labels travel with their sites.
     """
-    if h_target.is_sparse:
-        raise MappingError("map_network supports dense Hamiltonians only")
     perm = np.asarray(rec.site_bijection)
     if perm.size != h_target.dim:
         raise MappingError(
@@ -200,8 +172,6 @@ def apply_static_disorder(h: Hamiltonian, sigma: float, seed: int) -> Hamiltonia
     """
     if sigma < 0:
         raise ValueError("disorder sigma must be non-negative")
-    if h.is_sparse:
-        raise ValueError("apply_static_disorder supports dense Hamiltonians only")
     if sigma == 0:
         return Hamiltonian(h.matrix, h.basis_labels)
     rng = np.random.default_rng(seed)

@@ -239,7 +239,7 @@ def build_liouvillian(h: Hamiltonian, spec: TransportSpec) -> Liouvillian:
              + [(sink, spec.sink_site, spec.trap_rate)]
              + [(loss, m, spec.recombination_rate) for m in range(n)])
     h_eff = np.zeros((d, d), dtype=complex)
-    h_eff[:n, :n] = h.dense()
+    h_eff[:n, :n] = h.matrix
     for _, b, rate in jumps:
         h_eff[b, b] -= 0.5j * rate
     # the two Kronecker products 1 (x) H_eff and conj(H_eff) (x) 1, each

@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .hamiltonians import Hamiltonian, MappingRecord, map_network
 
@@ -116,7 +114,7 @@ def check_isomorphism(h_a: Hamiltonian, h_b: Hamiltonian, rec: MappingRecord,
     if h_a.dim != h_b.dim:
         raise ValueError(f"dimension mismatch: {h_a.dim} vs {h_b.dim}")
     mapped = map_network(h_b, rec)
-    metric = float(np.abs(h_a.dense() - mapped.matrix).max())
+    metric = float(np.abs(h_a.matrix - mapped.matrix).max())
     return CorrespondenceCheck(
         kind="isomorphism", metric=metric, tolerance=float(tol),
         passed=metric <= tol,
@@ -126,18 +124,6 @@ def check_isomorphism(h_a: Hamiltonian, h_b: Hamiltonian, rec: MappingRecord,
             "h_a_sha256": h_a.content_hash(),
             "h_b_sha256": h_b.content_hash(),
         })
-
-
-def _operator_norm(diff) -> float:
-    if sp.issparse(diff):
-        if diff.nnz == 0:
-            return 0.0
-        if diff.shape[0] <= 2:
-            return float(np.abs(np.linalg.eigvalsh(diff.toarray())).max())
-        vals = scipy.sparse.linalg.eigsh(diff, k=1, which="LM",
-                                         return_eigenvectors=False)
-        return float(abs(vals[0]))
-    return float(np.abs(np.linalg.eigvalsh(diff)).max())
 
 
 def approximation_bound(h_full: Hamiltonian, h_reduced: Hamiltonian,
@@ -154,9 +140,10 @@ def approximation_bound(h_full: Hamiltonian, h_reduced: Hamiltonian,
     if h_full.dim != h_reduced.dim:
         raise ValueError(f"dimension mismatch: {h_full.dim} vs {h_reduced.dim}")
     if state_set is None:
-        from .bose_hubbard import low_spectrum
-        _, vecs = low_spectrum(h_reduced, min(k, h_reduced.dim))
-        states = [vecs[:, i] for i in range(vecs.shape[1])]
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        _, vecs = np.linalg.eigh(h_reduced.matrix)
+        states = list(vecs[:, :k].T)
     else:
         states = [np.asarray(s).ravel() for s in state_set]
     if not states:
@@ -164,10 +151,7 @@ def approximation_bound(h_full: Hamiltonian, h_reduced: Hamiltonian,
     for s in states:
         if s.size != h_full.dim:
             raise ValueError("probe state length does not match dimension")
-    if sp.issparse(h_full.matrix) != sp.issparse(h_reduced.matrix):
-        diff = h_full.dense() - h_reduced.dense()
-    else:
-        diff = h_full.matrix - h_reduced.matrix
+    diff = h_full.matrix - h_reduced.matrix
     metric = 0.0
     for psi in states:
         num = float(np.linalg.norm(diff @ psi))
@@ -178,7 +162,7 @@ def approximation_bound(h_full: Hamiltonian, h_reduced: Hamiltonian,
         passed=metric <= tol,
         details={
             "n_states": len(states),
-            "operator_norm_distance": _operator_norm(diff),
+            "operator_norm_distance": float(np.abs(np.linalg.eigvalsh(diff)).max()),
             "h_full_sha256": h_full.content_hash(),
             "h_reduced_sha256": h_reduced.content_hash(),
         })

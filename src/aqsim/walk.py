@@ -90,7 +90,7 @@ class DephasingEnsembleSpec:
 
 def propagator(h: Hamiltonian, t: float) -> np.ndarray:
     """Unitary exp(-iHt), by eigendecomposition of the Hermitian H."""
-    w, v = np.linalg.eigh(h.dense())
+    w, v = np.linalg.eigh(h.matrix)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -110,7 +110,7 @@ def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
         amps = np.zeros(h.dim, dtype=complex)
         amps[input_mode] = 1.0
         return WalkState(amps, 0.0)
-    w, v = np.linalg.eigh(h.dense())
+    w, v = np.linalg.eigh(h.matrix)
     return WalkState(v @ (np.exp(-1j * w * t) * v[input_mode].conj()), t)
 
 
@@ -237,8 +237,8 @@ def dephased_walk(h: Hamiltonian, input_mode: int, t: float,
 
 def equivalent_dephasing_rate(spec: DephasingEnsembleSpec, t: float) -> float:
     """Lindblad pure-dephasing rate matching the ensemble at total time t."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("time must be positive and finite")
     return spec.phase_sigma ** 2 * spec.n_segments / t
 
 
@@ -265,8 +265,8 @@ def spreading_stats(h: Hamiltonian, input_center: int, times,
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be non-negative and strictly ascending")
+    if not (np.isfinite(ts).all() and ts[0] >= 0 and np.all(np.diff(ts) > 0)):
+        raise ValueError("times must be finite, non-negative and strictly ascending")
     if dephasing is None or dephasing.phase_sigma == 0.0:
         return [(float(t), _sigma_x(evolve_unitary(h, center, t).populations(), center))
                 for t in ts]

@@ -46,7 +46,7 @@ def liouvillian_by_kron(h, spec) -> np.ndarray:
     d = n + 2
     sink, loss = n, n + 1
     hd = np.zeros((d, d), dtype=complex)
-    hd[:n, :n] = h.dense()
+    hd[:n, :n] = h.matrix
     eye = np.eye(d)
     gen = -1j * (np.kron(eye, hd) - np.kron(hd.T, eye))
     for m, gamma in enumerate(spec.dephasing_rates):

@@ -155,7 +155,7 @@ def test_criterion_06_bose_hubbard_closed_forms():
     worst = 0.0
     for hop, interaction, want in cases:
         h = aqsim.build_bh(aqsim.BoseHubbardParams.chain(2, hop, interaction), basis)
-        vals = np.linalg.eigvalsh(h.dense())
+        vals = np.linalg.eigvalsh(h.toarray())
         worst = max(worst, float(np.abs(vals - np.sort(want)).max()))
     assert worst <= 1e-12
     _report(6, f"L=2 N=2 eigenvalues match the three closed forms, max error "

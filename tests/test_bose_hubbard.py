@@ -65,14 +65,6 @@ def test_fock_basis_rejects_states_out_of_order():
         aqsim.FockBasis(3, 3, states.copy())
 
 
-def test_basis_labels_are_built_once():
-    basis = aqsim.enumerate_basis(2, 2)
-    assert basis.labels() == ("2,0", "1,1", "0,2")
-    assert basis.labels() is basis.labels()
-    params = BoseHubbardParams.chain(2, 1.0, 1.0)
-    assert aqsim.build_bh(params, basis).basis_labels is basis.labels()
-
-
 def test_basis_cap():
     with pytest.raises(BasisSizeError):
         aqsim.enumerate_basis(30, 30)
@@ -87,20 +79,20 @@ def test_basis_cap():
 def test_two_site_closed_forms(hop, interaction, want):
     basis = aqsim.enumerate_basis(2, 2)
     h = aqsim.build_bh(BoseHubbardParams.chain(2, hop, interaction), basis)
-    vals = np.linalg.eigvalsh(h.dense())
+    vals = np.linalg.eigvalsh(h.toarray())
     assert np.abs(vals - np.sort(want)).max() <= 1e-12
 
 
 def test_build_bh_is_hermitian_and_number_conserving():
     basis = aqsim.enumerate_basis(4, 3)
     h = aqsim.build_bh(BoseHubbardParams.chain(4, 0.7, 1.3), basis)
-    m = h.matrix.tocoo()
-    assert abs(h.matrix - h.matrix.getH()).max() == 0.0
+    m = h.tocoo()
+    assert abs(h - h.getH()).max() == 0.0
     totals = basis.states.sum(axis=1)
     for r, c in zip(m.row, m.col):
         assert totals[r] == totals[c] == 3
     number_op = sp.diags(totals.astype(float))
-    comm = h.matrix @ number_op - number_op @ h.matrix
+    comm = h @ number_op - number_op @ h
     assert (abs(comm).max() if comm.nnz else 0.0) <= 1e-12
 
 
@@ -117,6 +109,15 @@ def test_params_validation():
         BoseHubbardParams(3, 1.0, 1.0, ((0, 3),))
     with pytest.raises(ValueError):
         BoseHubbardParams(3, 1.0, 1.0, ((0, 1), (1, 0)))
+    # a fractional site count or endpoint is refused, not truncated
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        BoseHubbardParams(3.9, 1, 1, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+        BoseHubbardParams(3, 1, 1, ((0.5, 1.9), (1, 2.99)))
+    with pytest.raises(ValueError):  # an edge joins exactly two sites
+        BoseHubbardParams(3, 1, 1, ((0, 1, 2),))
+    params = BoseHubbardParams(np.int64(3), 1, 1, ((np.int32(0), 1),))
+    assert (params.n_sites, params.edges) == (3, ((0, 1),))
     with pytest.raises(ValueError):
         BoseHubbardParams.chain(2, 1.0, 0.0).j_ratio
     assert BoseHubbardParams.chain(2, 1.0, 4.0).j_ratio == 0.25
@@ -135,8 +136,8 @@ def test_spectrum_invariant_under_relabeling():
     perm = (2, 0, 3, 1)
     relabeled = BoseHubbardParams(
         4, 1.0, 2.0, tuple((perm[a], perm[b]) for a, b in chain.edges))
-    va = np.linalg.eigvalsh(aqsim.build_bh(chain, basis).dense())
-    vb = np.linalg.eigvalsh(aqsim.build_bh(relabeled, basis).dense())
+    va = np.linalg.eigvalsh(aqsim.build_bh(chain, basis).toarray())
+    vb = np.linalg.eigvalsh(aqsim.build_bh(relabeled, basis).toarray())
     assert np.abs(va - vb).max() <= 1e-10
 
 
@@ -147,15 +148,14 @@ def test_free_boson_spectrum_from_single_particle_energies():
         for bosons in (0, 1, 2, 3):
             basis = aqsim.enumerate_basis(sites, bosons)
             h = aqsim.build_bh(BoseHubbardParams.chain(sites, 1.0, 0.0), basis)
-            got = np.sort(np.linalg.eigvalsh(h.dense()))
+            got = np.sort(np.linalg.eigvalsh(h.toarray()))
             want = np.sort(basis.states @ np.sort(single))
             assert np.abs(got - want).max() <= 1e-8
 
 
 def test_low_spectrum_diagonal_case():
     diag = sp.diags([3.0, -1.0, 2.0]).tocsr()
-    h = aqsim.Hamiltonian(diag)
-    vals, _ = aqsim.low_spectrum(h, 3)
+    vals, _ = aqsim.low_spectrum(diag, 3)
     assert np.array_equal(vals, [-1.0, 2.0, 3.0])
 
 
@@ -164,7 +164,7 @@ def test_low_spectrum_ground_state_closed_form():
     h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
     vals, vecs = aqsim.low_spectrum(h, 1)
     assert vals[0] == pytest.approx((1 - SQRT17) / 2, abs=1e-12)
-    residual = np.linalg.norm(h.matrix @ vecs[:, 0] - vals[0] * vecs[:, 0])
+    residual = np.linalg.norm(h @ vecs[:, 0] - vals[0] * vecs[:, 0])
     assert residual <= 1e-9
 
 
@@ -172,7 +172,7 @@ def test_low_spectrum_sparse_matches_dense():
     basis = aqsim.enumerate_basis(8, 6)  # 1716 states: Lanczos path
     h = aqsim.build_bh(BoseHubbardParams.chain(8, 1.0, 3.0), basis)
     vals, _ = aqsim.low_spectrum(h, 6)
-    dense = np.linalg.eigvalsh(h.dense())[:6]
+    dense = np.linalg.eigvalsh(h.toarray())[:6]
     assert np.abs(vals - dense).max() <= 1e-10
 
 
@@ -181,6 +181,17 @@ def test_low_spectrum_k_range():
     h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
     with pytest.raises(ValueError):
         aqsim.low_spectrum(h, 4)
+
+
+def test_low_spectrum_rejects_non_hermitian_and_non_finite():
+    lopsided = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        aqsim.low_spectrum(lopsided, 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        aqsim.low_spectrum(sp.diags([0.0, np.nan, 1.0]).tocsr(), 1)
+    # the check is entrywise to HERMITICITY_TOL, as in the dense Hamiltonian
+    nudged = sp.csr_matrix(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
+    assert aqsim.low_spectrum(nudged, 1)[0][0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_condensate_fraction_mott_and_free():
@@ -240,7 +251,7 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
 
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)
-    want = aqsim.build_bh(params, basis).matrix
+    want = aqsim.build_bh(params, basis)
     calls, solved = [], []
 
     def counting(p, b):
@@ -257,7 +268,7 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
     assert len(calls) == 1
     # the ground state comes from the Hamiltonian build_bh assembles
     (h,) = solved
-    assert (h.matrix != want).nnz == 0
+    assert (h != want).nnz == 0
 
 
 def test_absorption_zero_drive():
@@ -312,7 +323,7 @@ def test_reflection_sector_is_an_isometry_that_h_keeps(params, bosons, even):
     p = aqsim.reflection_sector(params, basis)
     assert p.shape == (even, len(basis))
     assert np.abs(p @ p.T - sp.identity(even)).max() <= 1e-15
-    h = aqsim.build_bh(params, basis).matrix
+    h = aqsim.build_bh(params, basis)
     leak = abs(h @ p.T - p.T @ (p @ h @ p.T)).max()
     assert leak <= 1e-14 * abs(h).sum(axis=1).max()
 

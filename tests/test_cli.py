@@ -237,7 +237,8 @@ shots 20
 seed 3
 output walk.csv
 """)
-    assert main(["walk", str(cfg)]) == 4
+    with pytest.warns(RuntimeWarning):
+        assert main(["walk", str(cfg)]) == 4
     assert "ensemble populations sum to nan" in capsys.readouterr().err
     assert not (tmp_path / "walk.csv").exists()
     assert not (tmp_path / "walk.csv.meta.json").exists()

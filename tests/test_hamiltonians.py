@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import aqsim
 from aqsim import Hamiltonian, MappingError, MappingRecord, NetworkError, SiteNetwork
@@ -98,6 +99,10 @@ def test_mapping_record_validation():
         MappingRecord((0, 2), 1.0)
     with pytest.raises(MappingError):
         MappingRecord((0, 1), 0.0)
+    # non-integral entries are refused, not truncated to a permutation
+    with pytest.raises(MappingError, match="must be an integer"):
+        MappingRecord((0.9, 1.7, 2.2))
+    assert MappingRecord(np.arange(3)[::-1]).site_bijection == (2, 1, 0)
 
 
 def test_map_inverse_round_trip():
@@ -121,6 +126,12 @@ def test_map_network_preserves_spectrum_at_unit_scale():
 def test_hamiltonian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         Hamiltonian([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_hamiltonian_is_dense_only():
+    # sparse matrices belong to the Bose-Hubbard engine, not to Hamiltonian
+    with pytest.raises((TypeError, ValueError)):
+        Hamiltonian(sp.identity(3, format="csr"))
 
 
 def test_disorder_zero_sigma_bitwise():

@@ -82,19 +82,18 @@ def nnn_pair():
     """Hubbard chain vs the same chain with a weak next-nearest hopping."""
     basis = aqsim.enumerate_basis(4, 3)
     params = aqsim.BoseHubbardParams.chain(4, 1.0, 2.0)
-    h_reduced = aqsim.build_bh(params, basis)
+    reduced = aqsim.build_bh(params, basis)
     nnn = aqsim.BoseHubbardParams(4, 0.01, 0.0, ((0, 2), (1, 3)))
-    h_full = aqsim.Hamiltonian(h_reduced.matrix + hopping_matrix(nnn, basis),
-                               h_reduced.basis_labels)
-    return h_full, h_reduced, basis
+    full = reduced + hopping_matrix(nnn, basis)
+    return aqsim.Hamiltonian(full.toarray()), aqsim.Hamiltonian(reduced.toarray()), basis
 
 
 def test_approximation_bound_on_nnn_perturbation():
     h_full, h_reduced, _ = nnn_pair()
     check = aqsim.approximation_bound(h_full, h_reduced, tol=0.1, k=4)
     # independent dense residual computation over the same probe states
-    dense_r = h_reduced.dense()
-    dense_d = h_full.dense() - dense_r
+    dense_r = h_reduced.matrix
+    dense_d = h_full.matrix - dense_r
     _, vecs = np.linalg.eigh(dense_r)
     want = max(np.linalg.norm(dense_d @ vecs[:, i])
                / np.linalg.norm(dense_r @ vecs[:, i]) for i in range(4))
@@ -116,6 +115,10 @@ def test_approximation_bound_explicit_states_and_errors():
         aqsim.approximation_bound(h_full, h_reduced, state_set=[])
     with pytest.raises(ValueError):
         aqsim.approximation_bound(make_chain(2), make_chain(3))
+    # no probe states at all: k below 1 is an error, not an empty probe set
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            aqsim.approximation_bound(h_full, h_reduced, k=k)
 
 
 def test_classify_speedup_assignments():

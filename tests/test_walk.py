@@ -122,6 +122,10 @@ def test_ensemble_spec_validation():
             DephasingEnsembleSpec(*args)
     spec = DephasingEnsembleSpec(np.int64(2), 0.3, np.int32(3), np.uint64(2**63))
     assert (spec.n_segments, spec.shots, spec.seed) == (2, 3, 2**63)
+    # the equivalent rate needs a positive, finite total time
+    for t in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            aqsim.equivalent_dephasing_rate(spec, t)
 
 
 def test_dephased_walk_noiseless_equals_unitary():
@@ -211,6 +215,11 @@ def test_spreading_dephased_times_must_align():
     spec = DephasingEnsembleSpec(n_segments=10, phase_sigma=1.0, shots=10, seed=1)
     with pytest.raises(ValueError, match="multiple"):
         aqsim.spreading_stats(h, 10, [1.05, 2.0], dephasing=spec)
+    # non-finite times are refused before any shot runs; a NaN would pass
+    # the alignment test, since every comparison with it is false
+    for times in ([1.0, np.inf], [np.nan, 2.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            aqsim.spreading_stats(h, 10, times, dephasing=spec)
 
 
 CHUNK_CHAIN, CHUNK_SEGS, CHUNK_SIGMA, CHUNK_SEED = 21, 12, 0.7, 2024
