@@ -44,8 +44,8 @@ from .netfiles import NetfileError, _decimal, load_mapping, load_network
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
 from .validation import (build_report, check_isomorphism, classify_speedup,
                          report_to_json)
-from .walk import (DephasingEnsembleSpec, dephased_walk, evolve_unitary,
-                   length_to_time)
+from .walk import (_MAX_PHASE_SIGMA, DephasingEnsembleSpec, dephased_walk,
+                   evolve_unitary, length_to_time)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -138,8 +138,8 @@ def _at_least(n):
     return lambda x: None if x >= n else f"must be >= {n}"
 
 
-def _in_unit_tenth(x):
-    return None if 0 <= x <= 0.1 else "must lie in [0, 0.1]"
+def _within(lo, hi):
+    return lambda x: None if lo <= x <= hi else f"must lie in [{lo}, {hi}]"
 
 
 def _one_of(*words):
@@ -545,7 +545,7 @@ _COMMANDS = {
             "length": _Key(_finite_float, check=_non_negative),
             "n_index": _Key(_finite_float, check=_positive),
             "n_segments": _Key(_integer, check=_at_least(1)),
-            "phase_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
+            "phase_sigma": _Key(_finite_float, default=0.0, check=_within(0, _MAX_PHASE_SIGMA)),
             "shots": _Key(_integer, check=_at_least(1)),
             "seed": _Key(_integer),
         }, _check_walk, _run_walk),
@@ -555,7 +555,7 @@ _COMMANDS = {
             "N": _Key(_integer, required=True, check=_non_negative),
             "J": _Key(_finite_float, required=True, check=_non_negative),
             "U": _Key(_finite_float, required=True, check=_non_negative),
-            "delta": _Key(_finite_float, required=True, check=_in_unit_tenth),
+            "delta": _Key(_finite_float, required=True, check=_within(0, 0.1)),
             "nu_min": _Key(_finite_float, required=True, check=_non_negative),
             "nu_max": _Key(_finite_float, required=True, check=_positive),
             "nu_steps": _Key(_integer, required=True, check=_at_least(1)),

@@ -29,29 +29,26 @@ the matrix exponential expm(L t) (scaling and squaring) rather than by an
 ODE stepper: large rates cost a few more squarings, not more steps.
 
 Transport starts from a site population and never leaves the invariant
-subspace spanned by the n^2 site-block entries plus the sink and loss
-populations (n^2 + 2 of the (n + 2)^2 coordinates): every jump refills a
-population, never a coherence between a site and a register, and the
-register rows of H_eff are zero, so those coherences start at 0 and stay
-exactly 0.  Transport therefore exponentiates only that block of the
-generator, and does so in real coordinates: the site block is stored as
-R = Re rho + Im rho (R_ij at i + n j), then the sink and loss populations.
-The symmetric part of R is Re rho and its antisymmetric part is Im rho, so
+subspace of the n^2 site-block entries plus the sink and loss populations:
+every jump refills a population, never a site-register coherence, and the
+register rows of H_eff are zero.  Transport steps only those n^2 + 2
+coordinates, and real ones: the site block as R = Re rho + Im rho (R_ij at
+i + n j), then the two register populations.  R's symmetric part is Re rho
+and its antisymmetric part Im rho, so rho = ((1 + i) R + (1 - i) R^T) / 2
+maps every real vector, isometrically, to an exactly Hermitian site block,
+with the population rho_ii = R_ii at i (n + 1).
 
-    rho = ((1 + i) R + (1 - i) R^T) / 2,
-
-and R -> rho is an isometry of real matrices onto Hermitian ones: every
-real vector maps back to an exactly Hermitian site block, and the
-population rho_ii = R_ii sits at i (n + 1).  The generator maps Hermitian
-matrices to Hermitian matrices, so in these coordinates it is a real
-matrix, stepped by a real step matrix.
-
-In these coordinates site dephasing is a diagonal shift.  The rate
-gamma_m damps every coherence rho_ij with i or j = m, so entry i + n j
-with i != j decays at (gamma_i + gamma_j) / 2, while on a population the
-refill gamma_m rho_mm cancels the decay it adds to H_eff.  A dephasing
-sweep therefore builds one generator G_0 without dephasing and steps every
-grid point under G_0 minus its own diagonal, all points at once.
+In these coordinates the generator is real, and transport writes it down
+directly instead of slicing build_liouvillian's.  With H = A + i B (A = Re H,
+B = Im H), -i[H, rho] becomes dR/dt = [B, R] - [A, R^T], that is
+kron(1, B) + kron(B, 1) + (kron(A, 1) - kron(1, A)) P on vec R, where P
+transposes the site block.  Each jump only damps entry i + n j, at
+(G_i + G_j) / 2 with G_m = gamma_m + r + kappa [m = sink_site] (r the
+recombination and kappa the trap rate), except that a population keeps
+only r + kappa [i = sink_site]: the dephasing refill cancels the dephasing
+decay.  The register rows hold kappa at column sink_site (n + 1) and r at
+every i (n + 1).  Dephasing only moves the diagonal, and a sweep steps one
+generator per grid point, all points at once.
 """
 
 from __future__ import annotations
@@ -270,21 +267,27 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
     return DensityMatrix(vec.reshape((gen.dim, gen.dim), order="F"))
 
 
-def _real_generator(h: Hamiltonian, spec: TransportSpec) -> np.ndarray:
-    """build_liouvillian's invariant block B in the real coordinates of the
-    module docstring: Re(B M) + Im(B M), where B M = ((1 + i) B + (1 - i) B P)
-    / 2 and the permutation P transposes the site block."""
-    gen = build_liouvillian(h, spec)
-    n, d = spec.n_sites, gen.dim
-    sink, loss = gen.sink_index, gen.sink_index + 1
-    # rho_ij sits at i + d j; the site block in column-stacking order, then
-    # the two register populations
-    keep = np.concatenate([(np.arange(n) + d * np.arange(n)[:, None]).ravel(),
-                           [sink + d * sink, loss + d * loss]])
-    flip = np.append(np.arange(n * n).reshape(n, n).T.ravel(), [n * n, n * n + 1])
-    block = gen.matrix[np.ix_(keep, keep)]
-    mixed = 0.5 * ((1 + 1j) * block + (1 - 1j) * block[:, flip])
-    return mixed.real + mixed.imag
+def _real_generators(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray) -> np.ndarray:
+    """The transport generator in the real coordinates of the module
+    docstring, one (n^2 + 2)-square matrix per row of rates, each row the
+    per-site dephasing rates that stand in for spec.dephasing_rates."""
+    n = spec.n_sites
+    if h.dim != n:
+        raise ValueError(f"Hamiltonian dimension {h.dim} does not match spec with {n} sites")
+    a, b, eye = h.matrix.real, h.matrix.imag, np.eye(n)
+    flip = np.arange(n * n).reshape(n, n).T.ravel()  # R -> R^T
+    pop_decay = spec.recombination_rate + spec.trap_rate * (np.arange(n) == spec.sink_site)
+    decay = rates + pop_decay
+    damping = 0.5 * (decay[:, :, np.newaxis] + decay[:, np.newaxis])
+    damping[:, np.arange(n), np.arange(n)] = pop_decay
+    gen = np.zeros((rates.shape[0], n * n + 2, n * n + 2))
+    gen[:, :n * n, :n * n] = (np.kron(eye, b) + np.kron(b, eye)
+                              + (np.kron(a, eye) - np.kron(eye, a))[:, flip])
+    coords = np.arange(n * n)
+    gen[:, coords, coords] -= damping.reshape(-1, n * n)
+    gen[:, n * n, spec.sink_site * (n + 1)] = spec.trap_rate
+    gen[:, n * n + 1, coords[::n + 1]] = spec.recombination_rate
+    return gen
 
 
 def _site_blocks(coords: np.ndarray, n: int) -> np.ndarray:
@@ -308,13 +311,12 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     """transport_efficiency at every row of rates, one row of per-site
     dephasing rates per grid point, in place of spec.dephasing_rates.
 
-    The real generator G_0 (_real_generator) is built once, without
-    dephasing, and each point's generator is G_0 minus its diagonal
-    coherence damping (module docstring).  The points run in chunks of
-    _chunk_width(n).  A chunk takes one expm of its stacked step matrices
-    and steps a real (checkpoint, point, coordinate) path, each point by
-    its own step matrix; every point's result is the same as when it runs
-    alone.  The stop rule, the validation and the sink range check then act on the
+    The points run in chunks of _chunk_width(n).  A chunk assembles its
+    real generators (_real_generators), which differ only on the diagonal,
+    takes one expm of its stacked step matrices and steps a real
+    (checkpoint, point, coordinate) path, each point by its own step
+    matrix; every point's result is the same as when it runs alone.  The
+    stop rule, the validation and the sink range check then act on the
     whole chunk, and the error raised is the one that running the points
     one by one in grid order would raise first: the checkpoints up to each
     point's stop are validated as one stack, point by point in grid order,
@@ -326,26 +328,19 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         raise NoSinkError("transport efficiency needs trap_rate > 0")
     if not 0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
-    real_gen = _real_generator(h, spec.with_uniform_dephasing(0.0))
-    n, size = spec.n_sites, real_gen.shape[0]
-    damping = np.zeros((rates.shape[0], size))
-    pairs = 0.5 * (rates[:, :, np.newaxis] + rates[:, np.newaxis])
-    damping[:, :n * n] = pairs.reshape(-1, n * n)
-    damping[:, :n * n:n + 1] = 0.0  # populations do not decay
-    diagonal = np.arange(size)
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    n = spec.n_sites
     checkpoints = np.arange(1, _CHECKPOINTS + 1)
     eta = np.empty(rates.shape[0])
     converged = np.empty(rates.shape[0], dtype=bool)
     width = _chunk_width(n)
     for lo in range(0, rates.shape[0], width):
         points = slice(lo, lo + width)
-        shift = damping[points]
-        a = np.repeat(real_gen[np.newaxis], shift.shape[0], axis=0)
-        a[:, diagonal, diagonal] -= shift
-        a *= t_max / _CHECKPOINTS
-        steps = expm(a)
+        steps = expm(_real_generators(h, spec, rates[points]) * (t_max / _CHECKPOINTS))
+        k = steps.shape[0]
         # site population rho_ii at i (n + 1), sink population at n^2
-        path = np.zeros((_CHECKPOINTS + 1, shift.shape[0], size))
+        path = np.zeros((_CHECKPOINTS + 1,) + steps.shape[:2])
         path[0, :, spec.source_site * (n + 1)] = 1.0
         for c in range(_CHECKPOINTS):
             np.matmul(steps, path[c, :, :, np.newaxis], out=path[c + 1, :, :, np.newaxis])
@@ -355,9 +350,9 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         fired = np.logical_or.accumulate(above, axis=0)[:-1] & ~above[1:]
         converged[points] = fired.any(axis=0)
         stop = np.where(converged[points], fired.argmax(axis=0) + 1, _CHECKPOINTS)
-        sink_pop = path[stop, np.arange(shift.shape[0]), n * n]
+        sink_pop = path[stop, np.arange(k), n * n]
         outside = ~((sink_pop >= -1e-8) & (sink_pop <= 1 + 1e-8))
-        checked = int(np.argmax(outside)) + 1 if outside.any() else shift.shape[0]
+        checked = int(np.argmax(outside)) + 1 if outside.any() else k
         # point-major, so the first failing state belongs to the earliest point
         states = path[1:, :checked].transpose(1, 0, 2)[checkpoints <= stop[:checked, np.newaxis]]
         _check_states(_site_blocks(states[:, :n * n], n), states[:, n * n:])
@@ -375,19 +370,23 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     early once that feed rate has risen above tol * trap_rate and dropped
     back below it (checked at checkpoint times).
 
-    Only the invariant subspace of the module docstring evolves, in its
-    real coordinates: n^2 + 2 of build_liouvillian's (n + 2)^2 coordinates
-    (51 of 81 at n = 7).  One real step matrix expm(G t_max / _CHECKPOINTS)
-    carries them from checkpoint to checkpoint.  The whole trajectory is
-    stepped first; the checkpoints up to the stop are then mapped back to
-    their site blocks and validated, with the two register populations, as
-    one stack, which raises for the first invalid state just as checking
-    each checkpoint in turn would.  This is the one-point case of the batch
-    that goldilocks_sweep runs.  Returns (eta, converged) where converged
-    reports whether the flow criterion fired before t_max.
+    Only the invariant subspace of the module docstring evolves: the real
+    site block and the two register populations, n^2 + 2 coordinates (51
+    at n = 7), under a real generator G written directly from Re H, Im H
+    and the rates, one step matrix expm(G t_max / _CHECKPOINTS) per
+    checkpoint.  The checkpoints up to the stop are validated as one
+    stack, which raises for the first invalid state just as checking each
+    in turn would.  This is the one-point case of goldilocks_sweep's batch.
+    Returns (eta, converged) where converged reports whether the flow
+    criterion fired before t_max.
     """
     eta, converged = _transport_batch(h, spec, spec.dephasing_rates[np.newaxis], t_max, tol)
     return float(eta[0]), bool(converged[0])
+
+
+def _check_grid(grid: np.ndarray) -> None:
+    if not (np.isfinite(grid).all() and np.all(grid > 0) and np.all(np.diff(grid) > 0)):
+        raise ValueError("gamma grid must be finite, strictly ascending and positive")
 
 
 @dataclass(frozen=True)
@@ -404,9 +403,8 @@ class EfficiencyCurve:
         eff = np.array(self.efficiencies, dtype=float, copy=True)
         if grid.shape != eff.shape or grid.ndim != 1:
             raise ValueError("gamma grid and efficiencies must be 1-d and equal length")
-        if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("gamma grid must be strictly ascending and positive")
-        if np.any(eff < 0) or np.any(eff > 1):
+        _check_grid(grid)
+        if not np.all((eff >= 0) & (eff <= 1)):  # NaN fails too
             raise ValueError("efficiencies must lie in [0, 1]")
         if len(self.converged) != grid.size:
             raise ValueError("one converged flag per grid point required")
@@ -428,16 +426,13 @@ def goldilocks_sweep(h: Hamiltonian, spec_template: TransportSpec,
     Every grid point gets the result transport_efficiency would give it,
     and a failing point raises the error that running the points one by
     one in grid order would raise first.  The points run as one batch
-    (_transport_batch): one generator without dephasing, shifted by each
-    point's damping, one stacked expm and one stepping loop per chunk of
-    the grid.  Results are returned in grid order.
+    (_transport_batch): per chunk of the grid, one generator per point,
+    one stacked expm and one stepping loop.  Results are returned in grid order.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("gamma grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("gamma grid must be strictly ascending and positive")
-
+    _check_grid(grid)
     rates = np.repeat(grid[:, np.newaxis], spec_template.n_sites, axis=1)
     eff, flags = _transport_batch(h, spec_template, rates, t_max, tol)
     return EfficiencyCurve(grid, eff, flags, h.content_hash())

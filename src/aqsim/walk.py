@@ -39,6 +39,9 @@ NORM_TOL = 1e-10
 _PHASE_BYTES = 4 << 20
 # chunk widths are whole multiples of this many shots (see _ensemble_populations)
 _SHOT_ALIGN = 16
+# largest phase_sigma, 1/eps: beyond it one ulp of a phase sigma z is about
+# |z| radians, so a kick carries no bits mod 2 pi (and 0.5 sigma z is finite)
+_MAX_PHASE_SIGMA = 2 ** 52
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,8 @@ class DephasingEnsembleSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_segments < 1:
             raise ValueError("n_segments must be >= 1")
-        if not 0 <= self.phase_sigma < np.inf:
-            raise ValueError("phase_sigma must be non-negative and finite")
+        if not 0 <= self.phase_sigma <= _MAX_PHASE_SIGMA:
+            raise ValueError(f"phase_sigma must be finite and in [0, {_MAX_PHASE_SIGMA}]")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         object.__setattr__(self, "phase_sigma", float(self.phase_sigma))

@@ -7,9 +7,11 @@ writes one entry per jump), and the master-equation oracle builds its own
 generator that way and integrates it with an adaptive Runge-Kutta stepper
 (the implementation takes a dense matrix exponential of its own
 generator); the full-space transport oracle steps the whole (n + 2)^2
-density matrix and validates it checkpoint by checkpoint (the
-implementation steps the invariant site block plus the two register
-populations and validates the checkpoints as one stack); the chain
+density matrix under build_liouvillian's complex generator and validates
+it checkpoint by checkpoint (the implementation writes a real generator of
+the invariant site block plus the two register populations directly from
+Re H, Im H and the rates, never calls build_liouvillian, and validates the
+checkpoints as one stack); the chain
 oracle is the closed-form eigensystem (the implementation calls a
 numerical eigensolver), the strong-dephasing oracle
 is a classical Markov chain, the mean-channel oracle evolves the density
@@ -81,11 +83,12 @@ def transport_efficiency_full_space(h, spec, t_max: float, tol: float,
                                     checkpoints: int = 100) -> tuple:
     """(eta, converged, stop time) of a transport run on the full space.
 
-    One step matrix expm(L t_max / checkpoints) of the whole (n + 2)^2
-    generator, and a DensityMatrix validated at every checkpoint until the
-    sink feed has risen above tol and dropped back below it (the
-    implementation steps only the invariant site block plus the register
-    populations and validates the checkpoints as one stack).
+    One step matrix expm(L t_max / checkpoints) of build_liouvillian's
+    whole (n + 2)^2 generator, and a DensityMatrix validated at every
+    checkpoint until the sink feed has risen above tol and dropped back
+    below it (the implementation steps only the invariant site block plus
+    the register populations, under a real generator it assembles
+    directly, and validates the checkpoints as one stack).
     """
     from aqsim.open_system import (DensityMatrix, StateInvariantError,
                                    build_liouvillian, initial_excitation)

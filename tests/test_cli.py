@@ -223,25 +223,27 @@ output walk.csv
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_overflowing_phases_are_an_invariant_violation(tmp_path, data_dir, capsys):
-    # half phases 0.5 * phase_sigma * z overflow to inf for |z| > 2.1, the
-    # kicks turn NaN, and a NaN population sum must fail the norm check
-    # rather than be written out
-    cfg = write_config(tmp_path, "walk.cfg", f"""command walk
+def test_phase_sigma_beyond_one_over_eps_is_a_config_error(tmp_path, data_dir, capsys):
+    # above 1/eps = 2^52 one ulp of phase_sigma * z is about |z| radians, so
+    # the kicks carry nothing; near the largest double the half phases
+    # 0.5 * phase_sigma * z used to overflow and end in exit 4
+    for sigma, code in (("1.7e308", 2), ("4503599627370497", 2), ("4503599627370496", 0)):
+        cfg = write_config(tmp_path, "walk.cfg", f"""command walk
 network {data_dir}/dimer.net
 input_mode 0
 time 1.0
-phase_sigma 1.7e308
+phase_sigma {sigma}
 n_segments 4
 shots 20
 seed 3
 output walk.csv
 """)
-    with pytest.warns(RuntimeWarning):
-        assert main(["walk", str(cfg)]) == 4
-    assert "ensemble populations sum to nan" in capsys.readouterr().err
-    assert not (tmp_path / "walk.csv").exists()
-    assert not (tmp_path / "walk.csv.meta.json").exists()
+        assert main(["walk", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: line 5: phase_sigma must lie in [0, 4503599627370496]\n"
+            assert not (tmp_path / "walk.csv").exists()
+            assert not (tmp_path / "walk.csv.meta.json").exists()
 
 
 def test_walk_length_input(tmp_path, data_dir):

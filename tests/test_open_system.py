@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -241,14 +242,33 @@ def test_detuned_dimer_has_interior_maximum():
     assert curve.efficiencies[i] > curve.efficiencies[-1] + 0.02
 
 
-def test_sweep_rejects_bad_grid():
+def _no_work(monkeypatch):
+    def refuse(a):
+        raise AssertionError("a step matrix was computed")
+    monkeypatch.setattr(open_system, "expm", refuse)
+
+
+def test_sweep_rejects_bad_grid(monkeypatch):
     h, spec = detuned_dimer()
-    with pytest.raises(ValueError):
-        aqsim.goldilocks_sweep(h, spec, [1.0, 0.5])
-    with pytest.raises(ValueError):
-        aqsim.goldilocks_sweep(h, spec, [-1.0, 1.0])
-    with pytest.raises(ValueError):
-        aqsim.EfficiencyCurve(np.array([1.0, 2.0]), np.array([0.5, 1.2]), (True, True), "x")
+    _no_work(monkeypatch)
+    # non-finite points are refused before any work, not after the batch
+    for grid in ([1.0, 0.5], [-1.0, 1.0], [NAN], [1.0, INF], [NAN, 1.0]):
+        with pytest.raises(ValueError, match="gamma grid"):
+            aqsim.goldilocks_sweep(h, spec, grid)
+    for grid, eff in (([1.0, 2.0], [0.5, 1.2]), ([1.0, NAN], [0.5, 0.5]),
+                      ([1.0, INF], [0.5, 0.5]), ([1.0, 2.0], [0.5, NAN])):
+        with pytest.raises(ValueError):
+            aqsim.EfficiencyCurve(np.array(grid), np.array(eff), (True, True), "x")
+
+
+def test_efficiency_rejects_bad_tolerance(monkeypatch):
+    h, spec = detuned_dimer()
+    _no_work(monkeypatch)
+    for tol in (NAN, -1.0, 0.0, INF):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            aqsim.transport_efficiency(h, spec, t_max=30.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            aqsim.goldilocks_sweep(h, spec, [0.5, 1.0], t_max=30.0, tol=tol)
 
 
 FMO_GAMMA_GRID = np.geomspace(1e-3, 1e2, 11)
@@ -310,6 +330,22 @@ def test_chunk_width_keeps_the_step_matrices_within_the_byte_budget():
     for n in (7, 30):
         step_bytes = 8 * (n * n + 2) ** 2
         assert open_system._chunk_width(n) * step_bytes <= open_system._CHUNK_BYTES
+
+
+def test_transport_never_builds_the_full_space_generator(monkeypatch):
+    hs, spec = fmo7_panel()
+    want = fmo7_panel_oracle()  # the oracle itself runs on build_liouvillian
+
+    def refuse(*args):
+        raise AssertionError("transport built the full-space generator")
+    monkeypatch.setattr(open_system, "build_liouvillian", refuse)
+    monkeypatch.setattr(open_system, "Liouvillian", refuse)
+    for h, row in zip(hs, want):
+        curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=600.0, tol=1e-8)
+        assert np.abs(curve.efficiencies - [eta for eta, _ in row]).max() <= 1e-12
+        eta, converged = aqsim.transport_efficiency(
+            h, spec.with_uniform_dephasing(FMO_GAMMA_GRID[5]), t_max=600.0, tol=1e-8)
+        assert abs(eta - row[5][0]) <= 1e-12 and converged == row[5][1]
 
 
 def test_efficiency_matches_runge_kutta_at_the_stop_time():
@@ -445,7 +481,8 @@ def test_real_generator_acts_as_the_liouvillian():
         h, spec = random_transport_instance(rng, max_sites=6)
         n, gen = spec.n_sites, build_liouvillian(h, spec).matrix
         x = rng.normal(size=n * n + 2)
-        got = _density_matrix(open_system._real_generator(h, spec) @ x, n)
+        real_gen = open_system._real_generators(h, spec, spec.dephasing_rates[np.newaxis])[0]
+        got = _density_matrix(real_gen @ x, n)
         want = (gen @ _density_matrix(x, n).reshape(-1, order="F")).reshape(got.shape, order="F")
         assert np.abs(got - want).max() <= 1e-14 * np.abs(gen).max()
 
@@ -455,8 +492,7 @@ def test_dephasing_is_a_diagonal_shift_in_real_coordinates():
     for _ in range(250):
         h, spec = random_transport_instance(rng, max_sites=6)
         n, gamma = spec.n_sites, spec.dephasing_rates
-        full = open_system._real_generator(h, spec)
-        bare = open_system._real_generator(h, spec.with_uniform_dephasing(0.0))
+        full, bare = open_system._real_generators(h, spec, np.array([gamma, np.zeros(n)]))
         # entry i + n j decays at (gamma_i + gamma_j) / 2 for i != j;
         # populations and registers do not decay
         damping = [0.5 * (gamma[i] + gamma[j]) if i != j else 0.0
@@ -475,3 +511,41 @@ def test_efficiency_matches_full_space_oracle_on_random_instances():
             h, spec, t_max=60.0, tol=1e-8)
         assert abs(eta - want) <= 1e-12
         assert converged == want_converged
+
+
+def _symmetric_instances(rng, h, spec):
+    """Transport instances with the same efficiency as (h, spec)."""
+    n, m = spec.n_sites, h.matrix
+    to = rng.permutation(n)  # site k becomes site to[k]
+    moved = np.empty_like(m)
+    moved[np.ix_(to, to)] = m
+    rates = np.empty(n)
+    rates[to] = spec.dephasing_rates
+    relabelled = replace(spec, source_site=int(to[spec.source_site]),
+                         sink_site=int(to[spec.sink_site]), dephasing_rates=rates)
+    phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    return {
+        "site permutation": (aqsim.Hamiltonian(moved), relabelled),
+        "gauge": (aqsim.Hamiltonian(phases[:, np.newaxis] * m * phases.conj()), spec),
+        "time reversal": (aqsim.Hamiltonian(-m.conj()), spec),
+        "energy shift": (aqsim.Hamiltonian(m + rng.uniform(-3.0, 3.0) * np.eye(n)), spec),
+    }
+
+
+def test_efficiency_is_invariant_under_relabelling_gauge_time_reversal_and_shift():
+    # the gauge and time-reversal cases reach the Im H terms of the
+    # generator, which a real Hamiltonian leaves at zero
+    rng = np.random.default_rng(1601)
+    conjugate_shift = 0.0
+    for _ in range(60):
+        h, spec = random_transport_instance(rng, max_sites=6)
+        want, want_converged = aqsim.transport_efficiency(h, spec, t_max=60.0, tol=1e-8)
+        for name, (other, other_spec) in _symmetric_instances(rng, h, spec).items():
+            eta, converged = aqsim.transport_efficiency(other, other_spec, t_max=60.0, tol=1e-8)
+            assert abs(eta - want) <= 1e-14, name
+            assert converged == want_converged, name
+        conj, _ = aqsim.transport_efficiency(aqsim.Hamiltonian(h.matrix.conj()), spec,
+                                             t_max=60.0, tol=1e-8)
+        conjugate_shift = max(conjugate_shift, abs(conj - want))
+    # H -> conj(H) alone is not a symmetry
+    assert conjugate_shift > 1e-3

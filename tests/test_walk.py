@@ -122,6 +122,11 @@ def test_ensemble_spec_validation():
             DephasingEnsembleSpec(*args)
     spec = DephasingEnsembleSpec(np.int64(2), 0.3, np.int32(3), np.uint64(2**63))
     assert (spec.n_segments, spec.shots, spec.seed) == (2, 3, 2**63)
+    # above 1/eps a phase carries no bits mod 2 pi
+    assert DephasingEnsembleSpec(2, 2.0 ** 52, 3, 1).phase_sigma == 2.0 ** 52
+    for sigma in (np.nextafter(2.0 ** 52, np.inf), 1.7e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="phase_sigma must be finite and in"):
+            DephasingEnsembleSpec(2, sigma, 3, 1)
     # the equivalent rate needs a positive, finite total time
     for t in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -342,6 +347,15 @@ def test_long_ensemble_keeps_unit_population():
     spec = DephasingEnsembleSpec(n_segments=2000, phase_sigma=3.0, shots=32, seed=5)
     pops = aqsim.dephased_walk(h, 2, 200.0, spec)
     assert abs(pops.sum() - 1.0) <= 1e-12
+
+
+def test_nan_population_sum_fails_the_norm_check(monkeypatch):
+    # a NaN sum compares false with the drift bound and must raise, not
+    # pass as no drift
+    monkeypatch.setattr(walk, "propagator", lambda h, t: np.full((h.dim, h.dim), np.nan))
+    spec = DephasingEnsembleSpec(n_segments=4, phase_sigma=0.5, shots=20, seed=3)
+    with pytest.raises(ValueError, match="ensemble populations sum to nan"):
+        aqsim.dephased_walk(make_chain(2), 0, 1.0, spec)
 
 
 def test_dephased_walk_matches_exact_mean_channel():
