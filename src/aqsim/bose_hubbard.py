@@ -20,6 +20,7 @@ Fock basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,6 +63,11 @@ class FockBasis:
     significant, descending: for 2 sites / 2 bosons the order is
     (2,0), (1,1), (0,2).
 
+    The states are built by stars and bars: a state is the gaps between
+    L - 1 bars placed in N + L - 1 slots.  itertools.combinations yields the
+    bar positions in ascending lexicographic order, which is ascending
+    order of the occupations, so the reversed rows are the basis.
+
     A state's index is its rank in that order, computed rather than looked
     up (the combinatorial number system).  The states that precede a state
     n agree with it up to some site p and hold more bosons there, so fewer
@@ -70,23 +76,34 @@ class FockBasis:
     sites, C(a_p + L - p - 2, a_p - 1), and the rank is their sum over p.
     A table of C(b + s - 1, b), the fillings of s sites with b bosons,
     makes that one vectorized pass over any batch of occupation rows.
-    ``states`` must be the full basis in this order, as enumerate_basis
-    builds it.
+
+    Raises ValueError for a non-integral size, n_sites < 1 or n_bosons < 0,
+    and BasisSizeError before allocating anything if the binomial count
+    C(N + L - 1, N) exceeds BASIS_CAP.
     """
 
-    def __init__(self, n_sites: int, n_bosons: int, states: np.ndarray):
-        self.n_sites = int(n_sites)
-        self.n_bosons = int(n_bosons)
-        self.states = states
+    def __init__(self, n_sites: int, n_bosons: int):
+        self.n_sites = _integer(n_sites, "n_sites")
+        self.n_bosons = _integer(n_bosons, "n_bosons")
+        if self.n_sites < 1:
+            raise ValueError("n_sites must be >= 1")
+        if self.n_bosons < 0:
+            raise ValueError("n_bosons must be >= 0")
+        count = basis_size(self.n_sites, self.n_bosons)
+        if count > BASIS_CAP:
+            raise BasisSizeError(
+                f"basis for {self.n_sites} sites / {self.n_bosons} bosons has "
+                f"{count} states, over the cap of {BASIS_CAP}")
+        slots, n_bars = self.n_bosons + self.n_sites - 1, self.n_sites - 1
+        bars = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(slots), n_bars)),
+            dtype=np.int64, count=count * n_bars).reshape(count, n_bars)
+        self.states = np.diff(bars[::-1], axis=1, prepend=-1, append=slots) - 1
         self.states.setflags(write=False)
         self._fillings = np.array(
             [[math.comb(b + s - 1, b) if s else int(b == 0)
               for b in range(self.n_bosons + 1)]
              for s in range(self.n_sites + 1)], dtype=np.int64)
-        if (states.shape != (basis_size(self.n_sites, self.n_bosons), self.n_sites)
-                or states.min() < 0 or np.any(states.sum(axis=1) != self.n_bosons)
-                or not np.array_equal(self._rank(states), np.arange(len(states)))):
-            raise ValueError("states must be the full basis in enumeration order")
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -112,36 +129,8 @@ def basis_size(n_sites: int, n_bosons: int) -> int:
 
 
 def enumerate_basis(n_sites: int, n_bosons: int) -> FockBasis:
-    """Enumerate the full fixed-number Fock basis.
-
-    Raises BasisSizeError before allocating anything if the binomial count
-    C(N + L - 1, N) exceeds BASIS_CAP.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if n_bosons < 0:
-        raise ValueError("n_bosons must be >= 0")
-    count = basis_size(n_sites, n_bosons)
-    if count > BASIS_CAP:
-        raise BasisSizeError(
-            f"basis for {n_sites} sites / {n_bosons} bosons has {count} states, "
-            f"over the cap of {BASIS_CAP}")
-    states = np.empty((count, n_sites), dtype=np.int64)
-    occ = np.zeros(n_sites, dtype=np.int64)
-
-    def fill(pos: int, remaining: int, row: int) -> int:
-        if pos == n_sites - 1:
-            occ[pos] = remaining
-            states[row] = occ
-            return row + 1
-        for n in range(remaining, -1, -1):
-            occ[pos] = n
-            row = fill(pos + 1, remaining - n, row)
-        return row
-
-    filled = fill(0, n_bosons, 0)
-    assert filled == count
-    return FockBasis(n_sites, n_bosons, states)
+    """The full fixed-number Fock basis, FockBasis(n_sites, n_bosons)."""
+    return FockBasis(n_sites, n_bosons)
 
 
 def chain_edges(n_sites: int) -> tuple:
@@ -175,8 +164,8 @@ class BoseHubbardParams:
         n_sites = _integer(self.n_sites, "n_sites")
         if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if self.hopping < 0 or self.interaction < 0:
-            raise ValueError("hopping and interaction must be non-negative")
+        if not (0 <= self.hopping < math.inf and 0 <= self.interaction < math.inf):
+            raise ValueError("hopping and interaction must be finite and non-negative")
         seen = set()
         edges = []
         for edge in self.edges:
@@ -305,6 +294,7 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     least 20).
     """
     dim = h.shape[0]
+    k = _integer(k, "k")
     if not 1 <= k <= dim:
         raise ValueError(f"k = {k} out of range for dimension {dim}")
     asym = abs(h - h.conj().T)
@@ -326,11 +316,12 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     scale = float(abs(h).sum(axis=1).max()) or 1.0
-    for i in range(k):
-        residual = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
-        if residual > RESIDUAL_TOL * scale:
-            raise EigenConvergenceError(
-                f"eigenpair {i} residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * ||H||")
+    residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    (failing,) = np.nonzero(residuals > RESIDUAL_TOL * scale)
+    if failing.size:
+        i = failing[0]
+        raise EigenConvergenceError(
+            f"eigenpair {i} residual {residuals[i]:.3e} exceeds {RESIDUAL_TOL:g} * ||H||")
     return np.real(vals), vecs
 
 
@@ -394,33 +385,33 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
                           tol: float = 1e-9) -> AbsorptionSpectrum:
     """Energy absorbed from a sinusoidal interaction modulation.
 
-    Starting from the ground state, H(t) = H_hop + U (1 + delta sin(2 pi nu
-    t)) * pair-count is integrated for t_drive at each drive frequency, and
-    the gain <H_0> - E_0 recorded.  A physical lattice-depth modulation
-    would shake J and U together; driving U alone is the minimal version
-    with the same spectroscopic content (same selection rule, peaks at the
-    same transition frequencies).  delta = 0 is allowed and yields the null
-    spectrum.
+    Starting from the ground state of H_0 = build_bh(params, basis),
+    H(t) = H_0 + U delta sin(2 pi nu t) * pair-count is integrated for
+    t_drive at each drive frequency, and the gain <H_0> - E_0 recorded.  A
+    physical lattice-depth modulation would shake J and U together; driving
+    U alone is the minimal version with the same spectroscopic content (same
+    selection rule, peaks at the same transition frequencies).  delta = 0 is
+    allowed and yields the null spectrum.  The nu grid must be finite and
+    strictly ascending, and t_drive finite and positive.
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError("drive amplitude delta must lie in [0, 0.1]")
     if params.hopping == 0 and params.interaction == 0:
         raise ValueError("spectroscopy needs J and U not both zero")
-    if not t_drive > 0:
-        raise ValueError("t_drive must be positive")
+    if not 0.0 < t_drive < math.inf:
+        raise ValueError("t_drive must be finite and positive")
     grid = np.asarray(nu_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("nu grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("nu grid must be strictly ascending")
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("nu grid must be finite and strictly ascending")
     if grid[0] < 1.0 / t_drive:
         warnings.warn(
             "drive frequencies below 1/t_drive are unresolved; a gapless "
             "response aliases into them", UserWarning, stacklevel=2)
-    hop = hopping_matrix(params, basis)
+    h0 = build_bh(params, basis)
     pairs = onsite_pair_count(basis)
-    diag0 = params.interaction * pairs
-    (e0,), vecs = low_spectrum((hop + sp.diags(diag0)).tocsr(), 1)
+    (e0,), vecs = low_spectrum(h0, 1)
     psi0 = vecs[:, 0].astype(complex)
     drive_scale = params.interaction * delta
 
@@ -431,14 +422,14 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
 
         def rhs(t, psi):
             mod = drive_scale * math.sin(omega * t)
-            return -1j * (hop @ psi + (diag0 + mod * pairs) * psi)
+            return -1j * (h0 @ psi + mod * pairs * psi)
 
         sol = solve_ivp(rhs, (0.0, t_drive), psi0, method="DOP853",
                         rtol=tol, atol=tol * 1e-3)
         if not sol.success:
             raise RuntimeError(f"drive integration failed at nu={nu:g}: {sol.message}")
         psi = sol.y[:, -1]
-        energy = float(np.vdot(psi, hop @ psi).real + diag0 @ (np.abs(psi) ** 2))
+        energy = float(np.vdot(psi, h0 @ psi).real)
         gain = energy - e0
         if gain < -1e-9:
             raise NegativeAbsorptionError(

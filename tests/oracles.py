@@ -13,7 +13,9 @@ the invariant site block plus the two register populations directly from
 Re H, Im H and the rates, never calls build_liouvillian, and validates the
 checkpoints as one stack); the chain
 oracle is the closed-form eigensystem (the implementation calls a
-numerical eigensolver), the strong-dephasing oracle
+numerical eigensolver), the Fock-state oracle filters the whole occupation
+grid by its total and sorts it (the implementation places bars between
+bosons, stars and bars, in combination order), the strong-dephasing oracle
 is a classical Markov chain, the mean-channel oracle evolves the density
 matrix of the infinite-shot ensemble, the segment-by-segment ensemble draws
 each shot's phases one segment at a time over one state holding every shot
@@ -24,6 +26,7 @@ batches of states), and the scan-point oracle diagonalizes the full-basis
 Hamiltonian densely (the implementation solves the reversal-even sector).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -218,6 +221,17 @@ def random_transport_instance(rng: np.random.Generator, max_sites: int = 4):
         recombination_rate=float(rng.uniform(0.0, 0.5)),
         dephasing_rates=rng.uniform(0.0, 2.0, n))
     return h, spec
+
+
+def fock_states_by_product(n_sites: int, n_bosons: int) -> np.ndarray:
+    """Every occupation row of n_bosons on n_sites, in descending order.
+
+    Filters the whole grid range(N + 1)^L by its total and sorts the
+    survivors, first site most significant.
+    """
+    rows = sorted((occ for occ in itertools.product(range(n_bosons + 1), repeat=n_sites)
+                   if sum(occ) == n_bosons), reverse=True)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_sites)
 
 
 def fock_lookup(basis) -> dict:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
 from aqsim.bose_hubbard import basis_size, hopping_matrix, onsite_pair_count
 
-from oracles import (chain_eigensystem, hopping_matrix_by_lookup,
-                     one_body_density_matrix_by_lookup)
+from oracles import (chain_eigensystem, fock_states_by_product,
+                     hopping_matrix_by_lookup, one_body_density_matrix_by_lookup)
 
 SQRT17 = math.sqrt(17.0)
 
@@ -55,19 +56,41 @@ def test_basis_index_round_trips_and_rejects_non_states(sites, bosons):
             basis.index(bad)
 
 
-def test_fock_basis_rejects_states_out_of_order():
-    states = aqsim.enumerate_basis(3, 2).states
-    with pytest.raises(ValueError, match="enumeration order"):
-        aqsim.FockBasis(3, 2, states[::-1].copy())
-    with pytest.raises(ValueError, match="enumeration order"):
-        aqsim.FockBasis(3, 2, states[1:].copy())
-    with pytest.raises(ValueError, match="enumeration order"):
-        aqsim.FockBasis(3, 3, states.copy())
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_basis_states_and_index_match_product_oracle(sites):
+    for bosons in range(7):
+        want = fock_states_by_product(sites, bosons)
+        basis = aqsim.FockBasis(sites, bosons)
+        assert np.array_equal(basis.states, want)
+        assert basis.states.dtype == np.int64
+        assert [basis.index(state) for state in want] == list(range(len(want)))
+
+
+def test_basis_of_one_boson_on_many_sites():
+    # deeper than Python's default recursion limit of 1000 frames
+    basis = aqsim.enumerate_basis(1200, 1)
+    assert len(basis) == 1200
+    assert np.array_equal(basis.states, np.eye(1200, dtype=np.int64))
+    assert basis.index(basis.states[-1]) == 1199
+
+
+@pytest.mark.parametrize("sites, bosons, message", [
+    (3.0, 2, "n_sites must be an integer"),
+    (3, 2.5, "n_bosons must be an integer"),
+    (0, 2, "n_sites must be >= 1"),
+    (3, -1, "n_bosons must be >= 0"),
+])
+def test_fock_basis_refuses_bad_sizes(sites, bosons, message):
+    for build in (aqsim.FockBasis, aqsim.enumerate_basis):
+        with pytest.raises(ValueError, match=message):
+            build(sites, bosons)
 
 
 def test_basis_cap():
-    with pytest.raises(BasisSizeError):
-        aqsim.enumerate_basis(30, 30)
+    # ~5.9e16 states: refused before anything of that size is allocated
+    for build in (aqsim.FockBasis, aqsim.enumerate_basis):
+        with pytest.raises(BasisSizeError, match="over the cap of 200000"):
+            build(30, 30)
     assert basis_size(30, 30) == math.comb(59, 30)
 
 
@@ -118,6 +141,10 @@ def test_params_validation():
         BoseHubbardParams(3, 1, 1, ((0, 1, 2),))
     params = BoseHubbardParams(np.int64(3), 1, 1, ((np.int32(0), 1),))
     assert (params.n_sites, params.edges) == (3, ((0, 1),))
+    for hopping, interaction in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                 (1.0, np.inf), (-1.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            BoseHubbardParams.chain(3, hopping, interaction)
     with pytest.raises(ValueError):
         BoseHubbardParams.chain(2, 1.0, 0.0).j_ratio
     assert BoseHubbardParams.chain(2, 1.0, 4.0).j_ratio == 0.25
@@ -181,6 +208,9 @@ def test_low_spectrum_k_range():
     h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
     with pytest.raises(ValueError):
         aqsim.low_spectrum(h, 4)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        aqsim.low_spectrum(h, 1.5)
+    assert len(aqsim.low_spectrum(h, np.int64(2))[0]) == 2
 
 
 def test_low_spectrum_rejects_non_hermitian_and_non_finite():
@@ -192,6 +222,23 @@ def test_low_spectrum_rejects_non_hermitian_and_non_finite():
     # the check is entrywise to HERMITICITY_TOL, as in the dense Hamiltonian
     nudged = sp.csr_matrix(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]))
     assert aqsim.low_spectrum(nudged, 1)[0][0] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_low_spectrum_names_the_first_pair_over_the_residual_bound(monkeypatch):
+    import aqsim.bose_hubbard as bh
+
+    def skewed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        vals[1:] += 1e-3  # pairs 1 and 2 are off, pair 0 is exact
+        return vals, vecs
+
+    monkeypatch.setattr(bh, "eigsh", skewed)
+    h = sp.diags(np.arange(500.0)).tocsr()  # over the dense limit: Lanczos path
+    with pytest.raises(aqsim.EigenConvergenceError,
+                       match=r"eigenpair 1 residual 1\.000e-03 exceeds 1e-09"):
+        aqsim.low_spectrum(h, 3)
 
 
 def test_condensate_fraction_mott_and_free():
@@ -289,6 +336,28 @@ def test_absorption_validation():
     with pytest.raises(ValueError):
         aqsim.modulation_absorption(BoseHubbardParams.chain(2, 0.0, 0.0),
                                     basis, 0.03, [0.5], 10.0)
+
+
+@pytest.mark.parametrize("grid, t_drive, message", [
+    ([np.nan], 10.0, "nu grid must be finite"),
+    ([1.0, np.inf], 10.0, "nu grid must be finite"),
+    ([-np.inf, 0.5], 10.0, "nu grid must be finite"),
+    ([0.5], np.inf, "t_drive must be finite and positive"),
+    ([0.5], np.nan, "t_drive must be finite and positive"),
+    ([0.5], 0.0, "t_drive must be finite and positive"),
+])
+def test_absorption_refuses_non_finite_grid_or_time_before_driving(
+        monkeypatch, grid, t_drive, message):
+    import aqsim.bose_hubbard as bh
+
+    def no_drive(*args, **kwargs):
+        raise AssertionError("drive integrated before the inputs were checked")
+
+    monkeypatch.setattr(bh, "solve_ivp", no_drive)
+    basis = aqsim.enumerate_basis(2, 2)
+    params = BoseHubbardParams.chain(2, 1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        aqsim.modulation_absorption(params, basis, 0.03, grid, t_drive)
 
 
 def test_absorption_flags_unresolved_low_frequencies():
