@@ -27,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .hamiltonians import HERMITICITY_TOL, _integer
 
 BASIS_CAP = 200_000
+# FockBasis: most entries in either of its integer tables, the states
+# (states x sites) and the fillings ((sites + 1) x (bosons + 1)); a basis
+# under BASIS_CAP can still ask for far more, e.g. 200000 sites, 1 boson
+_TABLE_CAP = 1 << 22
 _DENSE_LIMIT = 400
 RESIDUAL_TOL = 1e-9
 # drive_coupled_gap: smallest pair-count overlap, relative to its norm, that
@@ -41,7 +44,8 @@ _COUPLING_FLOOR = 1e-8
 
 
 class BasisSizeError(ValueError):
-    """Requested Fock basis has more than BASIS_CAP states."""
+    """Requested Fock basis has more than BASIS_CAP states, or tables of more
+    than _TABLE_CAP entries."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -79,7 +83,9 @@ class FockBasis:
 
     Raises ValueError for a non-integral size, n_sites < 1 or n_bosons < 0,
     and BasisSizeError before allocating anything if the binomial count
-    C(N + L - 1, N) exceeds BASIS_CAP.
+    C(N + L - 1, N) exceeds BASIS_CAP or either table, the states (count x L)
+    or the fillings ((L + 1) x (N + 1)), would hold more than _TABLE_CAP
+    entries.
     """
 
     def __init__(self, n_sites: int, n_bosons: int):
@@ -94,6 +100,11 @@ class FockBasis:
             raise BasisSizeError(
                 f"basis for {self.n_sites} sites / {self.n_bosons} bosons has "
                 f"{count} states, over the cap of {BASIS_CAP}")
+        entries = max(count * self.n_sites, (self.n_sites + 1) * (self.n_bosons + 1))
+        if entries > _TABLE_CAP:
+            raise BasisSizeError(
+                f"basis for {self.n_sites} sites / {self.n_bosons} bosons needs "
+                f"tables of {entries} entries, over the cap of {_TABLE_CAP}")
         slots, n_bars = self.n_bosons + self.n_sites - 1, self.n_sites - 1
         bars = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(slots), n_bars)),
@@ -367,8 +378,12 @@ class AbsorptionSpectrum:
         energy = np.array(self.absorbed_energy, dtype=float, copy=True)
         if grid.shape != energy.shape or grid.ndim != 1:
             raise ValueError("nu grid and energies must be 1-d and equal length")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("nu grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("nu grid must be strictly ascending")
+        if not np.all(np.isfinite(energy)):
+            raise ValueError("absorbed energies must be finite")
         if np.any(energy < -1e-9):
             raise ValueError("absorbed energy below -1e-9")
         grid.setflags(write=False)
@@ -409,6 +424,10 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
         warnings.warn(
             "drive frequencies below 1/t_drive are unresolved; a gapless "
             "response aliases into them", UserWarning, stacklevel=2)
+    # the drive is the package's only ODE: import the integrator here so that
+    # importing aqsim does not load scipy.integrate
+    from scipy.integrate import solve_ivp
+
     h0 = build_bh(params, basis)
     pairs = onsite_pair_count(basis)
     (e0,), vecs = low_spectrum(h0, 1)

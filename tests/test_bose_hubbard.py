@@ -94,6 +94,19 @@ def test_basis_cap():
     assert basis_size(30, 30) == math.comb(59, 30)
 
 
+@pytest.mark.parametrize("sites, bosons, entries", [
+    (200_000, 1, 200_000 ** 2),      # at BASIS_CAP states: a 4e10-entry table
+    (2100, 1, 2100 ** 2),
+    (1, 10 ** 9, 2 * (10 ** 9 + 1)),  # one state, a 2e9-entry filling table
+])
+def test_basis_table_cap(sites, bosons, entries):
+    # refused before either integer table is allocated
+    for build in (aqsim.FockBasis, aqsim.enumerate_basis):
+        with pytest.raises(BasisSizeError, match=(
+                f"needs tables of {entries} entries, over the cap of 4194304")):
+            build(sites, bosons)
+
+
 @pytest.mark.parametrize("hop, interaction, want", [
     (0.0, 4.0, [0.0, 4.0, 4.0]),
     (1.0, 0.0, [-2.0, 0.0, 2.0]),
@@ -348,16 +361,30 @@ def test_absorption_validation():
 ])
 def test_absorption_refuses_non_finite_grid_or_time_before_driving(
         monkeypatch, grid, t_drive, message):
-    import aqsim.bose_hubbard as bh
+    import scipy.integrate
 
     def no_drive(*args, **kwargs):
         raise AssertionError("drive integrated before the inputs were checked")
 
-    monkeypatch.setattr(bh, "solve_ivp", no_drive)
+    # modulation_absorption imports solve_ivp when it runs, so it reads this
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", no_drive)
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)
     with pytest.raises(ValueError, match=message):
         aqsim.modulation_absorption(params, basis, 0.03, grid, t_drive)
+
+
+@pytest.mark.parametrize("grid, energy, message", [
+    ([np.nan, 0.5], [0.0, np.nan], "nu grid must be finite"),
+    ([0.4, np.inf], [0.0, 0.1], "nu grid must be finite"),
+    ([0.4, 0.5], [0.0, np.nan], "absorbed energies must be finite"),
+    ([0.4, 0.5], [np.inf, 0.1], "absorbed energies must be finite"),
+])
+def test_absorption_spectrum_refuses_non_finite_values(grid, energy, message):
+    # NaN passes the ascending and non-negative checks, and argmax would
+    # report a NaN energy as the peak
+    with pytest.raises(ValueError, match=message):
+        aqsim.AbsorptionSpectrum(grid, energy)
 
 
 def test_absorption_flags_unresolved_low_frequencies():

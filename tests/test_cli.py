@@ -342,6 +342,16 @@ output spec.csv
 """)
 
 
+def test_bh_spectrum_refuses_a_basis_over_the_table_cap(tmp_path, capsys):
+    # 200000 states is within BASIS_CAP, but their table is 4e10 entries
+    text = spectrum_config(tmp_path).read_text().replace("L 2\nN 2\n", "L 200000\nN 1\n")
+    cfg = write_config(tmp_path, "big.cfg", text)
+    assert main(["bh-spectrum", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: basis for 200000 sites / 1 bosons needs tables of")
+    assert not (tmp_path / "spec.csv").exists()
+
+
 def test_bh_spectrum_cli(tmp_path):
     cfg = spectrum_config(tmp_path)
     assert main(["bh-spectrum", str(cfg)]) == 0

@@ -16,11 +16,14 @@ or declared.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import aqsim
 from aqsim import cli, open_system
 
 from conftest import DATA_DIR
@@ -62,6 +65,25 @@ def test_tracer_patch_targets_exist_in_open_system():
     assert inspect.isfunction(getattr(open_system.DensityMatrix, "__post_init__", None))
     build = getattr(open_system, "build_liouvillian", None)
     assert inspect.isfunction(build) and build.__module__ == open_system.__name__
+
+
+def test_import_leaves_the_ode_integrator_unloaded():
+    # only bh-spectrum's drive integrates an ODE, so importing the package
+    # and its CLI must not pay for scipy.integrate and what it pulls in
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+    probe = ("import sys, aqsim, aqsim.cli; "
+             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    src = str(Path(aqsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == []
+    # the tracer's open_system.solve_ivp hook still resolves, on first use
+    import scipy.integrate
+    assert open_system.solve_ivp is scipy.integrate.solve_ivp
+    with pytest.raises(AttributeError, match="no attribute 'not_a_binding'"):
+        open_system.not_a_binding
 
 
 def _public_layer_functions():
