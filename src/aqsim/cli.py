@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
@@ -59,7 +58,7 @@ _EXIT_CODE_HELP = """exit codes:
   0  success
   1  unexpected error
   2  config or input-file parse failure
-  3  numerical failure (integrator or eigensolver)
+  3  numerical failure (overflowed step matrix, integrator or eigensolver)
   4  invariant violation (state bookkeeping or report rules)
 """
 
@@ -470,6 +469,8 @@ def _run_bh_spectrum(config: ExperimentConfig) -> list:
 
 
 def _run_bh_scan(config: ExperimentConfig) -> list:
+    from scipy.sparse import diags  # only the Bose-Hubbard commands load scipy.sparse
+
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     grid = np.geomspace(v["j_min"], v["j_max"], v["j_steps"])
@@ -480,7 +481,7 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
     # only J changes along the scan: project the unit-J hopping and the
     # U pair-count parts once, then H_s(J) = J hop_s + pairs_s
     hop = sector @ hopping_matrix(unit, basis) @ sector.T
-    pairs = sector @ sp.diags(v["U"] * onsite_pair_count(basis)) @ sector.T
+    pairs = sector @ diags(v["U"] * onsite_pair_count(basis)) @ sector.T
     rows = []
     for j in grid:
         h = (j * v["U"]) * hop + pairs

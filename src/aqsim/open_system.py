@@ -53,10 +53,10 @@ generator per grid point, all points at once.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hamiltonians import Hamiltonian, _integer
 
@@ -72,14 +72,20 @@ _CHUNK_BYTES = 8 << 20
 
 
 def __getattr__(name):
-    # Not called here: perfbench/tracing.py wraps open_system.solve_ivp by name
-    # when it traces this layer.  Resolving it on first access keeps
-    # scipy.integrate out of `import aqsim`; this goes once the benchmark
-    # drops that hook (ROADMAP item 1).
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # scipy names resolved on first access and then kept as module globals,
+    # so that `import aqsim` loads numpy only.  expm is the propagator:
+    # evolve and _transport_batch call it as a module attribute, so a patch
+    # of open_system.expm (the fault-injection tests) reaches them.
+    # solve_ivp is not called here: perfbench/tracing.py wraps it by name,
+    # and it goes once the benchmark drops that hook (ROADMAP item 1).
+    if name == "expm":
+        from scipy.linalg import expm as value
+    elif name == "solve_ivp":
+        from scipy.integrate import solve_ivp as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 class StateInvariantError(RuntimeError):
@@ -261,7 +267,8 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
     """Propagate a density matrix for time t under the generator.
 
     The generator does not depend on time, so the state is propagated
-    exactly: expm(L t) applied to the vectorized density matrix.  The
+    exactly: expm(L t) applied to the vectorized density matrix.  An
+    overflowed expm (rates times t too large) raises LinAlgError.  The
     returned state is re-validated, so trace drift raises instead of being
     renormalized away.
     """
@@ -271,7 +278,10 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {gen.dim}")
     if t == 0:
         return rho0
-    vec = expm(gen.matrix * t) @ rho0.matrix.reshape(-1, order="F")
+    step = sys.modules[__name__].expm(gen.matrix * t)
+    if not np.isfinite(step).all():
+        raise np.linalg.LinAlgError(f"expm(L t) has non-finite entries at t = {t:g}")
+    vec = step @ rho0.matrix.reshape(-1, order="F")
     return DensityMatrix(vec.reshape((gen.dim, gen.dim), order="F"))
 
 
@@ -329,8 +339,10 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     one by one in grid order would raise first: the checkpoints up to each
     point's stop are validated as one stack, point by point in grid order,
     and only up to the first point whose sink population is out of range,
-    whose range error is raised if its states pass.  Returns the clamped
-    efficiencies and the converged flags, one per row.
+    whose range error is raised if its states pass.  A point whose step
+    matrix overflowed (non-finite entries) is a numerical failure: the
+    points before it run as usual, and then it raises LinAlgError.
+    Returns the clamped efficiencies and the converged flags, one per row.
     """
     if spec.trap_rate == 0:
         raise NoSinkError("transport efficiency needs trap_rate > 0")
@@ -343,10 +355,12 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     eta = np.empty(rates.shape[0])
     converged = np.empty(rates.shape[0], dtype=bool)
     width = _chunk_width(n)
+    expm = sys.modules[__name__].expm
     for lo in range(0, rates.shape[0], width):
-        points = slice(lo, lo + width)
-        steps = expm(_real_generators(h, spec, rates[points]) * (t_max / _CHECKPOINTS))
-        k = steps.shape[0]
+        steps = expm(_real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS))
+        finite = np.isfinite(steps).all(axis=(1, 2))
+        k = finite.size if finite.all() else int(np.argmin(finite))
+        steps, points = steps[:k], slice(lo, lo + k)
         # site population rho_ii at i (n + 1), sink population at n^2
         path = np.zeros((_CHECKPOINTS + 1,) + steps.shape[:2])
         path[0, :, spec.source_site * (n + 1)] = 1.0
@@ -367,6 +381,11 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         if outside.any():
             raise StateInvariantError(f"sink population {sink_pop[checked - 1]} outside [0, 1]")
         eta[points] = np.clip(sink_pop, 0.0, 1.0)
+        if k < finite.size:
+            bad = lo + k
+            raise np.linalg.LinAlgError(
+                f"step matrix of grid point {bad} (dephasing rates up to "
+                f"{rates[bad].max():g}, trap_rate {spec.trap_rate:g}) has non-finite entries")
     return eta, converged
 
 

@@ -200,6 +200,17 @@ def test_enaqt_sweep_warns_on_unconverged_points(tmp_path, data_dir, capsys):
     assert err.startswith("warning: 3 of 3 sweep points did not converge")
 
 
+def test_enaqt_sweep_overflowed_step_matrix_exits_numerical(tmp_path, data_dir, capsys):
+    # a valid, finite trap rate whose step matrix overflows in expm
+    text = sweep_config(data_dir).replace("trap_rate 1.0", "trap_rate 1e300")
+    cfg = write_config(tmp_path, "sweep.cfg", text)
+    assert main(["enaqt-sweep", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: step matrix of grid point 0 (dephasing rates up to "
+        "0.01, trap_rate 1e+300) has non-finite entries\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_cli_outputs_are_byte_identical_on_rerun(tmp_path, data_dir):
     cfg = write_config(tmp_path, "walk.cfg", f"""command walk
 network {data_dir}/fmo7.net

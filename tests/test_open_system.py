@@ -424,6 +424,38 @@ def test_sweep_raises_the_first_failure_in_grid_order(monkeypatch):
         assert str(swept.value) == str(alone.value)
 
 
+def test_overflowed_step_matrix_is_a_numerical_failure():
+    # expm of a 1e300 trap rate times the step comes back with NaN entries
+    # and no warning: a failed computation, not a violated invariant of a
+    # finite one
+    h, spec = detuned_dimer()
+    flooded = replace(spec, trap_rate=1e300)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"grid point 0 .*trap_rate 1e\+300\) has non-finite entries"):
+        aqsim.transport_efficiency(h, flooded, t_max=300.0)
+    with pytest.raises(np.linalg.LinAlgError, match="grid point 0 "):
+        aqsim.goldilocks_sweep(h, flooded, [0.5, 1.0], t_max=300.0)
+    gen = build_liouvillian(h, flooded)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite entries at t = 1"):
+        aqsim.evolve(initial_excitation(2, 0), gen, 1.0)
+
+
+def test_sweep_names_the_first_overflowed_point_after_the_points_before_it(monkeypatch):
+    h, spec = detuned_dimer()
+    grid = np.array([0.5, 1.0, 2.0])
+    clean = lambda expm, a: expm(a)
+    backward = lambda expm, a: expm(-a)
+    overflow = lambda expm, a: np.full_like(a, np.nan)
+    _patched_points(monkeypatch, (clean, overflow, backward))
+    with pytest.raises(np.linalg.LinAlgError, match=r"grid point 1 \(dephasing rates up to 1,"):
+        aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+    # a point before the overflowed one still fails first, as one by one
+    monkeypatch.undo()
+    _patched_points(monkeypatch, (backward, overflow, clean))
+    with pytest.raises(StateInvariantError, match="negative eigenvalue"):
+        aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+
+
 def test_stack_check_reports_the_first_failing_state_and_test():
     # each stack is also checked as transport passes it, the 2 x 2 site
     # blocks plus the two register populations, and must fail the same way

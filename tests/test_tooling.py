@@ -67,23 +67,75 @@ def test_tracer_patch_targets_exist_in_open_system():
     assert inspect.isfunction(build) and build.__module__ == open_system.__name__
 
 
-def test_import_leaves_the_ode_integrator_unloaded():
-    # only bh-spectrum's drive integrates an ODE, so importing the package
-    # and its CLI must not pay for scipy.integrate and what it pulls in
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
-    probe = ("import sys, aqsim, aqsim.cli; "
-             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+# Runs in a fresh interpreter on the checkout's src: imports aqsim's CLI,
+# runs cli.main on the arguments if any, and prints the exit code and every
+# scipy module loaded by then as its last line.
+SCIPY_PROBE = """
+import sys
+from aqsim import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _fresh_scipy_footprint(*args, cwd=None):
+    """(exit code or "None", loaded scipy modules, stderr) of SCIPY_PROBE."""
     src = str(Path(aqsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
-    assert loaded == []
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *args], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True)
+    code, *loaded = run.stdout.splitlines()[-1].split()
+    return code, set(loaded), run.stderr
+
+
+def test_import_leaves_the_ode_integrator_unloaded():
+    # importing the package and its CLI loads numpy only: each engine
+    # imports the scipy it calls on first use, and only bh-spectrum's drive
+    # integrates an ODE
+    assert _fresh_scipy_footprint() == ("None", set(), "")
     # the tracer's open_system.solve_ivp hook still resolves, on first use
     import scipy.integrate
     assert open_system.solve_ivp is scipy.integrate.solve_ivp
     with pytest.raises(AttributeError, match="no attribute 'not_a_binding'"):
         open_system.not_a_binding
+
+
+def test_scipy_seams_resolve_to_scipy_on_first_access():
+    # the engines call these as module attributes, which the fault-injection
+    # tests and the tracer patch
+    import scipy.linalg
+    import scipy.sparse.linalg
+    from aqsim import bose_hubbard
+    assert open_system.expm is scipy.linalg.expm
+    assert bose_hubbard.eigsh is scipy.sparse.linalg.eigsh
+    for module in (open_system, bose_hubbard):
+        with pytest.raises(AttributeError, match="no attribute 'not_a_binding'"):
+            module.not_a_binding
+    with pytest.raises(AttributeError, match="no attribute 'solve_ivp'"):
+        bose_hubbard.solve_ivp
+
+
+@pytest.mark.parametrize("command, change, want_code, loads, skips", [
+    ("walk", None, "0", (), ("scipy",)),
+    ("validate", None, "0", (), ("scipy",)),
+    ("enaqt-sweep", None, "0", ("scipy.linalg",), ("scipy.sparse", "scipy.integrate")),
+    # 3 sites, 3 bosons: a dense eigensolve, so ARPACK may stay unloaded
+    ("bh-scan", None, "0", ("scipy.sparse",), ("scipy.integrate",)),
+    # refused by FockBasis, before any matrix is built
+    ("bh-scan", ("L 3\nN 3\n", "L 200000\nN 1\n"), "2", (), ("scipy",)),
+], ids=["walk", "validate", "enaqt-sweep", "bh-scan", "bh-scan-config-error"])
+def test_commands_load_only_the_scipy_they_call(tmp_path, command, change, want_code,
+                                                loads, skips):
+    text = f"command {command}\n{COMMAND_CONFIGS[command]}output out\n"
+    if change is not None:
+        assert change[0] in text
+        text = text.replace(*change)
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    code, loaded, err = _fresh_scipy_footprint(command, "run.cfg", cwd=tmp_path)
+    assert code == want_code, err
+    assert set(loads) <= loaded
+    assert not {m for m in loaded for top in skips if m == top or m.startswith(top + ".")}
 
 
 def _public_layer_functions():
@@ -125,6 +177,15 @@ j_min 0.02
 j_max 0.2
 j_steps 2
 k 4
+""",
+    "validate": f"""network_a {DATA_DIR}/wg7.net
+network_b {DATA_DIR}/fmo7.net
+mapping {DATA_DIR}/fmo_to_wg.map
+tolerance 1e-12
+role simulation
+hardness_proof false
+efficient_classical_known false
+scalable_accuracy false
 """,
 }
 
