@@ -27,7 +27,7 @@ from .open_system import (DensityMatrix, EfficiencyCurve, Liouvillian,
                           build_liouvillian, evolve, goldilocks_sweep,
                           initial_excitation, transport_efficiency)
 from .validation import (CorrespondenceCheck, ReportRoleError, SpeedupClass,
-                         ValidationReport, approximation_bound, build_report,
+                         ValidationReport, approximation_bound,
                          check_isomorphism, classify_speedup,
                          report_from_json, report_to_json)
 from .walk import (SPEED_OF_LIGHT, DephasingEnsembleSpec, WalkState,

@@ -7,8 +7,9 @@ are ASCII decimal literals as in the parameter files, and all violations
 are reported at once with their line numbers.  Paths inside a
 config are resolved relative to the config file.
 
-Outputs are written atomically (write to a temp file, then rename) and are
-byte-identical for identical config + seed.  Every output carries a
+Outputs are written atomically (write to a temp file, then rename), with
+the mode a plain open() would give them, and are byte-identical for
+identical config + seed.  Every output carries a
 metadata header: tool version, config hash, and seed.  The config hash
 covers the semantic content (with referenced files replaced by their
 content digest), not the file paths, and excludes the output location.
@@ -39,10 +40,11 @@ from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
                            modulation_absorption, onsite_pair_count,
                            reflection_sector)
 from .hamiltonians import apply_static_disorder, build_tight_binding
-from .netfiles import NetfileError, _decimal, load_mapping, load_network
+from .netfiles import (NetfileError, _decimal, _read_text, _records,
+                       load_mapping, load_network)
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
-from .validation import (build_report, check_isomorphism, classify_speedup,
-                         report_to_json)
+from .validation import (ValidationReport, _report_payload, check_isomorphism,
+                         classify_speedup)
 from .walk import (_MAX_PHASE_SIGMA, DephasingEnsembleSpec, dephased_walk,
                    evolve_unitary, length_to_time)
 
@@ -222,15 +224,7 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
     violations = []
     values = {}
     linenos = {}
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        entries.append((lineno, key, rest))
+    entries = list(_records(text))
 
     command = None
     for lineno, key, rest in entries:
@@ -329,15 +323,23 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode open(path, "w") gets
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: Path, payload: dict):
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt_cell(value) -> str:
@@ -375,7 +377,7 @@ def _write_csv(config: ExperimentConfig, header, rows, extra: dict) -> list:
         **extra,
     }
     sidecar = out.with_name(out.name + ".meta.json")
-    _atomic_write(sidecar, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(sidecar, payload)
     return [out, sidecar]
 
 
@@ -514,11 +516,9 @@ def _run_validate(config: ExperimentConfig) -> list:
                                v["efficient_classical_known"],
                                v["scalable_accuracy"])
     narrative = {"note": v["note"]} if v["note"] else {}
-    report = build_report(v["role"], [check], speedup, narrative)
-    payload = json.loads(report_to_json(report))
-    payload["meta"] = _meta(config)
+    report = ValidationReport(v["role"], [check], speedup, narrative)
     out = config.path("output")
-    _atomic_write(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(out, {**_report_payload(report), "meta": _meta(config)})
     return [out]
 
 
@@ -620,8 +620,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config_path = Path(args.config)
     try:
-        text = config_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = _read_text(config_path)
+    except (OSError, NetfileError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -38,10 +38,13 @@ def _fmt(x: float) -> str:
 
 
 def _records(text: str):
+    """(line number, key, rest of line) of each line that is not blank or
+    a comment; the config parser reads its files through this too."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line.split()
+            key, *rest = line.split(None, 1)
+            yield lineno, key, rest[0] if rest else ""
 
 
 def _decimal(token: str) -> str:
@@ -86,8 +89,8 @@ def _label(label, i: int) -> str:
 def loads_network(text: str) -> SiteNetwork:
     n = None
     seen, seen_pairs = set(), set()
-    for lineno, fields in _records(text):
-        key, args = fields[0], fields[1:]
+    for lineno, key, rest in _records(text):
+        args = rest.split()
         if key == "sites":
             if n is not None:
                 raise NetfileError(f"line {lineno}: duplicate 'sites' record")
@@ -146,8 +149,8 @@ def dumps_network(net: SiteNetwork) -> str:
 def loads_mapping(text: str) -> MappingRecord:
     perm = None
     scale = None
-    for lineno, fields in _records(text):
-        key, args = fields[0], fields[1:]
+    for lineno, key, rest in _records(text):
+        args = rest.split()
         if key == "permutation":
             if perm is not None:
                 raise NetfileError(f"line {lineno}: duplicate 'permutation'")

@@ -12,7 +12,7 @@ than silently downgraded to a simulation report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class ValidationReport:
 
     role: str
     internal_checks: tuple
-    external_checks: tuple
     speedup: SpeedupClass
-    narrative: dict
+    narrative: dict = field(default_factory=dict)
+    external_checks: tuple = ()
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -193,46 +193,22 @@ def classify_speedup(hardness_proof: bool, efficient_classical_known: bool,
     return SpeedupClass(class_id, _CLASS_JUSTIFICATIONS[class_id])
 
 
-def build_report(role: str, internal_checks, speedup: SpeedupClass,
-                 narrative=None, external_checks=()) -> ValidationReport:
-    """Assemble a report; invalid role/check combinations are rejected."""
-    return ValidationReport(role=role,
-                            internal_checks=tuple(internal_checks),
-                            external_checks=tuple(external_checks),
-                            speedup=speedup,
-                            narrative=dict(narrative or {}))
-
-
-def _check_to_dict(check: CorrespondenceCheck) -> dict:
-    return {
-        "kind": check.kind,
-        "metric": check.metric,
-        "tolerance": check.tolerance,
-        "passed": check.passed,
-        "details": check.details,
-    }
-
-
 def _check_from_dict(data: dict) -> CorrespondenceCheck:
     return CorrespondenceCheck(kind=data["kind"], metric=data["metric"],
                                tolerance=data["tolerance"], passed=data["passed"],
                                details=data["details"])
 
 
+def _report_payload(report: ValidationReport) -> dict:
+    return {**asdict(report),
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "internally_valid": report.internally_valid,
+            "externally_valid": report.externally_valid}
+
+
 def report_to_json(report: ValidationReport) -> str:
     """Canonical JSON serialization (sorted keys, two-space indent)."""
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "role": report.role,
-        "internal_checks": [_check_to_dict(c) for c in report.internal_checks],
-        "external_checks": [_check_to_dict(c) for c in report.external_checks],
-        "speedup": {"class_id": report.speedup.class_id,
-                    "justification": report.speedup.justification},
-        "narrative": report.narrative,
-        "internally_valid": report.internally_valid,
-        "externally_valid": report.externally_valid,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_report_payload(report), sort_keys=True, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> ValidationReport:

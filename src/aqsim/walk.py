@@ -18,8 +18,10 @@ dephasing with rate
 E[exp(i(phi_m - phi_n))] = exp(-phase_sigma**2) for independent phases).
 Each shot draws all of its phases in one call, from a random stream keyed
 on (seed, shot index), and the shots run in chunks whose phase block fits a
-fixed byte budget.  The chunk size has no effect on results: a run is
-reproducible whatever the batching.  A kick exp(-i phi) is built from the
+fixed byte budget, except that a chunk holds at least 16 shots: past 1/16
+of the budget per shot (256 KiB, e.g. 101 sites x 325 segments) even the
+smallest chunk exceeds it.  The chunk size has no effect on results: a run
+is reproducible whatever the batching.  A kick exp(-i phi) is built from the
 half-angle tangent t = tan(phi / 2) as ((1 - t^2) - 2i t) / (1 + t^2), with
 one tan over each chunk's contiguous block of half phases; the last segment
 gets no kick, since a diagonal phase leaves populations unchanged.
@@ -137,7 +139,9 @@ def time_to_length(t: float, n_index: float) -> float:
 
 def _chunk_width(n_segments: int, dim: int) -> int:
     """Shots per chunk: as many as keep one chunk's phases within _PHASE_BYTES,
-    rounded down to a whole number of _SHOT_ALIGN-shot blocks."""
+    rounded down to a whole number of _SHOT_ALIGN-shot blocks, but at least
+    _SHOT_ALIGN: once 8 * n_segments * dim > _PHASE_BYTES / _SHOT_ALIGN, a
+    chunk's phases exceed the budget."""
     fit = _PHASE_BYTES // (8 * n_segments * dim)
     return max(_SHOT_ALIGN, fit - fit % _SHOT_ALIGN)
 
@@ -167,19 +171,18 @@ def _half_angle_kick(t: np.ndarray, kick: np.ndarray,
 
 
 def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
-                          n_segments: int, phase_sigma: float, shots: int,
-                          seed: int, sample_at=None) -> dict:
+                          spec: DephasingEnsembleSpec, sample_at=None) -> dict:
     """Ensemble-averaged populations after selected segment counts.
 
     Shot k draws all its phases, (n_segments, dim), in one call on a stream
     keyed on (seed, k), so results do not depend on how shots are batched.
-    Shots run in chunks whose phase block stays within _PHASE_BYTES; each
-    chunk carries a (dim, chunk) state through every segment.  The chunk
-    size has no effect on results: the columns of a matrix product are
-    independent, and a chunk spans whole _SHOT_ALIGN-shot blocks, so each
-    shot's column meets the same BLAS kernel as in one product over all
-    shots (a one-column product would take the matrix-vector kernel, hence
-    no lone trailing shot).
+    Shots run in chunks sized by _chunk_width (within _PHASE_BYTES where
+    _SHOT_ALIGN shots fit in it); each chunk carries a (dim, chunk) state
+    through every segment.  The chunk size has no effect on results: the
+    columns of a matrix product are independent, and a chunk spans whole
+    _SHOT_ALIGN-shot blocks, so each shot's column meets the same BLAS
+    kernel as in one product over all shots (a one-column product would
+    take the matrix-vector kernel, hence no lone trailing shot).
 
     The kick exp(-i phi) is built from the half-angle tangent (see
     _half_angle_kick): one tan over the chunk's whole contiguous block of
@@ -187,18 +190,17 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
     chunk width.  The last segment gets no kick: a diagonal phase leaves
     populations unchanged and no later segment reads the state.
     """
-    dim = h.dim
+    dim, n_segments = h.dim, spec.n_segments
     u_seg = propagator(h, tau)
     wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
-    pops = {seg: np.empty((dim, shots)) for seg in wanted}  # |amps|^2 per shot
-    base = int(np.uint64(seed % (1 << 64)))
-    for lo, hi in _chunk_bounds(shots, _chunk_width(n_segments, dim)):
+    pops = {seg: np.empty((dim, spec.shots)) for seg in wanted}  # |amps|^2 per shot
+    base = spec.seed % (1 << 64)
+    for lo, hi in _chunk_bounds(spec.shots, _chunk_width(n_segments, dim)):
         width = hi - lo
         half = np.empty((width, n_segments, dim))
         for j in range(width):
-            rng = np.random.default_rng(np.random.SeedSequence([base, lo + j]))
-            rng.standard_normal(out=half[j])
-        half *= 0.5 * phase_sigma
+            np.random.default_rng([base, lo + j]).standard_normal(out=half[j])
+        half *= 0.5 * spec.phase_sigma
         np.tan(half, out=half)
         amps = np.zeros((dim, width), dtype=complex)
         amps[input_mode, :] = 1.0
@@ -232,9 +234,7 @@ def dephased_walk(h: Hamiltonian, input_mode: int, t: float,
     _check_walk(h, input_mode, t)
     if spec.phase_sigma == 0.0:
         return evolve_unitary(h, input_mode, t).populations()
-    pops = _ensemble_populations(h, input_mode, t / spec.n_segments,
-                                 spec.n_segments, spec.phase_sigma,
-                                 spec.shots, spec.seed)
+    pops = _ensemble_populations(h, input_mode, t / spec.n_segments, spec)
     return pops[spec.n_segments]
 
 
@@ -250,12 +250,12 @@ def _sigma_x(populations: np.ndarray, center: int) -> float:
     return float(np.sqrt(np.sum(populations * offsets ** 2)))
 
 
-def spreading_stats(h: Hamiltonian, input_center: int, times,
+def spreading_stats(h: Hamiltonian, times,
                     dephasing: DephasingEnsembleSpec = None) -> list:
     """Spatial spread sqrt(<(m - m0)^2>) of a centred walk at given times.
 
-    The chain must have odd length with the walker launched at the middle
-    site.  With a dephasing spec, segment duration is held fixed at
+    The chain must have odd length; the walker is launched at its middle
+    site m0 = (dim - 1) // 2.  With a dephasing spec, segment duration is held fixed at
     times[-1] / n_segments so the equivalent dephasing rate is the same at
     every sampled time; each requested time must then sit on a segment
     boundary.
@@ -263,8 +263,6 @@ def spreading_stats(h: Hamiltonian, input_center: int, times,
     if h.dim % 2 == 0:
         raise ValueError("spreading statistics require an odd chain length")
     center = (h.dim - 1) // 2
-    if input_center != center:
-        raise ValueError(f"input not centered: expected site {center}, got {input_center}")
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a non-empty 1-d sequence")
@@ -279,7 +277,6 @@ def spreading_stats(h: Hamiltonian, input_center: int, times,
     if np.any(np.abs(segs - rounded) > 1e-9):
         raise ValueError(
             "with dephasing, every time must be a multiple of times[-1] / n_segments")
-    pops = _ensemble_populations(h, center, tau, dephasing.n_segments,
-                                 dephasing.phase_sigma, dephasing.shots,
-                                 dephasing.seed, sample_at=list(rounded))
+    pops = _ensemble_populations(h, center, tau, dephasing,
+                                 sample_at=list(rounded))
     return [(float(t), _sigma_x(pops[k], center)) for t, k in zip(ts, rounded)]

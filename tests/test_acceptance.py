@@ -126,7 +126,7 @@ def test_criterion_05_walk_spreading():
     start = time.monotonic()
     chain = make_chain(101)
     times = np.arange(1.0, 21.0)
-    coherent = aqsim.spreading_stats(chain, 50, times)
+    coherent = aqsim.spreading_stats(chain, times)
     sigma = np.array([s for _, s in coherent])
     fit = linregress(times, sigma)
     r_squared = fit.rvalue ** 2
@@ -134,7 +134,7 @@ def test_criterion_05_walk_spreading():
     dephasing = aqsim.DephasingEnsembleSpec(n_segments=48, phase_sigma=2 * np.pi,
                                             shots=10_000, seed=12345)
     dt = np.array([4.0, 8.0, 12.0, 16.0, 20.0, 24.0])
-    diffusive = aqsim.spreading_stats(chain, 50, dt, dephasing=dephasing)
+    diffusive = aqsim.spreading_stats(chain, dt, dephasing=dephasing)
     dsigma = np.array([s for _, s in diffusive])
     dfit = linregress(np.log(dt), np.log(dsigma))
     elapsed = time.monotonic() - start

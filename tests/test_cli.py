@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -270,6 +271,25 @@ output walk.csv
     assert sidecar["evolution_time"] == 1.5 * 0.03 / 299_792_458.0
 
 
+def test_outputs_get_the_mode_of_a_plainly_opened_file(tmp_path, data_dir):
+    cfg = write_config(tmp_path, "walk.cfg", f"""command walk
+network {data_dir}/dimer.net
+input_mode 0
+time 1.0
+output walk.csv
+""")
+    umask = os.umask(0o022)
+    try:
+        assert main(["walk", str(cfg)]) == 0
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {name: (tmp_path / name).stat().st_mode
+             for name in ("walk.csv", "walk.csv.meta.json", "plain.txt")}
+    assert modes["walk.csv"] == modes["walk.csv.meta.json"] == modes["plain.txt"]
+
+
 def test_invalid_network_file_fails_parse_without_outputs(tmp_path, data_dir, capsys):
     bad = tmp_path / "bad.net"
     cfg = write_config(tmp_path, "sweep.cfg",
@@ -333,7 +353,8 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"command walk\n# \xff\n")
     assert main(["walk", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8'")
+    assert capsys.readouterr().err == (
+        "error: cannot read config: line 2: not UTF-8 text (invalid start byte)\n")
     assert main(["walk", str(tmp_path / "missing.cfg")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read config:")
 
@@ -592,5 +613,7 @@ def test_validate_determinism(tmp_path, data_dir):
     cfg = write_config(tmp_path, "val.cfg", validate_config(data_dir))
     assert main(["validate", str(cfg)]) == 0
     first = (tmp_path / "report.json").read_bytes()
+    # pinned bytes: any change to the report's content or layout shows here
+    assert first == (data_dir / "wg7_fmo7_report.json").read_bytes()
     assert main(["validate", str(cfg)]) == 0
     assert (tmp_path / "report.json").read_bytes() == first

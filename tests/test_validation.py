@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import aqsim
-from aqsim import CorrespondenceCheck, MappingRecord, ReportRoleError, SpeedupClass
+from aqsim import (CorrespondenceCheck, MappingRecord, ReportRoleError,
+                   SpeedupClass, ValidationReport)
 from aqsim.bose_hubbard import hopping_matrix
 
 from conftest import make_chain
@@ -143,26 +144,26 @@ def passing_check():
     return aqsim.check_isomorphism(h, h, MappingRecord((0, 1)), tol=1e-12)
 
 
-def test_build_report_roles():
+def test_report_roles():
     check = passing_check()
     speedup = aqsim.classify_speedup(False, False, False)
-    report = aqsim.build_report("simulation", [check], speedup, {"scope": "test"})
+    report = ValidationReport("simulation", [check], speedup, {"scope": "test"})
     assert report.internally_valid and not report.externally_valid
     with pytest.raises(ReportRoleError):
-        aqsim.build_report("emulation", [check], speedup)
+        ValidationReport("emulation", [check], speedup)
     with pytest.raises(ReportRoleError):
-        aqsim.build_report("simulation", [check], speedup, external_checks=[check])
+        ValidationReport("simulation", [check], speedup, external_checks=[check])
     with pytest.raises(ReportRoleError):
-        aqsim.build_report("simulation", [], speedup)
-    emu = aqsim.build_report("emulation", [check], speedup,
-                             external_checks=[check])
+        ValidationReport("simulation", [], speedup)
+    emu = ValidationReport("emulation", [check], speedup,
+                           external_checks=[check])
     assert emu.internally_valid and emu.externally_valid
 
 
 def test_failed_checks_keep_report_but_mark_invalid():
     failing = CorrespondenceCheck("isomorphism", 1.0, 0.5, False, {})
     speedup = SpeedupClass(4, "classical is fine")
-    report = aqsim.build_report("simulation", [failing], speedup)
+    report = ValidationReport("simulation", [failing], speedup)
     assert not report.internally_valid
 
 
@@ -178,8 +179,8 @@ def test_check_invariant_consistency():
 def test_report_json_round_trip():
     check = passing_check()
     speedup = aqsim.classify_speedup(False, False, True)
-    report = aqsim.build_report("emulation", [check], speedup,
-                                {"note": "fixture"}, external_checks=[check])
+    report = ValidationReport("emulation", [check], speedup,
+                              {"note": "fixture"}, external_checks=[check])
     text = aqsim.report_to_json(report)
     back = aqsim.report_from_json(text)
     assert back == report

@@ -181,7 +181,7 @@ def test_ensemble_matches_lindblad_at_equivalent_rate():
 
 def test_spreading_coherent_ballistic():
     h = make_chain(21)
-    stats = aqsim.spreading_stats(h, 10, np.arange(0.0, 4.5, 0.5))
+    stats = aqsim.spreading_stats(h, np.arange(0.0, 4.5, 0.5))
     assert stats[0] == (0.0, 0.0)
     ts = np.array([t for t, _ in stats[1:]])
     sig = np.array([s for _, s in stats[1:]])
@@ -192,14 +192,12 @@ def test_spreading_coherent_ballistic():
     assert fit.rvalue ** 2 >= 0.999
 
 
-def test_spreading_requires_centered_input():
+def test_spreading_requires_odd_chain_and_ascending_times():
     h = make_chain(21)
-    with pytest.raises(ValueError, match="not centered"):
-        aqsim.spreading_stats(h, 3, [1.0])
     with pytest.raises(ValueError):
-        aqsim.spreading_stats(make_chain(4), 2, [1.0])  # even chain
+        aqsim.spreading_stats(make_chain(4), [1.0])  # even chain: no middle site
     with pytest.raises(ValueError):
-        aqsim.spreading_stats(h, 10, [2.0, 1.0])  # not ascending
+        aqsim.spreading_stats(h, [2.0, 1.0])  # not ascending
 
 
 def test_spreading_dephased_diffusive():
@@ -207,7 +205,7 @@ def test_spreading_dephased_diffusive():
     times = np.array([3.0, 6.0, 9.0, 12.0])
     spec = DephasingEnsembleSpec(n_segments=24, phase_sigma=2 * np.pi,
                                  shots=2000, seed=31)
-    stats = aqsim.spreading_stats(h, 20, times, dephasing=spec)
+    stats = aqsim.spreading_stats(h, times, dephasing=spec)
     sig = np.array([s for _, s in stats])
     # segment duration tau = 0.5 held fixed: sigma^2 = 2 C^2 tau t exactly
     assert np.abs(sig ** 2 - times).max() <= 0.12
@@ -219,12 +217,12 @@ def test_spreading_dephased_times_must_align():
     h = make_chain(21)
     spec = DephasingEnsembleSpec(n_segments=10, phase_sigma=1.0, shots=10, seed=1)
     with pytest.raises(ValueError, match="multiple"):
-        aqsim.spreading_stats(h, 10, [1.05, 2.0], dephasing=spec)
+        aqsim.spreading_stats(h, [1.05, 2.0], dephasing=spec)
     # non-finite times are refused before any shot runs; a NaN would pass
     # the alignment test, since every comparison with it is false
     for times in ([1.0, np.inf], [np.nan, 2.0], [1.0, np.nan]):
         with pytest.raises(ValueError, match="finite"):
-            aqsim.spreading_stats(h, 10, times, dephasing=spec)
+            aqsim.spreading_stats(h, times, dephasing=spec)
 
 
 CHUNK_CHAIN, CHUNK_SEGS, CHUNK_SIGMA, CHUNK_SEED = 21, 12, 0.7, 2024
@@ -274,16 +272,16 @@ SPREAD_TIMES = SPREAD_TAU * np.array(SPREAD_SEGS)
 def test_spreading_stats_are_chunk_invariant(monkeypatch, shots):
     h = make_chain(CHUNK_CHAIN)
     spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
-    whole = aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec)
+    whole = aqsim.spreading_stats(h, SPREAD_TIMES, dephasing=spec)
     _use_16_shot_chunks(monkeypatch)
-    assert aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec) == whole
+    assert aqsim.spreading_stats(h, SPREAD_TIMES, dephasing=spec) == whole
 
 
 @pytest.mark.parametrize("shots", _chunk_shot_counts())
 def test_spreading_stats_match_segment_by_segment_ensemble(shots):
     h = make_chain(CHUNK_CHAIN)
     spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
-    got = aqsim.spreading_stats(h, 10, SPREAD_TIMES, dephasing=spec)
+    got = aqsim.spreading_stats(h, SPREAD_TIMES, dephasing=spec)
     pops = ensemble_populations_by_segment(h, 10, SPREAD_TAU, CHUNK_SEGS,
                                            CHUNK_SIGMA, shots, CHUNK_SEED,
                                            sample_at=SPREAD_SEGS)
@@ -302,7 +300,8 @@ SMALL_SAMPLE_AT = [0, 5, 5, CHUNK_SEGS, 2]
 @pytest.mark.parametrize("shots", SMALL_SHOTS)
 def test_small_chunks_match_default_chunks(monkeypatch, shots):
     h = make_chain(CHUNK_CHAIN)
-    args = (h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    args = (h, 10, 0.25, spec)
     whole = walk._ensemble_populations(*args, sample_at=SMALL_SAMPLE_AT)
     _use_16_shot_chunks(monkeypatch)
     got = walk._ensemble_populations(*args, sample_at=SMALL_SAMPLE_AT)
@@ -314,8 +313,8 @@ def test_small_chunks_match_default_chunks(monkeypatch, shots):
 def test_small_chunks_match_segment_by_segment_ensemble(monkeypatch, shots):
     _use_16_shot_chunks(monkeypatch)
     h = make_chain(CHUNK_CHAIN)
-    got = walk._ensemble_populations(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
-                                     shots, CHUNK_SEED, sample_at=SMALL_SAMPLE_AT)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    got = walk._ensemble_populations(h, 10, 0.25, spec, sample_at=SMALL_SAMPLE_AT)
     want = ensemble_populations_by_segment(h, 10, 0.25, CHUNK_SEGS, CHUNK_SIGMA,
                                            shots, CHUNK_SEED,
                                            sample_at=SMALL_SAMPLE_AT)
