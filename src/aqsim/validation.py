@@ -193,10 +193,29 @@ def classify_speedup(hardness_proof: bool, efficient_classical_known: bool,
     return SpeedupClass(class_id, _CLASS_JUSTIFICATIONS[class_id])
 
 
-def _check_from_dict(data: dict) -> CorrespondenceCheck:
-    return CorrespondenceCheck(kind=data["kind"], metric=data["metric"],
-                               tolerance=data["tolerance"], passed=data["passed"],
-                               details=data["details"])
+_NUMBER = (int, float)
+
+
+def _field(data, key: str, kinds: tuple, where: str):
+    """data[key], checked present and of one of kinds (a bool is no number)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{where} has no field {key!r}")
+    value = data[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{where} field {key!r} must be {names}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _check_from_dict(data, where: str) -> CorrespondenceCheck:
+    return CorrespondenceCheck(kind=_field(data, "kind", (str,), where),
+                               metric=_field(data, "metric", _NUMBER, where),
+                               tolerance=_field(data, "tolerance", _NUMBER, where),
+                               passed=_field(data, "passed", (bool,), where),
+                               details=_field(data, "details", (dict,), where))
 
 
 def _report_payload(report: ValidationReport) -> dict:
@@ -212,14 +231,22 @@ def report_to_json(report: ValidationReport) -> str:
 
 
 def report_from_json(text: str) -> ValidationReport:
+    """Parse report_to_json's output; malformed JSON, a missing or mistyped
+    field and a report that breaks the dataclass rules raise ValueError."""
     data = json.loads(text)
-    version = data.get("schema_version")
+    version = _field(data, "schema_version", (int,), "report")
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {version!r}")
+
+    def checks(name):
+        return tuple(_check_from_dict(c, f"report {name}[{i}]")
+                     for i, c in enumerate(_field(data, name, (list,), "report")))
+
+    speedup = _field(data, "speedup", (dict,), "report")
     return ValidationReport(
-        role=data["role"],
-        internal_checks=tuple(_check_from_dict(c) for c in data["internal_checks"]),
-        external_checks=tuple(_check_from_dict(c) for c in data["external_checks"]),
-        speedup=SpeedupClass(data["speedup"]["class_id"],
-                             data["speedup"]["justification"]),
-        narrative=data["narrative"])
+        role=_field(data, "role", (str,), "report"),
+        internal_checks=checks("internal_checks"),
+        speedup=SpeedupClass(_field(speedup, "class_id", (int,), "report speedup"),
+                             _field(speedup, "justification", (str,), "report speedup")),
+        narrative=_field(data, "narrative", (dict,), "report"),
+        external_checks=checks("external_checks"))

@@ -16,15 +16,27 @@ dephasing with rate
 
 (each segment multiplies site coherences by exp(-phase_sigma**2), because
 E[exp(i(phi_m - phi_n))] = exp(-phase_sigma**2) for independent phases).
-Each shot draws all of its phases in one call, from a random stream keyed
-on (seed, shot index), and the shots run in chunks whose phase block fits a
-fixed byte budget, except that a chunk holds at least 16 shots: past 1/16
-of the budget per shot (256 KiB, e.g. 101 sites x 325 segments) even the
-smallest chunk exceeds it.  The chunk size has no effect on results: a run
-is reproducible whatever the batching.  A kick exp(-i phi) is built from the
-half-angle tangent t = tan(phi / 2) as ((1 - t^2) - 2i t) / (1 + t^2), with
-one tan over each chunk's contiguous block of half phases; the last segment
-gets no kick, since a diagonal phase leaves populations unchanged.
+The last segment gets no kick, since a diagonal phase leaves populations
+unchanged, so each shot draws n_segments - 1 rows of phases, all in one
+call, from a random stream keyed on (seed, shot index).  The shots run in
+chunks whose phase block fits a fixed byte budget, except that a chunk holds
+at least 16 shots: past 1/16 of the budget per shot (256 KiB, e.g. 101 sites
+x 325 kicks) even the smallest chunk exceeds it.  The chunk size has no
+effect on results: a run is reproducible whatever the batching.  A kick
+exp(-i phi) is built from the half-angle tangent t = tan(phi / 2) as
+((1 - t^2) - 2i t) / (1 + t^2), with one tan over each chunk's contiguous
+shot-major block of half phases.
+
+One helper thread keeps one chunk ahead: it draws, scales and tans chunk
+k + 1's block and transposes it to segment-major (kick, site, shot) order
+while the calling thread runs chunk k's segment products and kicks on the
+segment-major block it was handed.  At most three blocks are live at once,
+each within the budget: the one being applied, and the next chunk's
+shot-major draw and its segment-major copy.  The populations are the same
+bytes as with no helper.
+
+A walk refuses (RuntimeError) a time at which eps * ||H|| * t exceeds 1e-10:
+exp(-i lambda t) then keeps too few significant bits.
 """
 
 from __future__ import annotations
@@ -44,6 +56,11 @@ _SHOT_ALIGN = 16
 # largest phase_sigma, 1/eps: beyond it one ulp of a phase sigma z is about
 # |z| radians, so a kick carries no bits mod 2 pi (and 0.5 sigma z is finite)
 _MAX_PHASE_SIGMA = 2 ** 52
+# largest eps * ||H|| * t of a walk: eigh's eigenvalues are off by about
+# eps * ||H|| and lambda * t is rounded, so each phase exp(-i lambda t) is off
+# by about eps * ||H|| * t radians; beyond this bound populations may be off
+# by more than the norm drift a walk state tolerates
+_MAX_PHASE_ERROR = NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -101,11 +118,18 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
 
 def _check_walk(h: Hamiltonian, input_mode: int, t: float) -> None:
     """Reject an input mode that is not a site index of h and a negative or
-    non-finite time, before any work."""
+    non-finite time, before any work; raise RuntimeError when eps * ||H|| * t
+    exceeds _MAX_PHASE_ERROR, with ||H|| bounded by the max row sum of |H|
+    (no eigensolve)."""
     if not 0 <= _integer(input_mode, "input mode") < h.dim:
         raise ValueError(f"input mode {input_mode} out of range for dimension {h.dim}")
     if not 0 <= t < np.inf:
         raise ValueError("time must be non-negative and finite")
+    phase_error = np.finfo(float).eps * np.abs(h.matrix).sum(axis=1).max() * t
+    if phase_error > _MAX_PHASE_ERROR:
+        raise RuntimeError(
+            f"eps * ||H|| * t = {phase_error:.3e} exceeds {_MAX_PHASE_ERROR:g}: "
+            "the evolution phases carry too few significant bits")
 
 
 def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:
@@ -138,11 +162,13 @@ def time_to_length(t: float, n_index: float) -> float:
 
 
 def _chunk_width(n_segments: int, dim: int) -> int:
-    """Shots per chunk: as many as keep one chunk's phases within _PHASE_BYTES,
-    rounded down to a whole number of _SHOT_ALIGN-shot blocks, but at least
-    _SHOT_ALIGN: once 8 * n_segments * dim > _PHASE_BYTES / _SHOT_ALIGN, a
-    chunk's phases exceed the budget."""
-    fit = _PHASE_BYTES // (8 * n_segments * dim)
+    """Shots per chunk: as many as keep one chunk's phase block, 8 * dim *
+    (n_segments - 1) bytes per shot, within _PHASE_BYTES, rounded down to a
+    whole number of _SHOT_ALIGN-shot blocks, but at least _SHOT_ALIGN: once a
+    shot's phases exceed _PHASE_BYTES / _SHOT_ALIGN, a chunk's block exceeds
+    the budget.  A one-segment ensemble has no phases; it is sized as if it
+    had one kick."""
+    fit = _PHASE_BYTES // (8 * max(n_segments - 1, 1) * dim)
     return max(_SHOT_ALIGN, fit - fit % _SHOT_ALIGN)
 
 
@@ -170,12 +196,30 @@ def _half_angle_kick(t: np.ndarray, kick: np.ndarray,
     return kick
 
 
+def _phase_block(base: int, n_kicks: int, dim: int, half_sigma: float,
+                 lo: int, hi: int) -> np.ndarray:
+    """tan(phi / 2) of shots lo..hi-1, segment-major: (n_kicks, dim, hi - lo).
+
+    Each shot draws its (n_kicks, dim) normals in one call on the stream
+    keyed on (base, shot); one scale and one tan run over the contiguous
+    shot-major block, which is then transposed so that each kick reads a
+    contiguous (dim, width) slab."""
+    half = np.empty((hi - lo, n_kicks, dim))
+    for j in range(hi - lo):
+        np.random.default_rng([base, lo + j]).standard_normal(out=half[j])
+    half *= half_sigma
+    np.tan(half, out=half)
+    return np.ascontiguousarray(half.transpose(1, 2, 0))
+
+
 def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
                           spec: DephasingEnsembleSpec, sample_at=None) -> dict:
     """Ensemble-averaged populations after selected segment counts.
 
-    Shot k draws all its phases, (n_segments, dim), in one call on a stream
-    keyed on (seed, k), so results do not depend on how shots are batched.
+    Shot k draws its n_segments - 1 rows of dim phases, one per kick, in one
+    call on a stream keyed on (seed, k), so results do not depend on how
+    shots are batched; the last segment gets no kick, since a diagonal phase
+    leaves populations unchanged and no later segment reads the state.
     Shots run in chunks sized by _chunk_width (within _PHASE_BYTES where
     _SHOT_ALIGN shots fit in it); each chunk carries a (dim, chunk) state
     through every segment.  The chunk size has no effect on results: the
@@ -185,35 +229,46 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
     take the matrix-vector kernel, hence no lone trailing shot).
 
     The kick exp(-i phi) is built from the half-angle tangent (see
-    _half_angle_kick): one tan over the chunk's whole contiguous block of
-    half phases, so every element takes the same ufunc loop whatever the
-    chunk width.  The last segment gets no kick: a diagonal phase leaves
-    populations unchanged and no later segment reads the state.
+    _half_angle_kick), with one tan over the chunk's whole contiguous block
+    of half phases, so every element takes the same ufunc loop whatever the
+    chunk width.  The block is handed over segment-major (_phase_block), so
+    a kick reads contiguous memory; the kick's arithmetic gives the same
+    bits in any layout.
+
+    One helper thread draws chunk k + 1's block while this thread runs chunk
+    k's segment products and kicks: the RNG fill, the tan and the matrix
+    products all release the GIL.  The next chunk is submitted only once
+    this one's block is taken, so at most three blocks of up to _PHASE_BYTES
+    each are live: the one being applied, and the next chunk's shot-major
+    draw and its segment-major copy while the helper transposes.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept out of import aqsim
+
     dim, n_segments = h.dim, spec.n_segments
-    u_seg = propagator(h, tau)
     wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
     pops = {seg: np.empty((dim, spec.shots)) for seg in wanted}  # |amps|^2 per shot
-    base = spec.seed % (1 << 64)
-    for lo, hi in _chunk_bounds(spec.shots, _chunk_width(n_segments, dim)):
-        width = hi - lo
-        half = np.empty((width, n_segments, dim))
-        for j in range(width):
-            np.random.default_rng([base, lo + j]).standard_normal(out=half[j])
-        half *= 0.5 * spec.phase_sigma
-        np.tan(half, out=half)
-        amps = np.zeros((dim, width), dtype=complex)
-        amps[input_mode, :] = 1.0
-        kick = np.empty((dim, width), dtype=complex)
-        scratch = np.empty((dim, width))
-        if 0 in pops:
-            pops[0][:, lo:hi] = np.abs(amps) ** 2
-        for seg in range(1, n_segments + 1):
-            amps = u_seg @ amps
-            if seg < n_segments:
-                amps *= _half_angle_kick(half[:, seg - 1].T, kick, scratch)
-            if seg in pops:
-                pops[seg][:, lo:hi] = np.abs(amps) ** 2
+    bounds = _chunk_bounds(spec.shots, _chunk_width(n_segments, dim))
+    args = (spec.seed % (1 << 64), n_segments - 1, dim, 0.5 * spec.phase_sigma)
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(_phase_block, *args, *bounds[0])
+        u_seg = propagator(h, tau)
+        for i, (lo, hi) in enumerate(bounds):
+            phases = pending.result()
+            if i + 1 < len(bounds):
+                pending = helper.submit(_phase_block, *args, *bounds[i + 1])
+            width = hi - lo
+            amps = np.zeros((dim, width), dtype=complex)
+            amps[input_mode, :] = 1.0
+            kick = np.empty((dim, width), dtype=complex)
+            scratch = np.empty((dim, width))
+            if 0 in pops:
+                pops[0][:, lo:hi] = np.abs(amps) ** 2
+            for seg in range(1, n_segments + 1):
+                amps = u_seg @ amps
+                if seg < n_segments:
+                    amps *= _half_angle_kick(phases[seg - 1], kick, scratch)
+                if seg in pops:
+                    pops[seg][:, lo:hi] = np.abs(amps) ** 2
     averaged = {}
     for seg, p in pops.items():
         mean = p.mean(axis=1)
@@ -271,6 +326,7 @@ def spreading_stats(h: Hamiltonian, times,
     if dephasing is None or dephasing.phase_sigma == 0.0:
         return [(float(t), _sigma_x(evolve_unitary(h, center, t).populations(), center))
                 for t in ts]
+    _check_walk(h, center, ts[-1])
     tau = ts[-1] / dephasing.n_segments
     segs = ts / tau
     rounded = np.rint(segs).astype(int)

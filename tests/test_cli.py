@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from aqsim import walk
 from aqsim.bose_hubbard import (BasisSizeError, BoseHubbardParams,
                                 DriveCouplingError, EigenConvergenceError,
                                 NegativeAbsorptionError, enumerate_basis)
@@ -256,6 +257,53 @@ output walk.csv
             assert err == "error: line 5: phase_sigma must lie in [0, 4503599627370496]\n"
             assert not (tmp_path / "walk.csv").exists()
             assert not (tmp_path / "walk.csv.meta.json").exists()
+
+
+def golden_walk_config(data_dir, time="3.0"):
+    # 6769 shots of 11 kicks on 21 sites: three chunks of the default
+    # budget, the last with a lone trailing shot
+    return f"""command walk
+network {data_dir}/chain21.net
+input_mode 10
+time {time}
+phase_sigma 0.7
+n_segments 12
+shots 6769
+seed 2024
+output walk.csv
+"""
+
+
+def test_walk_matches_golden_output(tmp_path, data_dir):
+    # pinned bytes, written before the phase draws moved to a helper thread
+    assert walk._chunk_bounds(6769, walk._chunk_width(12, 21))[-1] == (4512, 6769)
+    cfg = write_config(tmp_path, "walk.cfg", golden_walk_config(data_dir))
+    assert main(["walk", str(cfg)]) == 0
+    for name, golden in (("walk.csv", "chain21_walk.csv"),
+                         ("walk.csv.meta.json", "chain21_walk.csv.meta.json")):
+        assert (tmp_path / name).read_bytes() == (data_dir / golden).read_bytes()
+
+
+@pytest.mark.parametrize("time, sigma, error", [
+    ("1e300", "0.0", "4.441e+284"), ("1e300", "0.7", "4.441e+284"),
+    ("2.3e5", "0.0", "1.021e-10"), ("2.2e5", "0.0", None)])
+def test_walk_beyond_the_phase_precision_is_a_numerical_failure(tmp_path, data_dir,
+                                                                 capsys, time, sigma,
+                                                                 error):
+    # at t = 1e300 exp(-i lambda t) keeps no significant bits; the run used
+    # to exit 0 with normalized but meaningless populations.  The chain's
+    # max row sum is 2, so the bound falls at t = 1e-10 / (2 eps) = 2.25e5
+    text = golden_walk_config(data_dir, time=time).replace(
+        "phase_sigma 0.7", f"phase_sigma {sigma}")
+    cfg = write_config(tmp_path, "walk.cfg", text)
+    if error is None:
+        assert main(["walk", str(cfg)]) == 0
+        return
+    assert main(["walk", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: eps * ||H|| * t = {error} exceeds 1e-10: "
+        "the evolution phases carry too few significant bits\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.cfg"]
 
 
 def test_walk_length_input(tmp_path, data_dir):

@@ -69,17 +69,18 @@ def test_tracer_patch_targets_exist_in_open_system():
 
 # Runs in a fresh interpreter on the checkout's src: imports aqsim's CLI,
 # runs cli.main on the arguments if any, and prints the exit code and every
-# scipy module loaded by then as its last line.
+# scipy or concurrent module loaded by then as its last line.
 SCIPY_PROBE = """
 import sys
 from aqsim import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")))
 """
 
 
 def _fresh_scipy_footprint(*args, cwd=None):
-    """(exit code or "None", loaded scipy modules, stderr) of SCIPY_PROBE."""
+    """(exit code or "None", loaded scipy and concurrent modules, stderr) of
+    SCIPY_PROBE."""
     src = str(Path(aqsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -92,7 +93,8 @@ def _fresh_scipy_footprint(*args, cwd=None):
 def test_import_leaves_the_ode_integrator_unloaded():
     # importing the package and its CLI loads numpy only: each engine
     # imports the scipy it calls on first use, and only bh-spectrum's drive
-    # integrates an ODE
+    # integrates an ODE; the walk ensemble imports its thread pool
+    # (concurrent.futures) on first use too
     assert _fresh_scipy_footprint() == ("None", set(), "")
     # the tracer's open_system.solve_ivp hook still resolves, on first use
     import scipy.integrate
@@ -117,7 +119,7 @@ def test_scipy_seams_resolve_to_scipy_on_first_access():
 
 
 @pytest.mark.parametrize("command, change, want_code, loads, skips", [
-    ("walk", None, "0", (), ("scipy",)),
+    ("walk", None, "0", ("concurrent.futures",), ("scipy",)),
     ("validate", None, "0", (), ("scipy",)),
     ("enaqt-sweep", None, "0", ("scipy.linalg",), ("scipy.sparse", "scipy.integrate")),
     # 3 sites, 3 bosons: a dense eigensolve, so ARPACK may stay unloaded

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -187,3 +188,41 @@ def test_report_json_round_trip():
     assert aqsim.report_to_json(back) == text
     with pytest.raises(ValueError):
         aqsim.report_from_json('{"schema_version": 99}')
+
+
+def _pinned_report(data_dir, change):
+    data = json.loads((data_dir / "wg7_fmo7_report.json").read_text())
+    change(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("change, message", [
+    (None, "report must be a JSON object, got list"),
+    (lambda d: d.pop("role"), "report has no field 'role'"),
+    (lambda d: d.pop("schema_version"), "report has no field 'schema_version'"),
+    (lambda d: d["internal_checks"][0].pop("kind"),
+     "report internal_checks[0] has no field 'kind'"),
+    (lambda d: d["internal_checks"][0].update(metric="0.0"),
+     "report internal_checks[0] field 'metric' must be int or float, got str"),
+    (lambda d: d["internal_checks"][0].update(metric=False),
+     "report internal_checks[0] field 'metric' must be int or float, got bool"),
+    (lambda d: d.update(internal_checks=[[]]),
+     "report internal_checks[0] must be a JSON object, got list"),
+    (lambda d: d.update(external_checks={}),
+     "report field 'external_checks' must be list, got dict"),
+    (lambda d: d["speedup"].pop("justification"),
+     "report speedup has no field 'justification'"),
+], ids=["list", "no-role", "no-version", "check-without-kind", "string-metric",
+        "bool-metric", "check-not-object", "checks-not-list", "no-justification"])
+def test_report_from_json_names_the_malformed_field(data_dir, change, message):
+    # outside input either parses or raises one ValueError naming the field;
+    # these used to raise AttributeError, KeyError or TypeError
+    text = "[]" if change is None else _pinned_report(data_dir, change)
+    with pytest.raises(ValueError) as info:
+        aqsim.report_from_json(text)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_report_from_json_reads_the_pinned_cli_report(data_dir):
+    report = aqsim.report_from_json((data_dir / "wg7_fmo7_report.json").read_text())
+    assert report.role == "simulation" and report.internally_valid

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import linregress
@@ -237,8 +239,9 @@ def _chunk_shot_counts():
 
 
 def _use_16_shot_chunks(monkeypatch):
-    # a budget of 21 shots' phases, rounded down to chunks of 16
-    monkeypatch.setattr(walk, "_PHASE_BYTES", 21 * 8 * CHUNK_SEGS * CHUNK_CHAIN)
+    # a budget of 21 shots' phases (one row per kick), rounded down to
+    # chunks of 16
+    monkeypatch.setattr(walk, "_PHASE_BYTES", 21 * 8 * (CHUNK_SEGS - 1) * CHUNK_CHAIN)
     assert walk._chunk_width(CHUNK_SEGS, CHUNK_CHAIN) == 16
 
 
@@ -368,3 +371,57 @@ def test_dephased_walk_matches_exact_mean_channel():
     # a shot's population lies in [0, 1], so its variance is at most p(1 - p)
     noise = np.sqrt(exact * (1 - exact) / spec.shots)
     assert np.all(np.abs(got - exact) <= 5 * noise + 1e-12)
+
+
+class HelperFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad_shot", [0, 20, 48])
+def test_phase_draw_failure_reaches_the_caller(monkeypatch, bad_shot):
+    # shots 0, 20 and 48 are drawn for the first, second and last 16-shot
+    # chunk, on the helper thread; its exception type reaches the caller,
+    # so the CLI's exit codes keep their meaning, and no thread outlives it
+    _use_16_shot_chunks(monkeypatch)
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, 49, CHUNK_SEED)
+    before = threading.active_count()
+    walk._ensemble_populations(h, 10, 0.25, spec)
+    assert threading.active_count() == before
+    default_rng = np.random.default_rng
+
+    def failing_rng(seed):
+        if seed[1] == bad_shot:
+            raise HelperFault(f"shot {seed[1]}")
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    with pytest.raises(HelperFault, match=f"^shot {bad_shot}$"):
+        walk._ensemble_populations(h, 10, 0.25, spec)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("shots", [1, 17, 40])
+def test_one_segment_ensemble_is_the_unitary_walk(shots):
+    # one segment has no kick, hence no phases to draw: every shot is the
+    # coherent walk
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(1, CHUNK_SIGMA, shots, CHUNK_SEED)
+    got = aqsim.dephased_walk(h, 10, 3.0, spec)
+    want = aqsim.evolve_unitary(h, 10, 3.0).populations()
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_walk_beyond_the_phase_precision_raises():
+    # eps * ||H|| * t above 1e-10 leaves too few bits in exp(-i lambda t);
+    # the chain's max row sum is 2
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, 16, CHUNK_SEED)
+    t = 1e-10 / (2 * np.finfo(float).eps)
+    aqsim.evolve_unitary(h, 10, t)
+    for call in (lambda: aqsim.evolve_unitary(h, 10, 1.01 * t),
+                 lambda: aqsim.dephased_walk(h, 10, 1.01 * t, spec),
+                 lambda: aqsim.spreading_stats(h, [1.0, 1.01 * t]),
+                 lambda: aqsim.spreading_stats(h, [1.01 * t], dephasing=spec)):
+        with pytest.raises(RuntimeError, match="too few significant bits"):
+            call()
