@@ -60,7 +60,8 @@ _EXIT_CODE_HELP = """exit codes:
   0  success
   1  unexpected error
   2  config or input-file parse failure
-  3  numerical failure (overflowed step matrix, integrator or eigensolver)
+  3  numerical failure (overflowed or imprecise step matrix, walk phases,
+     integrator or eigensolver)
   4  invariant violation (state bookkeeping or report rules)
 """
 

@@ -49,6 +49,14 @@ only r + kappa [i = sink_site]: the dephasing refill cancels the dephasing
 decay.  The register rows hold kappa at column sink_site (n + 1) and r at
 every i (n + 1).  Dephasing only moves the diagonal, and a sweep steps one
 generator per grid point, all points at once.
+
+Every state a run reaches up to its stop is validated: finite entries,
+Hermiticity, unit trace and positivity, with the floors below.  Positivity
+is screened by one batched Cholesky factorization of the states shifted
+by half the floor, and only a stack that fails the screen is diagonalized
+(_check_states).  A step matrix that overflowed, or whose eps ||G dt||_1
+exceeds _MAX_STEP_ERROR, is a numerical failure instead of a state to
+validate.
 """
 
 from __future__ import annotations
@@ -69,6 +77,13 @@ _CHECKPOINTS = 100
 # transport: a dephasing grid runs in chunks of points whose step matrices,
 # checkpoint paths and validated site blocks fit in this many bytes
 _CHUNK_BYTES = 8 << 20
+# transport: largest eps ||G dt||_1 a step matrix may have, G a point's real
+# generator and dt the checkpoint step.  expm(G dt) carries rounding errors
+# of about that size, and _CHECKPOINTS steps of it drift the trace by a few
+# times it: on the dimer a trap rate of 1e4 gives 1.3e-11 and a worst drift
+# of 5.0e-11, one of 1e6 gives 1.3e-9 and 1.1e-8, beyond TRACE_TOL, which
+# the bound turns into a numerical failure.
+_MAX_STEP_ERROR = 1e-10
 
 
 def __getattr__(name):
@@ -148,7 +163,17 @@ def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> No
     populations.  Tests finite entries, Hermiticity, unit trace and
     positivity, and raises StateInvariantError for the first failing state
     and, within it, for the first failing test in that order.  States from
-    the first non-finite one on are not diagonalized.
+    the first non-finite one on are not checked further.
+
+    Positivity is screened first (_clears_floor) by one batched Cholesky
+    factorization of the Hermitian parts shifted by POSITIVITY_FLOOR / 2:
+    rho + 5e-9 1.  A factorization that succeeds with finite entries shows
+    every block's lowest eigenvalue above POSITIVITY_FLOOR, because its
+    backward error, about m eps ||rho|| (~1e-15 for a state), is far below
+    the 5e-9 margin; a register population below the floor is then below
+    every eigenvalue of its block, so it is the state's lowest eigenvalue.
+    Only a stack that fails the screen is diagonalized (eigvalsh), so the
+    verdict and every message are those of diagonalizing every block.
     """
     if registers is None:
         registers = np.zeros((blocks.shape[0], 0))
@@ -160,8 +185,10 @@ def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> No
     herm = np.abs(m - dagger).max(axis=(1, 2))
     trace = np.trace(m, axis1=1, axis2=2) + pops.sum(axis=1)
     drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
-    lowest = np.minimum(np.linalg.eigvalsh(0.5 * (m + dagger)).min(axis=1),
-                        pops.min(axis=1, initial=np.inf))
+    hermitian = 0.5 * (m + dagger)
+    lowest = pops.min(axis=1, initial=np.inf)
+    if not _clears_floor(hermitian):
+        lowest = np.minimum(np.linalg.eigvalsh(hermitian).min(axis=1), lowest)
     failing = (herm > HERM_TOL) | (drift > TRACE_TOL) | (lowest < POSITIVITY_FLOOR)
     if failing.any():
         i = int(np.argmax(failing))
@@ -172,6 +199,15 @@ def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> No
         raise StateInvariantError(f"negative eigenvalue {lowest[i]:.3e}")
     if non_finite.size:
         raise StateInvariantError("density matrix has non-finite entries")
+
+
+def _clears_floor(hermitian: np.ndarray) -> bool:
+    """The Cholesky screen of _check_states on a (k, m, m) Hermitian stack."""
+    shifted = hermitian - (POSITIVITY_FLOOR / 2) * np.eye(hermitian.shape[-1])
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -340,8 +376,10 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     point's stop are validated as one stack, point by point in grid order,
     and only up to the first point whose sink population is out of range,
     whose range error is raised if its states pass.  A point whose step
-    matrix overflowed (non-finite entries) is a numerical failure: the
-    points before it run as usual, and then it raises LinAlgError.
+    matrix overflowed (non-finite entries), or whose eps ||G dt||_1 exceeds
+    _MAX_STEP_ERROR so that its step keeps too few significant bits, is a
+    numerical failure: the points before it run as usual, and then it
+    raises LinAlgError.
     Returns the clamped efficiencies and the converged flags, one per row.
     """
     if spec.trap_rate == 0:
@@ -357,9 +395,12 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     width = _chunk_width(n)
     expm = sys.modules[__name__].expm
     for lo in range(0, rates.shape[0], width):
-        steps = expm(_real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS))
+        scaled = _real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS)
+        steps = expm(scaled)
         finite = np.isfinite(steps).all(axis=(1, 2))
-        k = finite.size if finite.all() else int(np.argmin(finite))
+        step_error = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
+        usable = finite & (step_error <= _MAX_STEP_ERROR)
+        k = usable.size if usable.all() else int(np.argmin(usable))
         steps, points = steps[:k], slice(lo, lo + k)
         # site population rho_ii at i (n + 1), sink population at n^2
         path = np.zeros((_CHECKPOINTS + 1,) + steps.shape[:2])
@@ -381,11 +422,15 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         if outside.any():
             raise StateInvariantError(f"sink population {sink_pop[checked - 1]} outside [0, 1]")
         eta[points] = np.clip(sink_pop, 0.0, 1.0)
-        if k < finite.size:
+        if k < usable.size:
             bad = lo + k
+            point = (f"step matrix of grid point {bad} (dephasing rates up to "
+                     f"{rates[bad].max():g}, trap_rate {spec.trap_rate:g})")
+            if not finite[k]:
+                raise np.linalg.LinAlgError(f"{point} has non-finite entries")
             raise np.linalg.LinAlgError(
-                f"step matrix of grid point {bad} (dephasing rates up to "
-                f"{rates[bad].max():g}, trap_rate {spec.trap_rate:g}) has non-finite entries")
+                f"{point} keeps too few significant bits: eps * ||G dt||_1 = "
+                f"{step_error[k]:.3e} exceeds {_MAX_STEP_ERROR:g}")
     return eta, converged
 
 

@@ -11,7 +11,10 @@ density matrix under build_liouvillian's complex generator and validates
 it checkpoint by checkpoint (the implementation writes a real generator of
 the invariant site block plus the two register populations directly from
 Re H, Im H and the rates, never calls build_liouvillian, and validates the
-checkpoints as one stack); the chain
+checkpoints as one stack); the state-check oracle diagonalizes each whole
+block-diagonal state on its own (the implementation screens a stack's site
+blocks with one Cholesky factorization and diagonalizes the blocks, never
+the whole states, only when the screen fails); the chain
 oracle is the closed-form eigensystem (the implementation calls a
 numerical eigensolver), the Fock-state oracle filters the whole occupation
 grid by its total and sorts it (the implementation places bars between
@@ -118,6 +121,34 @@ def transport_efficiency_full_space(h, spec, t_max: float, tol: float,
     if not -1e-8 <= eta <= 1 + 1e-8:
         raise StateInvariantError(f"sink population {eta} outside [0, 1]")
     return float(min(max(eta, 0.0), 1.0)), converged, reached * t_max / checkpoints
+
+
+def state_check_failure(blocks, registers) -> str | None:
+    """The message of the first failed test of the first failing state, or
+    None: each state is the whole block-diagonal (m + r)-square matrix of
+    its (m, m) block and its r register populations, tested for finite
+    entries, Hermiticity, unit trace and then positivity by eigvalsh of its
+    Hermitian part."""
+    from aqsim.open_system import HERM_TOL, POSITIVITY_FLOOR, TRACE_TOL
+
+    for block, pops in zip(blocks, registers):
+        m, r = block.shape[0], len(pops)
+        rho = np.zeros((m + r, m + r), dtype=complex)
+        rho[:m, :m] = block
+        rho[range(m, m + r), range(m, m + r)] = pops
+        if not np.isfinite(rho).all():
+            return "density matrix has non-finite entries"
+        herm = np.abs(rho - rho.conj().T).max()
+        if herm > HERM_TOL:
+            return f"not Hermitian: max |rho - rho^dag| = {herm:.3e}"
+        trace = np.trace(rho)
+        drift = abs(trace.real - 1.0) + abs(trace.imag)
+        if drift > TRACE_TOL:
+            return f"trace drift {drift:.3e} exceeds {TRACE_TOL}"
+        lowest = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+        if lowest < POSITIVITY_FLOOR:
+            return f"negative eigenvalue {lowest:.3e}"
+    return None
 
 
 def chain_eigensystem(n: int, coupling: float = 1.0):

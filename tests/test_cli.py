@@ -284,6 +284,85 @@ def test_walk_matches_golden_output(tmp_path, data_dir):
         assert (tmp_path / name).read_bytes() == (data_dir / golden).read_bytes()
 
 
+GOLDEN_CONFIGS = {
+    # the fmo7 sigma = 0.5 panel's seed 3 at the benchmark's rates and grid
+    "fmo7_sweep": ("enaqt-sweep", """command enaqt-sweep
+network {data_dir}/fmo7.net
+source 0
+sink 6
+trap_rate 1.0
+recombination_rate 0.05
+gamma_min 1e-3
+gamma_max 1e2
+gamma_steps 11
+t_max 600.0
+tol 1e-8
+disorder_sigma 0.5
+seed 3
+"""),
+    "bh5_scan": ("bh-scan", """command bh-scan
+L 5
+N 5
+U 1.0
+j_min 0.02
+j_max 0.3
+j_steps 4
+"""),
+    "bh2_spectrum": ("bh-spectrum", """command bh-spectrum
+L 2
+N 2
+J 1.0
+U 1.0
+delta 0.03
+nu_min 0.2
+nu_max 1.0
+nu_steps 9
+t_drive 40.0
+"""),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+def test_command_matches_golden_output(tmp_path, data_dir, name):
+    # pinned bytes, written before transport screened positivity by Cholesky
+    command, text = GOLDEN_CONFIGS[name]
+    cfg = write_config(tmp_path, f"{name}.cfg",
+                       text.format(data_dir=data_dir) + f"output {name}.csv\n")
+    assert main([command, str(cfg)]) == 0
+    for suffix in (".csv", ".csv.meta.json"):
+        assert ((tmp_path / (name + suffix)).read_bytes()
+                == (data_dir / (name + suffix)).read_bytes())
+
+
+@pytest.mark.parametrize("trap_rate, error", [
+    ("1e4", None), ("1e6", "1.332e-09"), ("1e12", "1.332e-03"), ("1e20", "1.332e+05")])
+def test_sweep_beyond_the_step_precision_is_a_numerical_failure(tmp_path, data_dir,
+                                                                 capsys, trap_rate, error):
+    # expm of these steps stays finite but keeps too few bits: trap 1e6 and
+    # 1e12 used to end in exit 4 on trace drift, and 1e20 in exit 0 with
+    # eta = 0 at every point.  eps * ||G dt||_1 is about 2 trap_rate * 3 eps
+    cfg = write_config(tmp_path, "sweep.cfg", f"""command enaqt-sweep
+network {data_dir}/dimer.net
+source 0
+sink 1
+trap_rate {trap_rate}
+gamma_min 0.1
+gamma_max 10.0
+gamma_steps 5
+t_max 300.0
+output sweep.csv
+""")
+    if error is None:
+        assert main(["enaqt-sweep", str(cfg)]) == 0
+        return
+    assert main(["enaqt-sweep", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: step matrix of grid point 0 (dephasing rates up to 0.1, "
+        f"trap_rate {float(trap_rate):g}) keeps too few significant bits: "
+        f"eps * ||G dt||_1 = {error} exceeds 1e-10\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 @pytest.mark.parametrize("time, sigma, error", [
     ("1e300", "0.0", "4.441e+284"), ("1e300", "0.7", "4.441e+284"),
     ("2.3e5", "0.0", "1.021e-10"), ("2.2e5", "0.0", None)])

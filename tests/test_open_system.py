@@ -456,6 +456,23 @@ def test_sweep_names_the_first_overflowed_point_after_the_points_before_it(monke
         aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
 
 
+def test_sweep_names_the_first_imprecise_point_after_the_points_before_it(monkeypatch):
+    # at a dephasing rate of 1e12 expm(G dt) is finite but keeps too few bits
+    h, spec = detuned_dimer()
+    grid = np.array([0.5, 1.0, 1e12])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"grid point 2 \(dephasing rates up to 1e\+12, trap_rate 1\) "
+                             r"keeps too few significant bits: eps \* \|\|G dt\|\|_1 = "
+                             r"6\.661e-05 exceeds 1e-10"):
+        aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+    # a point before it still fails first, as one by one
+    clean = lambda expm, a: expm(a)
+    backward = lambda expm, a: expm(-a)
+    _patched_points(monkeypatch, (clean, backward, clean))
+    with pytest.raises(StateInvariantError, match="negative eigenvalue"):
+        aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+
+
 def test_stack_check_reports_the_first_failing_state_and_test():
     # each stack is also checked as transport passes it, the 2 x 2 site
     # blocks plus the two register populations, and must fail the same way
