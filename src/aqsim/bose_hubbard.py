@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hamiltonians import HERMITICITY_TOL, _integer
+from .walk import _MAX_PHASE_ERROR
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -72,7 +73,8 @@ class NegativeAbsorptionError(RuntimeError):
 
 
 class DriveCouplingError(ValueError):
-    """No drive-coupled excitation among the k lowest states; k is too small."""
+    """No drive-coupled excitation among the k lowest states: k is too small,
+    or the drive annihilates the ground state."""
 
 
 class FockBasis:
@@ -337,7 +339,7 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
         vals, vecs = np.linalg.eigh(h.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     else:
-        from scipy.sparse.linalg import ArpackNoConvergence
+        from scipy.sparse.linalg import ArpackError
 
         eigsh = sys.modules[__name__].eigsh
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
@@ -345,9 +347,9 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
             vals, vecs = eigsh(h, k=k, which="SA", v0=v0,
                                ncv=min(dim - 1, max(3 * k, 20)),
                                maxiter=max(10 * dim, 10000))
-        except ArpackNoConvergence as exc:
+        except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenConvergenceError(
-                f"Lanczos did not converge for k={k}, dim={dim}: {exc}") from exc
+                f"Lanczos failed for k={k}, dim={dim}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     scale = float(abs(h).sum(axis=1).max()) or 1.0
@@ -431,7 +433,9 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     U alone is the minimal version with the same spectroscopic content (same
     selection rule, peaks at the same transition frequencies).  delta = 0 is
     allowed and yields the null spectrum.  The nu grid must be finite and
-    strictly ascending, and t_drive finite and positive.
+    strictly ascending, and t_drive finite and positive.  Raises LinAlgError
+    before any solve when eps * (||H|| + 2 pi nu_max) * t_drive exceeds the
+    walk's bound of 1e-10, and when the integration fails.
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError("drive amplitude delta must lie in [0, 0.1]")
@@ -454,9 +458,20 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
 
     h0 = build_bh(params, basis)
     pairs = onsite_pair_count(basis)
+    drive_scale = params.interaction * delta
+    # the walk's precision bound, with ||H(t)|| at most the max row sum of
+    # |H_0| plus U delta max(pair count); the drive phase 2 pi nu t is
+    # rounded too, so the largest drive frequency adds to the rate (summed
+    # in Python floats, which overflow to inf without a warning)
+    rate = (float(abs(h0).sum(axis=1).max()) + drive_scale * float(pairs.max())
+            + 2.0 * math.pi * float(grid[-1]))
+    phase_error = float(np.finfo(float).eps) * rate * t_drive
+    if phase_error > _MAX_PHASE_ERROR:
+        raise np.linalg.LinAlgError(
+            f"eps * (||H|| + 2 pi nu_max) * t_drive = {phase_error:.3e} exceeds "
+            f"{_MAX_PHASE_ERROR:g}: the drive phases carry too few significant bits")
     (e0,), vecs = low_spectrum(h0, 1)
     psi0 = vecs[:, 0].astype(complex)
-    drive_scale = params.interaction * delta
 
     def absorbed(nu: float) -> float:
         if drive_scale == 0.0:
@@ -470,7 +485,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
         sol = solve_ivp(rhs, (0.0, t_drive), psi0, method="DOP853",
                         rtol=tol, atol=tol * 1e-3)
         if not sol.success:
-            raise RuntimeError(f"drive integration failed at nu={nu:g}: {sol.message}")
+            raise np.linalg.LinAlgError(
+                f"drive integration failed at nu={nu:g}: {sol.message}")
         psi = sol.y[:, -1]
         energy = float(np.vdot(psi, h0 @ psi).real)
         gain = energy - e0
@@ -488,14 +504,15 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasi
     Takes the k lowest eigenpairs as low_spectrum returns them and returns
     min(E_i - E_0) over excited states whose pair-count matrix element with
     the ground state is non-negligible relative to ||pair-count applied to
-    the ground state||.  Raises DriveCouplingError when none of the k
-    states is drive-coupled.
+    the ground state||.  Raises DriveCouplingError when that norm is zero
+    or none of the k states is drive-coupled.
     """
     k = len(energies)
     driven = onsite_pair_count(basis) * vectors[:, 0]
     scale = np.linalg.norm(driven)
     if scale == 0:
-        raise ValueError("drive operator annihilates the ground state")
+        raise DriveCouplingError("the drive annihilates the ground state to double "
+                                 "precision: no state is drive-coupled")
     for i in range(1, k):
         gap = energies[i] - energies[0]
         if gap <= 1e-10:

@@ -15,7 +15,10 @@ covers the semantic content (with referenced files replaced by their
 content digest), not the file paths, and excludes the output location.
 
 Exit codes: 0 success, 1 unexpected error, 2 config/parse failure,
-3 numerical failure, 4 invariant violation.
+3 numerical failure, 4 invariant violation.  The type of a failure alone
+picks its code (_EXIT_CODES lists only types this package raises on
+purpose); any other exception, a builtin ValueError or RuntimeError
+included, propagates with its traceback, which is exit 1.
 """
 
 from __future__ import annotations
@@ -34,17 +37,17 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           DriveCouplingError, NegativeAbsorptionError,
-                           condensate_fraction, drive_coupled_gap,
-                           enumerate_basis, hopping_matrix, low_spectrum,
-                           modulation_absorption, onsite_pair_count,
-                           reflection_sector)
+                           DriveCouplingError, EigenConvergenceError,
+                           NegativeAbsorptionError, condensate_fraction,
+                           drive_coupled_gap, enumerate_basis, hopping_matrix,
+                           low_spectrum, modulation_absorption,
+                           onsite_pair_count, reflection_sector)
 from .hamiltonians import apply_static_disorder, build_tight_binding
 from .netfiles import (NetfileError, _decimal, _read_text, _records,
                        load_mapping, load_network)
 from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
-from .validation import (ValidationReport, _report_payload, check_isomorphism,
-                         classify_speedup)
+from .validation import (ReportRoleError, ValidationReport, _report_payload,
+                         check_isomorphism, classify_speedup)
 from .walk import (_MAX_PHASE_SIGMA, DephasingEnsembleSpec, dephased_walk,
                    evolve_unitary, length_to_time)
 
@@ -58,11 +61,13 @@ SIDECAR_SCHEMA_VERSION = 1
 
 _EXIT_CODE_HELP = """exit codes:
   0  success
-  1  unexpected error
-  2  config or input-file parse failure
-  3  numerical failure (overflowed or imprecise step matrix, walk phases,
-     integrator or eigensolver)
-  4  invariant violation (state bookkeeping or report rules)
+  1  unexpected error (any other exception; a traceback follows)
+  2  config or input-file failure (ConfigError, NetfileError, BasisSizeError,
+     DriveCouplingError)
+  3  numerical failure (LinAlgError, EigenConvergenceError: an overflowed or
+     imprecise step matrix, walk or drive phases, integrator or eigensolver)
+  4  invariant violation (StateInvariantError, NegativeAbsorptionError,
+     ReportRoleError: state bookkeeping, absorbed energy or report rules)
 """
 
 
@@ -74,16 +79,13 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-# (exception types, exit code, stderr prefix), first match wins: a
-# subclass must precede its base (LinAlgError is a ValueError, the two
-# invariant errors are RuntimeErrors)
+# (exception types, exit code, stderr prefix): disjoint rows; others give exit 1
 _EXIT_CODES = (
     ((ConfigError, NetfileError, BasisSizeError, DriveCouplingError),
      EXIT_CONFIG, "error"),
-    ((np.linalg.LinAlgError,), EXIT_NUMERICAL, "numerical failure"),
-    ((StateInvariantError, NegativeAbsorptionError, ValueError),
+    ((np.linalg.LinAlgError, EigenConvergenceError), EXIT_NUMERICAL, "numerical failure"),
+    ((StateInvariantError, NegativeAbsorptionError, ReportRoleError),
      EXIT_INVARIANT, "invariant violation"),
-    ((RuntimeError,), EXIT_NUMERICAL, "numerical failure"),
 )
 
 
@@ -144,6 +146,10 @@ def _within(lo, hi):
     return lambda x: None if lo <= x <= hi else f"must lie in [{lo}, {hi}]"
 
 
+def _positive_at_most(hi):
+    return lambda x: None if 0 < x <= hi else f"must lie in (0, {hi:g}]"
+
+
 def _one_of(*words):
     return lambda x: None if x in words else f"must be {' or '.join(words)}"
 
@@ -164,17 +170,43 @@ class _Command:
     run: object
 
 
+# most points of a grid: the cross-checks build each grid in full
+_MAX_STEPS = 10 ** 6
+# least bh-spectrum tol: the integrator raises a smaller rtol to this, and
+# its atol, tol * 1e-3, must not underflow to zero
+_MIN_DRIVE_TOL = 100 * float(np.finfo(float).eps)
+# most bh-spectrum t_drive: the integrator grows its step up to tenfold, and
+# times near the top of the double range overflow it
+_MAX_DRIVE_TIME = 1e300
+# most ||H|| of the Bose-Hubbard commands: the eigen residuals and the
+# drive's step control square the norms of vectors of H, far from overflow
+_MAX_BH_NORM = 1e100
+# spacing of each command's grid of <name>_steps points from <name>_min to
+# <name>_max
+_SPACINGS = {"gamma": np.geomspace, "nu": np.linspace, "j": np.geomspace}
+
+
+def _grid(values, name):
+    ends = (values[f"{name}_{end}"] for end in ("min", "max", "steps"))
+    return _SPACINGS[name](*ends)
+
+
 # Cross-checks take the parsed values and the line number of every key
 # given, valid or not, and yield one message per violation that involves
 # more than one key; a key given with a bad value counts as present, so
 # that it is reported once.
-def _ascending(values, linenos, lo, hi):
+def _check_grid(values, linenos, name):
+    lo, hi, steps = (f"{name}_{end}" for end in ("min", "max", "steps"))
     if lo in values and hi in values and not values[lo] < values[hi]:
         yield f"line {linenos[hi]}: grid must ascend ({lo} < {hi})"
+    elif all(key in values for key in (lo, hi, steps)):
+        if not np.all(np.diff(_grid(values, name)) > 0):
+            yield (f"line {linenos[steps]}: {steps} {values[steps]} puts two grid "
+                   f"points at the same value between {lo} and {hi}")
 
 
 def _check_sweep(values, linenos):
-    yield from _ascending(values, linenos, "gamma_min", "gamma_max")
+    yield from _check_grid(values, linenos, "gamma")
     if values.get("disorder_sigma", 0.0) > 0 and "seed" not in linenos:
         yield "config: seed required when disorder_sigma > 0"
 
@@ -186,6 +218,10 @@ def _check_walk(values, linenos):
         yield "config: give exactly one of 'time' or 'length'"
     if has_length and "n_index" not in linenos:
         yield "config: 'length' requires 'n_index'"
+    if "length" in values and "n_index" in values:
+        if length_to_time(values["length"], values["n_index"]) == math.inf:
+            yield (f"line {linenos['length']}: length {values['length']!r} at "
+                   f"n_index {values['n_index']!r} overflows the evolution time")
     if values.get("phase_sigma", 0.0) > 0:
         for key in ("n_segments", "shots", "seed"):
             if key not in linenos:
@@ -202,15 +238,33 @@ def _check_plaquette(values, linenos):
                 yield "config: rows * cols must equal L"
 
 
+def _check_bh_norm(values, linenos, bound, culprit):
+    """||H||_inf <= bound N^2, since a state has at most N^2 / 2 pairs and
+    4 N hops, each of amplitude at most N + 1; report on culprit's line."""
+    n = min(values.get("N", 0), 1 << 22)  # the basis check refuses more bosons
+    if n and not bound * n * n <= _MAX_BH_NORM:
+        yield (f"line {linenos[culprit]}: {culprit} {values[culprit]!r} "
+               f"lets ||H|| reach {bound * n * n:.3g} at N {values['N']}, "
+               f"above {_MAX_BH_NORM:g}")
+
+
 def _check_spectrum(values, linenos):
-    yield from _ascending(values, linenos, "nu_min", "nu_max")
+    yield from _check_grid(values, linenos, "nu")
     if values.get("J") == 0 and values.get("U") == 0:
         yield "config: J and U must not both be zero"
+    if "J" in values and "U" in values:
+        u, eight_j = values["U"], 8 * values["J"]
+        yield from _check_bh_norm(values, linenos, u + eight_j,
+                                  "U" if u >= eight_j else "J")
     yield from _check_plaquette(values, linenos)
 
 
 def _check_scan(values, linenos):
-    yield from _ascending(values, linenos, "j_min", "j_max")
+    yield from _check_grid(values, linenos, "j")
+    if "j_max" in values and "U" in values:  # J = j U
+        u, ratio = values["U"], 1 + 8 * values["j_max"]
+        yield from _check_bh_norm(values, linenos, u * ratio,
+                                  "U" if u >= ratio else "j_max")
     yield from _check_plaquette(values, linenos)
 
 
@@ -404,7 +458,7 @@ def _run_enaqt_sweep(config: ExperimentConfig) -> list:
         h = apply_static_disorder(h, v["disorder_sigma"], v["seed"])
     spec = TransportSpec(v["source"], v["sink"], v["trap_rate"],
                          v["recombination_rate"], np.zeros(net.n_sites))
-    grid = np.geomspace(v["gamma_min"], v["gamma_max"], v["gamma_steps"])
+    grid = _grid(v, "gamma")
     curve = goldilocks_sweep(h, spec, grid, t_max=v["t_max"], tol=v["tol"])
     rows = zip(curve.gamma_grid, curve.efficiencies, curve.converged)
     written = _write_csv(config, ["gamma", "eta", "converged"], rows, {
@@ -458,7 +512,7 @@ def _run_bh_spectrum(config: ExperimentConfig) -> list:
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     params = _bh_params(v, v["J"], v["U"])
-    grid = np.linspace(v["nu_min"], v["nu_max"], v["nu_steps"])
+    grid = _grid(v, "nu")
     spectrum = modulation_absorption(params, basis, v["delta"], grid,
                                      v["t_drive"], tol=v["tol"])
     rows = zip(spectrum.nu_grid, spectrum.absorbed_energy)
@@ -476,7 +530,7 @@ def _run_bh_scan(config: ExperimentConfig) -> list:
 
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
-    grid = np.geomspace(v["j_min"], v["j_max"], v["j_steps"])
+    grid = _grid(v, "j")
     unit = _bh_params(v, 1.0, v["U"])
     # J > 0: the ground state and all it is drive-coupled to are even
     sector = reflection_sector(unit, basis)
@@ -533,7 +587,7 @@ _COMMANDS = {
             "recombination_rate": _Key(_finite_float, default=0.0, check=_non_negative),
             "gamma_min": _Key(_finite_float, required=True, check=_positive),
             "gamma_max": _Key(_finite_float, required=True, check=_positive),
-            "gamma_steps": _Key(_integer, required=True, check=_at_least(2)),
+            "gamma_steps": _Key(_integer, required=True, check=_within(2, _MAX_STEPS)),
             "t_max": _Key(_finite_float, default=1000.0, check=_positive),
             "tol": _Key(_finite_float, default=1e-8, check=_positive),
             "disorder_sigma": _Key(_finite_float, default=0.0, check=_non_negative),
@@ -560,9 +614,10 @@ _COMMANDS = {
             "delta": _Key(_finite_float, required=True, check=_within(0, 0.1)),
             "nu_min": _Key(_finite_float, required=True, check=_non_negative),
             "nu_max": _Key(_finite_float, required=True, check=_positive),
-            "nu_steps": _Key(_integer, required=True, check=_at_least(1)),
-            "t_drive": _Key(_finite_float, required=True, check=_positive),
-            "tol": _Key(_finite_float, default=1e-9, check=_positive),
+            "nu_steps": _Key(_integer, required=True, check=_within(1, _MAX_STEPS)),
+            "t_drive": _Key(_finite_float, required=True,
+                            check=_positive_at_most(_MAX_DRIVE_TIME)),
+            "tol": _Key(_finite_float, default=1e-9, check=_at_least(_MIN_DRIVE_TOL)),
             "geometry": _Key(str, default="chain", check=_one_of("chain", "plaquette")),
             "rows": _Key(_integer, check=_at_least(1)),
             "cols": _Key(_integer, check=_at_least(1)),
@@ -575,7 +630,7 @@ _COMMANDS = {
             "U": _Key(_finite_float, default=1.0, check=_positive),
             "j_min": _Key(_finite_float, required=True, check=_positive),
             "j_max": _Key(_finite_float, required=True, check=_positive),
-            "j_steps": _Key(_integer, required=True, check=_at_least(2)),
+            "j_steps": _Key(_integer, required=True, check=_within(2, _MAX_STEPS)),
             "k": _Key(_integer, default=10, check=_at_least(2)),
             "geometry": _Key(str, default="chain", check=_one_of("chain", "plaquette")),
             "rows": _Key(_integer, check=_at_least(1)),

@@ -169,6 +169,7 @@ def apply_static_disorder(h: Hamiltonian, sigma: float, seed: int) -> Hamiltonia
     """Add independent Gaussian offsets of width sigma to the diagonal.
 
     Off-diagonal entries are untouched; a fixed seed gives identical output.
+    Raises LinAlgError when a disordered energy overflows.
     """
     if sigma < 0:
         raise ValueError("disorder sigma must be non-negative")
@@ -177,5 +178,9 @@ def apply_static_disorder(h: Hamiltonian, sigma: float, seed: int) -> Hamiltonia
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, sigma, h.dim)
     out = np.array(h.matrix, copy=True)
-    out[np.diag_indices(h.dim)] += offsets
+    with np.errstate(over="ignore"):
+        out[np.diag_indices(h.dim)] += offsets
+    if not np.isfinite(out).all():
+        raise np.linalg.LinAlgError(
+            f"disorder of width {sigma:g} overflows the on-site energies")
     return Hamiltonian(out, h.basis_labels)

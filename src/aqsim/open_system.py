@@ -395,10 +395,13 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     width = _chunk_width(n)
     expm = sys.modules[__name__].expm
     for lo in range(0, rates.shape[0], width):
-        scaled = _real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS)
-        steps = expm(scaled)
-        finite = np.isfinite(steps).all(axis=(1, 2))
-        step_error = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
+        # rates or horizons near the top of the double range overflow here;
+        # such a point fails the finite or the precision test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = _real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS)
+            steps = expm(scaled)
+            finite = np.isfinite(steps).all(axis=(1, 2))
+            step_error = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
         usable = finite & (step_error <= _MAX_STEP_ERROR)
         k = usable.size if usable.all() else int(np.argmin(usable))
         steps, points = steps[:k], slice(lo, lo + k)

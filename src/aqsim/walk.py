@@ -35,8 +35,8 @@ each within the budget: the one being applied, and the next chunk's
 shot-major draw and its segment-major copy.  The populations are the same
 bytes as with no helper.
 
-A walk refuses (RuntimeError) a time at which eps * ||H|| * t exceeds 1e-10:
-exp(-i lambda t) then keeps too few significant bits.
+A walk refuses (numpy.linalg.LinAlgError) a time at which eps * ||H|| * t
+exceeds 1e-10: exp(-i lambda t) then keeps too few significant bits.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import Hamiltonian, _integer
+from .open_system import StateInvariantError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 NORM_TOL = 1e-10
@@ -118,7 +119,7 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
 
 def _check_walk(h: Hamiltonian, input_mode: int, t: float) -> None:
     """Reject an input mode that is not a site index of h and a negative or
-    non-finite time, before any work; raise RuntimeError when eps * ||H|| * t
+    non-finite time, before any work; raise LinAlgError when eps * ||H|| * t
     exceeds _MAX_PHASE_ERROR, with ||H|| bounded by the max row sum of |H|
     (no eigensolve)."""
     if not 0 <= _integer(input_mode, "input mode") < h.dim:
@@ -127,7 +128,7 @@ def _check_walk(h: Hamiltonian, input_mode: int, t: float) -> None:
         raise ValueError("time must be non-negative and finite")
     phase_error = np.finfo(float).eps * np.abs(h.matrix).sum(axis=1).max() * t
     if phase_error > _MAX_PHASE_ERROR:
-        raise RuntimeError(
+        raise np.linalg.LinAlgError(
             f"eps * ||H|| * t = {phase_error:.3e} exceeds {_MAX_PHASE_ERROR:g}: "
             "the evolution phases carry too few significant bits")
 
@@ -274,7 +275,7 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
         mean = p.mean(axis=1)
         total = mean.sum()
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(f"ensemble populations sum to {total}, drift > 1e-9")
+            raise StateInvariantError(f"ensemble populations sum to {total}, drift > 1e-9")
         averaged[seg] = mean
     return averaged
 

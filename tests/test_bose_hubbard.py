@@ -254,6 +254,22 @@ def test_low_spectrum_names_the_first_pair_over_the_residual_bound(monkeypatch):
         aqsim.low_spectrum(h, 3)
 
 
+def test_low_spectrum_reports_any_arpack_error_as_a_convergence_failure(monkeypatch):
+    # ArpackNoConvergence is one ArpackError among others, and a bare
+    # RuntimeError has no exit code of its own
+    import aqsim.bose_hubbard as bh
+    from scipy.sparse.linalg import ArpackError
+
+    def failing(*args, **kwargs):
+        raise ArpackError(-9)
+
+    monkeypatch.setattr(bh, "eigsh", failing)
+    h = sp.diags(np.arange(500.0)).tocsr()  # over the dense limit: Lanczos path
+    with pytest.raises(aqsim.EigenConvergenceError,
+                       match="Lanczos failed for k=3, dim=500: ARPACK error -9"):
+        aqsim.low_spectrum(h, 3)
+
+
 def test_condensate_fraction_mott_and_free():
     basis = aqsim.enumerate_basis(2, 2)
     mott = np.zeros(3)

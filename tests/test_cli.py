@@ -11,6 +11,7 @@ from aqsim.bose_hubbard import (BasisSizeError, BoseHubbardParams,
 from aqsim.cli import ConfigError, config_hash, main, parse_config
 from aqsim.netfiles import NetfileError
 from aqsim.open_system import StateInvariantError
+from aqsim.validation import ReportRoleError
 
 from oracles import scan_point_by_lookup
 from test_open_system import DIMER_ETA_ORACLE, DIMER_GAMMA_GRID
@@ -75,6 +76,100 @@ def test_parse_descending_grid(tmp_path, data_dir):
             "nu_min 2.0\nnu_max 1.0\nnu_steps 5\nt_drive 10.0\noutput o.csv\n")
     with pytest.raises(ConfigError, match="grid must ascend"):
         parse_config(text, base_dir=tmp_path)
+
+
+@pytest.mark.parametrize("command, text, line, name", [
+    ("enaqt-sweep", "network {data}/dimer.net\nsource 0\nsink 1\ntrap_rate 1.0\n"
+     "gamma_min 1.0\ngamma_max 1.0000000000000002\ngamma_steps 3\n", 9, "gamma"),
+    ("bh-spectrum", "L 2\nN 2\nJ 1.0\nU 1.0\ndelta 0.03\nnu_min 0.5\n"
+     "nu_max 0.5000000000000001\nnu_steps 3\nt_drive 10.0\n", 10, "nu"),
+    ("bh-scan", "L 3\nN 3\nj_min 0.1\nj_max 0.10000000000000002\nj_steps 3\n",
+     7, "j"),
+])
+def test_colliding_grid_points_are_a_config_error(tmp_path, data_dir, capsys, command,
+                                                  text, line, name):
+    # ends one ulp apart leave room for two of the three points at most
+    cfg = write_config(tmp_path, "grid.cfg", f"command {command}\noutput out.csv\n"
+                       + text.format(data=data_dir))
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}: {name}_steps 3 puts two grid points at the same "
+        f"value between {name}_min and {name}_max\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.cfg"]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("walk", "network {data}/dimer.net\ninput_mode 0\nlength 1e300\nn_index 1e300\n",
+     "line 5: length 1e+300 at n_index 1e+300 overflows the evolution time"),
+    ("bh-spectrum", "L 2\nN 2\nJ 1e300\nU 1.0\ndelta 0.03\nnu_min 0.5\n"
+     "nu_max 0.8\nnu_steps 3\nt_drive 10.0\n",
+     "line 5: J 1e+300 lets ||H|| reach 3.2e+301 at N 2, above 1e+100"),
+    ("bh-scan", "L 3\nN 3\nU 1.79e308\nj_min 0.02\nj_max 0.2\nj_steps 3\n",
+     "line 5: U 1.79e+308 lets ||H|| reach inf at N 3, above 1e+100"),
+    ("bh-scan", "L 3\nN 3\nj_min 0.02\nj_max 1e300\nj_steps 3\n",
+     "line 6: j_max 1e+300 lets ||H|| reach 7.2e+301 at N 3, above 1e+100"),
+    ("bh-spectrum", "L 2\nN 2\nJ 1.0\nU 1.0\ndelta 0.03\nnu_min 0.5\nnu_max 0.8\n"
+     "nu_steps 3\nt_drive 1.79e308\ntol 5e-324\n",
+     "line 11: t_drive must lie in (0, 1e+300]\n"
+     "error: line 12: tol must be >= 2.220446049250313e-14"),
+    ("bh-scan", "L 3\nN 3\nU 5e-324\nj_min 5e-324\nj_max 0.2\nj_steps 3\n",
+     "the drive annihilates the ground state to double precision: "
+     "no state is drive-coupled"),
+])
+def test_overflowing_and_vanishing_values_are_config_errors(tmp_path, data_dir, capsys,
+                                                            command, text, message):
+    # values whose arithmetic overflows or vanishes are refused where they
+    # enter, on their own line where one key is to blame
+    cfg = write_config(tmp_path, "run.cfg", f"command {command}\noutput out.csv\n"
+                       + text.format(data=data_dir))
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("gamma_max 1.79e308", "step matrix of grid point 1 (dephasing rates up to "
+     "4.23084e+153, trap_rate 1) has non-finite entries"),
+    ("gamma_max 10.0\nt_max 1.79e308", "step matrix of grid point 0 (dephasing "
+     "rates up to 0.1, trap_rate 1) has non-finite entries"),
+    ("gamma_max 10.0\ndisorder_sigma 1.79e308\nseed 3",
+     "disorder of width 1.79e+308 overflows the on-site energies"),
+])
+def test_sweep_values_that_overflow_are_numerical_failures(tmp_path, data_dir, capsys,
+                                                           extra, message):
+    # an overflowed generator fails the step matrix's finite test, and an
+    # overflowed disorder draw is refused before any step
+    cfg = write_config(tmp_path, "sweep.cfg", f"""command enaqt-sweep
+network {data_dir}/dimer.net
+source 0
+sink 1
+trap_rate 1.0
+gamma_min 0.1
+gamma_steps 3
+{extra}
+output sweep.csv
+""")
+    assert main(["enaqt-sweep", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+def test_drive_beyond_the_phase_precision_is_refused_before_any_solve(
+        tmp_path, monkeypatch, capsys):
+    # the bound is checked before the eigensolve and every integration
+    import scipy.integrate
+
+    def integrating(*args, **kwargs):
+        raise AssertionError("the drive was integrated")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", integrating)
+    text = spectrum_config(tmp_path).read_text().replace("t_drive 40.0", "t_drive 1e300")
+    cfg = write_config(tmp_path, "bh.cfg", text)
+    assert main(["bh-spectrum", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: eps * (||H|| + 2 pi nu_max) * t_drive = 1.751e+285 "
+        "exceeds 1e-10: the drive phases carry too few significant bits\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bh.cfg"]
 
 
 def test_parse_rejects_non_finite_floats(tmp_path, data_dir):
@@ -447,11 +542,11 @@ def test_unknown_key_exit_code(tmp_path, data_dir, capsys):
     (BasisSizeError("basis over the cap"), 2, "error"),
     (np.linalg.LinAlgError("no convergence"), 3, "numerical failure"),
     (EigenConvergenceError("residual too large"), 3, "numerical failure"),
-    (RuntimeError("integrator failed"), 3, "numerical failure"),
     (StateInvariantError("trace drift"), 4, "invariant violation"),
     (NegativeAbsorptionError("below -1e-9"), 4, "invariant violation"),
-    (ValueError("dimension mismatch"), 4, "invariant violation"),
-    (DriveCouplingError("raise k"), 2, "error"),  # a ValueError, mapped ahead of it
+    (ReportRoleError("a report needs at least one internal check"), 4,
+     "invariant violation"),
+    (DriveCouplingError("raise k"), 2, "error"),
 ])
 def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code, prefix):
     import aqsim.cli
@@ -465,15 +560,34 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, exc, code, prefix):
     assert capsys.readouterr().err == "".join(f"{prefix}: {m}\n" for m in messages)
 
 
-def test_unmapped_exception_propagates(tmp_path, monkeypatch):
+@pytest.mark.parametrize("exc", [
+    KeyError("no such column"), ValueError("dimension mismatch"),
+    RuntimeError("integrator failed")])
+def test_unmapped_exception_propagates(tmp_path, monkeypatch, exc):
+    # only the package's own failure types have exit codes: a builtin
+    # error is a program fault, whatever its base class
     import aqsim.cli
 
     def failing(config):
-        raise KeyError("no such column")
+        raise exc
 
     monkeypatch.setattr(aqsim.cli, "run", failing)
-    with pytest.raises(KeyError):  # exit code 1 from the interpreter
+    with pytest.raises(type(exc)) as info:  # exit code 1 from the interpreter
         main(["bh-spectrum", str(spectrum_config(tmp_path))])
+    assert info.value is exc
+
+
+def test_exit_code_rows_are_disjoint():
+    # no type of one row derives from a type of another, so an exception
+    # matches one row at most and the order of the rows cannot matter
+    import aqsim.cli
+
+    rows = [types for types, _, _ in aqsim.cli._EXIT_CODES]
+    for i, row in enumerate(rows):
+        for other in rows[i + 1:]:
+            for a in row:
+                for b in other:
+                    assert not issubclass(a, b) and not issubclass(b, a), (a, b)
 
 
 def test_unreadable_config_is_a_config_error(tmp_path, capsys):
