@@ -20,6 +20,7 @@ Fock basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -37,8 +38,9 @@ if TYPE_CHECKING:
 
 BASIS_CAP = 200_000
 # FockBasis: most entries in either of its integer tables, the states
-# (states x sites) and the fillings ((sites + 1) x (bosons + 1)); a basis
-# under BASIS_CAP can still ask for far more, e.g. 200000 sites, 1 boson
+# (states x sites, as each shift table) and the fillings ((sites + 1) x
+# (bosons + 1)); a basis under BASIS_CAP can still ask for far more, e.g.
+# 200000 sites, 1 boson
 _TABLE_CAP = 1 << 22
 _DENSE_LIMIT = 400
 RESIDUAL_TOL = 1e-9
@@ -98,6 +100,17 @@ class FockBasis:
     A table of C(b + s - 1, b), the fillings of s sites with b bosons,
     makes that one vectorized pass over any batch of occupation rows.
 
+    A hop b_dst^dag b_src moves a state to a known rank without ranking
+    it again.  Write g_p(a) for the term C(a + L - p - 2, a - 1) (0 at
+    a = 0).  The hop lowers a_p by one for dst <= p < src when dst < src,
+    and raises it by one for src <= p < dst when dst > src; no other a_p
+    changes.  The target's rank is therefore the source's plus the sum of
+    g_p(a_p - 1) - g_p(a_p) (or g_p(a_p + 1) - g_p(a_p)) over that run of
+    sites, which is a difference of two entries of a table of exclusive
+    prefix sums along p.  _shifts holds the two tables, one per direction,
+    each of the shape of states; they are built on the first hop and are
+    read-only.
+
     Raises ValueError for a non-integral size, n_sites < 1 or n_bosons < 0,
     and BasisSizeError before allocating anything if the binomial count
     C(N + L - 1, N) exceeds BASIS_CAP or either table, the states (count x L)
@@ -136,12 +149,31 @@ class FockBasis:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def _rank(self, occ: np.ndarray) -> np.ndarray:
-        """Basis positions of a batch of valid occupation rows."""
-        after = self.n_bosons - np.cumsum(occ, axis=1)
+    def _preceding(self, after: np.ndarray) -> np.ndarray:
+        """g_p(a_p) for a batch of rows of a_p, a_p in 0..N + 1."""
         sites_from = np.arange(self.n_sites, 0, -1)  # L - p at site p
         preceding = self._fillings[sites_from, np.maximum(after - 1, 0)]
-        return np.where(after > 0, preceding, 0).sum(axis=1)
+        return np.where(after > 0, preceding, 0)
+
+    def _rank(self, occ: np.ndarray) -> np.ndarray:
+        """Basis positions of a batch of valid occupation rows."""
+        return self._preceding(self.n_bosons - np.cumsum(occ, axis=1)).sum(axis=1)
+
+    @functools.cached_property
+    def _shifts(self) -> tuple:
+        """(down, up): per state, the exclusive prefix sums along p of
+        g_p(a_p - 1) - g_p(a_p) and of g_p(a_p + 1) - g_p(a_p)."""
+        after = self.n_bosons - np.cumsum(self.states, axis=1)
+        here = self._preceding(after)
+        tables = []
+        for step in (-1, 1):
+            # column-major: a hop reads two whole columns
+            table = np.zeros(self.states.shape, dtype=np.int64, order="F")
+            np.cumsum((self._preceding(after + step) - here)[:, :-1], axis=1,
+                      out=table[:, 1:])
+            table.setflags(write=False)
+            tables.append(table)
+        return tuple(tables)
 
     def index(self, occupation) -> int:
         """Position of an occupation vector in the basis ordering."""
@@ -241,14 +273,21 @@ def _hops(basis: FockBasis, src: int, dst: int) -> tuple:
     """b_dst^dag b_src on the basis: sources, targets and matrix elements.
 
     The sources are the states with a boson on src; each goes to one
-    target with element sqrt(n_src (n_dst + 1)).
+    target with element sqrt(n_src (n_dst + 1)).  A source's rank is its
+    row, so no moved state is ranked again: the target is
+    sources + C[sources, src] - C[sources, dst] with C the basis's down
+    shift table when dst < src, and sources + C[sources, dst] -
+    C[sources, src] with C its up table otherwise (FockBasis).
     """
-    (sources,) = np.nonzero(basis.states[:, src])
-    moved = basis.states[sources]
-    amps = np.sqrt(moved[:, src] * (moved[:, dst] + 1))
-    moved[:, src] -= 1
-    moved[:, dst] += 1
-    return sources, basis._rank(moved), amps
+    occ = basis.states[:, src]
+    (sources,) = np.nonzero(occ)
+    amps = np.sqrt(occ[sources] * (basis.states[sources, dst] + 1))
+    down, up = basis._shifts
+    if dst < src:
+        shift = down[:, src] - down[:, dst]
+    else:
+        shift = up[:, dst] - up[:, src]
+    return sources, sources + shift[sources], amps
 
 
 def hopping_matrix(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:

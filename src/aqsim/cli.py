@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +96,16 @@ class ExperimentConfig:
     command: str
     values: dict
     base_dir: Path
+    # line number of every key the config file gave
+    _linenos: dict = field(default_factory=dict, repr=False, compare=False)
 
     def path(self, key: str) -> Path:
         return (self.base_dir / self.values[key]).resolve()
+
+    def _at(self, key: str) -> str:
+        """Where a violation that involves key is reported."""
+        lineno = self._linenos.get(key)
+        return "config" if lineno is None else f"line {lineno}"
 
 
 def _parse_bool(token: str) -> bool:
@@ -351,7 +358,8 @@ def parse_config(text: str, base_dir=".", expected_command=None) -> ExperimentCo
     violations.extend(_COMMANDS[command].check(values, linenos))
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(command=command, values=values, base_dir=base)
+    return ExperimentConfig(command=command, values=values, base_dir=base,
+                            _linenos=linenos)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -449,7 +457,7 @@ def _run_enaqt_sweep(config: ExperimentConfig) -> list:
     problems = []
     for key in ("source", "sink"):
         if v[key] >= net.n_sites:
-            problems.append(f"config: {key} {v[key]} out of range for "
+            problems.append(f"{config._at(key)}: {key} {v[key]} out of range for "
                             f"{net.n_sites}-site network")
     if problems:
         raise ConfigError(problems)
@@ -479,8 +487,8 @@ def _run_walk(config: ExperimentConfig) -> list:
     v = config.values
     net = _load_checked(config, "network", load_network)
     if v["input_mode"] >= net.n_sites:
-        raise ConfigError([f"config: input_mode {v['input_mode']} out of range "
-                           f"for {net.n_sites}-site network"])
+        raise ConfigError([f"{config._at('input_mode')}: input_mode "
+                           f"{v['input_mode']} out of range for {net.n_sites}-site network"])
     h = build_tight_binding(net)
     if "time" in v:
         t = v["time"]
@@ -562,8 +570,9 @@ def _run_validate(config: ExperimentConfig) -> list:
     rec = _load_checked(config, "mapping", load_mapping)
     n_a, n_b, n_map = net_a.n_sites, net_b.n_sites, len(rec.site_bijection)
     if not n_a == n_b == n_map:
-        raise ConfigError([f"config: network_a ({n_a} sites), network_b ({n_b} "
-                           f"sites) and mapping ({n_map} entries) differ in size"])
+        raise ConfigError([f"{config._at('mapping')}: network_a ({n_a} sites), "
+                           f"network_b ({n_b} sites) and mapping ({n_map} entries) "
+                           f"differ in size"])
     h_a = build_tight_binding(net_a)
     h_b = build_tight_binding(net_b)
     check = check_isomorphism(h_a, h_b, rec, v["tolerance"])

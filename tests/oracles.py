@@ -24,8 +24,9 @@ matrix of the infinite-shot ensemble, the segment-by-segment ensemble draws
 each shot's phases one segment at a time over one state holding every shot
 (the implementation draws a shot's phases at once and runs shots in
 chunks), the Fock-space oracles find each hop's target state in a dict
-of occupation tuples, one state at a time (the implementation ranks whole
-batches of states), and the scan-point oracle diagonalizes the full-basis
+of occupation tuples, one state at a time (the implementation never ranks
+a moved state: it shifts each source's rank by two entries of the basis's
+prefix-sum tables), and the scan-point oracle diagonalizes the full-basis
 Hamiltonian densely (the implementation solves the reversal-even sector).
 """
 
@@ -268,6 +269,24 @@ def fock_states_by_product(n_sites: int, n_bosons: int) -> np.ndarray:
 def fock_lookup(basis) -> dict:
     """Occupation tuple -> basis position, read off the enumerated states."""
     return {tuple(int(n) for n in row): i for i, row in enumerate(basis.states)}
+
+
+def hops_by_lookup(basis, src: int, dst: int) -> tuple:
+    """b_dst^dag b_src as (sources, targets, elements), state by state in
+    basis order: each state with a boson on src, the looked-up position of
+    the state with that boson moved to dst, and sqrt(n_src (n_dst + 1))."""
+    lookup = fock_lookup(basis)
+    sources, targets, amps = [], [], []
+    for s, state in enumerate(basis.states.tolist()):
+        if state[src] == 0:
+            continue
+        amps.append(math.sqrt(state[src] * (state[dst] + 1)))
+        state[src] -= 1
+        state[dst] += 1
+        sources.append(s)
+        targets.append(lookup[tuple(state)])
+    return (np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64),
+            np.array(amps, dtype=float))
 
 
 def hopping_matrix_by_lookup(params, basis) -> sp.csr_matrix:

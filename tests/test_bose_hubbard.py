@@ -1,16 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
-from aqsim.bose_hubbard import basis_size, hopping_matrix, onsite_pair_count
+from aqsim.bose_hubbard import _hops, basis_size, hopping_matrix, onsite_pair_count
 
-from oracles import (chain_eigensystem, fock_states_by_product,
-                     hopping_matrix_by_lookup, one_body_density_matrix_by_lookup)
+from oracles import (chain_eigensystem, fock_states_by_product, hopping_matrix_by_lookup,
+                     hops_by_lookup, one_body_density_matrix_by_lookup)
 
 SQRT17 = math.sqrt(17.0)
 
@@ -469,12 +471,49 @@ def test_pair_count_diagonal():
     assert hop[basis.index((2, 0)), basis.index((1, 1))] == pytest.approx(-np.sqrt(2))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 6))
+@example(1, 0)
+@example(1, 1)
+@example(1, 4)
+@example(4, 0)
+@example(6, 1)
+def test_hops_match_lookup_oracle_for_every_ordered_pair(sites, bosons):
+    # rank shifts for every run of sites a hop crosses, src == dst included
+    basis = aqsim.enumerate_basis(sites, bosons)
+    for src, dst in itertools.product(range(sites), repeat=2):
+        got = _hops(basis, src, dst)
+        want = hops_by_lookup(basis, src, dst)
+        for part, expected in zip(got, want):
+            assert part.dtype == expected.dtype
+            assert np.array_equal(part, expected)
+
+
+def test_shift_tables_are_built_on_the_first_hop_and_read_only():
+    basis = aqsim.enumerate_basis(5, 4)
+    basis.index((1, 0, 2, 0, 1))
+    assert "_shifts" not in vars(basis)  # building and ranking leave them out
+    _hops(basis, 3, 1)
+    tables = vars(basis)["_shifts"]
+    assert len(tables) == 2
+    for table in tables:
+        assert table.shape == basis.states.shape
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 1] = 0
+        assert not table[:, 0].any()  # prefix sums exclude their own site
+    assert basis._shifts is tables
+
+
 @pytest.mark.parametrize("params, bosons", [
     (BoseHubbardParams.chain(5, 0.7, 1.0), 5),
     (BoseHubbardParams.plaquette(2, 3, 1.3, 0.4), 4),
+    (BoseHubbardParams.plaquette(3, 2, 1.3, 0.4), 4),   # hops jump two sites
+    (BoseHubbardParams.plaquette(2, 3, 0.9, 0.0), 1),
     (BoseHubbardParams.chain(1, 1.0, 1.0), 3),      # one site: no hops
     (BoseHubbardParams.chain(4, 1.0, 1.0), 0),      # vacuum
-], ids=["chain5-N5", "plaquette2x3-N4", "L1", "N0"])
+], ids=["chain5-N5", "plaquette2x3-N4", "plaquette3x2-N4", "plaquette2x3-N1", "L1",
+        "N0"])
 def test_hopping_matrix_matches_lookup_oracle_exactly(params, bosons):
     basis = aqsim.enumerate_basis(params.n_sites, bosons)
     got = hopping_matrix(params, basis)
@@ -482,6 +521,8 @@ def test_hopping_matrix_matches_lookup_oracle_exactly(params, bosons):
     assert got.shape == want.shape == (len(basis), len(basis))
     assert got.nnz == want.nnz
     assert np.array_equal(got.toarray(), want.toarray())
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("sites, bosons", [(5, 5), (6, 4), (1, 3), (3, 1)])

@@ -6,7 +6,7 @@ import pytest
 
 from aqsim import walk
 from aqsim.bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                                DriveCouplingError, EigenConvergenceError,
+                                DriveCouplingError, EigenConvergenceError, FockBasis,
                                 NegativeAbsorptionError, enumerate_basis)
 from aqsim.cli import ConfigError, config_hash, main, parse_config
 from aqsim.netfiles import NetfileError
@@ -480,6 +480,42 @@ def test_walk_beyond_the_phase_precision_is_a_numerical_failure(tmp_path, data_d
     assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.cfg"]
 
 
+@pytest.mark.parametrize("sites, errors", [
+    ("source 2\nsink 1", ["line 4: source 2 out of range for 2-site network"]),
+    ("source 0\nsink 5", ["line 5: sink 5 out of range for 2-site network"]),
+    ("sink 3\nsource 2", ["line 5: source 2 out of range for 2-site network",
+                          "line 4: sink 3 out of range for 2-site network"]),
+], ids=["source", "sink", "both"])
+def test_sweep_sites_out_of_range_name_their_lines(tmp_path, data_dir, capsys,
+                                                   sites, errors):
+    text = sweep_config(data_dir).replace("source 0\nsink 1", sites)
+    cfg = write_config(tmp_path, "sweep.cfg", text)
+    assert main(["enaqt-sweep", str(cfg)]) == 2
+    assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_walk_input_mode_out_of_range_names_its_line(tmp_path, data_dir, capsys):
+    text = golden_walk_config(data_dir).replace("input_mode 10", "input_mode 21")
+    cfg = write_config(tmp_path, "walk.cfg", text)
+    assert main(["walk", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: input_mode 21 out of range for 21-site network\n")
+    assert not (tmp_path / "walk.csv").exists()
+
+
+def test_config_built_without_line_numbers_reports_at_config(tmp_path, data_dir):
+    from aqsim.cli import ExperimentConfig, run
+
+    parsed = parse_config(sweep_config(data_dir).replace("source 0", "source 2"),
+                          base_dir=tmp_path)
+    bare = ExperimentConfig(parsed.command, parsed.values, parsed.base_dir)
+    assert bare == parsed
+    with pytest.raises(ConfigError) as err:
+        run(bare)
+    assert err.value.violations == ["config: source 2 out of range for 2-site network"]
+
+
 def test_walk_length_input(tmp_path, data_dir):
     cfg = write_config(tmp_path, "walk.cfg", f"""command walk
 network {data_dir}/dimer.net
@@ -702,6 +738,57 @@ def test_bh_scan_matches_full_basis_dense_oracle(tmp_path, sites, bosons, shape,
         assert abs(fraction - want_fraction) <= 1e-10
 
 
+def scan_rows(tmp_path, sites, bosons, geometry, output):
+    cfg = scan_config(tmp_path, sites, bosons, output=output, geometry=geometry)
+    assert main(["bh-scan", str(cfg)]) == 0
+    _, _, rows = read_csv(tmp_path / output)
+    return np.array(rows, dtype=float)
+
+
+# N 6: a 236-state even sector (dense eigh); N 8: 651 states (Lanczos)
+@pytest.mark.parametrize("bosons", [6, 8])
+def test_bh_scan_plaquette_and_its_transpose_agree(tmp_path, bosons):
+    wide = scan_rows(tmp_path, 6, bosons, "geometry plaquette\nrows 2\ncols 3\n",
+                     "wide.csv")
+    tall = scan_rows(tmp_path, 6, bosons, "geometry plaquette\nrows 3\ncols 2\n",
+                     "tall.csv")
+    assert np.array_equal(wide[:, 0], tall[:, 0])
+    assert np.abs(wide[:, 1:] - tall[:, 1:]).max() <= 1e-13
+
+
+# unit filling, where every gap is O(U): a 236-state even sector (dense
+# eigh) and a 3235-state one (Lanczos)
+@pytest.mark.parametrize("rows, cols", [(2, 3), (2, 4)])
+def test_bh_scan_gap_scales_with_j_and_u_and_the_fraction_does_not(tmp_path, rows,
+                                                                   cols):
+    # J = j_ratio U, so the same grid at U = scale scales J and U together
+    plaquette = f"geometry plaquette\nrows {rows}\ncols {cols}\n"
+    sites = rows * cols
+    unit = scan_rows(tmp_path, sites, sites, plaquette, "unit.csv")
+    for scale in (0.3, 7.0):
+        scaled = scan_rows(tmp_path, sites, sites, f"U {scale!r}\n{plaquette}",
+                           "scaled.csv")
+        assert np.array_equal(unit[:, 0], scaled[:, 0])
+        assert np.abs(scaled[:, 1] / (scale * unit[:, 1]) - 1).max() <= 1e-13
+        assert np.abs(scaled[:, 2] / unit[:, 2] - 1).max() <= 1e-13
+
+
+@pytest.mark.parametrize("j_steps", [2, 5])
+def test_bh_scan_ranks_fock_states_once_for_the_mirror(tmp_path, monkeypatch, j_steps):
+    # hops shift ranks through the basis's tables; only reflection_sector
+    # ranks, once, the mirror of every state
+    calls = []
+    rank = FockBasis._rank
+
+    def counting(basis, occ):
+        calls.append(occ.shape)
+        return rank(basis, occ)
+
+    monkeypatch.setattr(FockBasis, "_rank", counting)
+    assert main(["bh-scan", str(scan_config(tmp_path, 5, 5, j_steps=j_steps))]) == 0
+    assert calls == [(126, 5)]
+
+
 def test_bh_scan_oversized_basis_is_a_config_error(tmp_path, capsys):
     cfg = scan_config(tmp_path, 14, 14)
     assert main(["bh-scan", str(cfg)]) == 2
@@ -845,8 +932,9 @@ def test_validate_size_mismatch_is_a_config_error(tmp_path, data_dir, capsys, ne
         f"{data_dir}/fmo7.net", f"{data_dir}/{net_b}").replace("fmo_to_wg.map", mapping)
     cfg = write_config(tmp_path, "val.cfg", text)
     assert main(["validate", str(cfg)]) == 2
-    assert (f"error: config: network_a ({sizes} entries) differ in size"
-            in capsys.readouterr().err)
+    # reported on the line of the mapping, the file that pairs the networks
+    assert capsys.readouterr().err == (
+        f"error: line 4: network_a ({sizes} entries) differ in size\n")
     assert not (tmp_path / "report.json").exists()
 
 
