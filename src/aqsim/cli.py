@@ -15,9 +15,10 @@ covers the semantic content (with referenced files replaced by their
 content digest), not the file paths, and excludes the output location.
 
 Exit codes: 0 success, 1 unexpected error, 2 config/parse failure,
-3 numerical failure, 4 invariant violation.  The type of a failure alone
-picks its code (_EXIT_CODES lists only types this package raises on
-purpose); any other exception, a builtin ValueError or RuntimeError
+3 numerical failure (LinAlgError, EigenConvergenceError among them),
+4 invariant violation (StateInvariantError, NegativeAbsorptionError among
+them, and ReportRoleError): _EXIT_CODES picks the code by the type of a
+failure alone.  Any other exception, a builtin ValueError or RuntimeError
 included, propagates with its traceback, which is exit 1.
 """
 
@@ -37,15 +38,15 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           DriveCouplingError, EigenConvergenceError,
-                           NegativeAbsorptionError, condensate_fraction,
+                           DriveCouplingError, condensate_fraction,
                            drive_coupled_gap, enumerate_basis, hopping_matrix,
                            low_spectrum, modulation_absorption,
                            onsite_pair_count, reflection_sector)
-from .hamiltonians import apply_static_disorder, build_tight_binding
+from .hamiltonians import (StateInvariantError, apply_static_disorder,
+                           build_tight_binding)
 from .netfiles import (NetfileError, _decimal, _read_text, _records,
                        load_mapping, load_network)
-from .open_system import StateInvariantError, TransportSpec, goldilocks_sweep
+from .open_system import TransportSpec, goldilocks_sweep
 from .validation import (ReportRoleError, ValidationReport, _report_payload,
                          check_isomorphism, classify_speedup)
 from .walk import (_MAX_PHASE_SIGMA, DephasingEnsembleSpec, dephased_walk,
@@ -64,10 +65,10 @@ _EXIT_CODE_HELP = """exit codes:
   1  unexpected error (any other exception; a traceback follows)
   2  config or input-file failure (ConfigError, NetfileError, BasisSizeError,
      DriveCouplingError)
-  3  numerical failure (LinAlgError, EigenConvergenceError: an overflowed or
-     imprecise step matrix, walk or drive phases, integrator or eigensolver)
-  4  invariant violation (StateInvariantError, NegativeAbsorptionError,
-     ReportRoleError: state bookkeeping, absorbed energy or report rules)
+  3  numerical failure (LinAlgError: an overflowed or imprecise step matrix,
+     walk or drive phases, integrator or eigensolver)
+  4  invariant violation (StateInvariantError, ReportRoleError: state
+     bookkeeping, ensemble population sum, absorbed energy or report rules)
 """
 
 
@@ -83,9 +84,8 @@ class ConfigError(ValueError):
 _EXIT_CODES = (
     ((ConfigError, NetfileError, BasisSizeError, DriveCouplingError),
      EXIT_CONFIG, "error"),
-    ((np.linalg.LinAlgError, EigenConvergenceError), EXIT_NUMERICAL, "numerical failure"),
-    ((StateInvariantError, NegativeAbsorptionError, ReportRoleError),
-     EXIT_INVARIANT, "invariant violation"),
+    ((np.linalg.LinAlgError,), EXIT_NUMERICAL, "numerical failure"),
+    ((StateInvariantError, ReportRoleError), EXIT_INVARIANT, "invariant violation"),
 )
 
 

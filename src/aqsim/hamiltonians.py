@@ -1,4 +1,4 @@
-"""Site networks and the Hamiltonians built from them.
+"""Site networks, their Hamiltonians, and the engines' shared failure vocabulary.
 
 Single-excitation tight-binding models: a network of sites with on-site
 energies and pairwise couplings, and its dense Hamiltonian.  All energies
@@ -14,6 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+# largest eps * ||G|| * t of a propagation under a generator G, about the
+# rounding error of its phases in radians.  Beyond it a walk's populations
+# may be off by more than walk.NORM_TOL, and transport's trace may drift past
+# open_system.TRACE_TOL: on the dimer, trap rate 1e4 gives 1.3e-11 and a
+# worst drift of 5.0e-11, 1e6 gives 1.3e-9 and a drift of 1.1e-8.
+_MAX_PHASE_ERROR = 1e-10
+
+
+class StateInvariantError(RuntimeError):
+    """A run's state broke an invariant (trace drift, positivity, absorbed
+    energy, ...); every run-time invariant check raises it or a subclass."""
 
 
 class NetworkError(ValueError):
@@ -37,6 +48,16 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_phase_error(rate, t, product: str, phases: str) -> None:
+    """Raise LinAlgError when eps * rate * t (spelled product) exceeds the
+    bound, computed in Python floats, which overflow to inf without a warning."""
+    error = float(np.finfo(float).eps) * float(rate) * float(t)
+    if error > _MAX_PHASE_ERROR:
+        raise np.linalg.LinAlgError(
+            f"{product} = {error:.3e} exceeds {_MAX_PHASE_ERROR:g}: "
+            f"the {phases} phases carry too few significant bits")
 
 
 def _default_labels(prefix: str, n: int) -> tuple:

@@ -55,7 +55,7 @@ Hermiticity, unit trace and positivity, with the floors below.  Positivity
 is screened by one batched Cholesky factorization of the states shifted
 by half the floor, and only a stack that fails the screen is diagonalized
 (_check_states).  A step matrix that overflowed, or whose eps ||G dt||_1
-exceeds _MAX_STEP_ERROR, is a numerical failure instead of a state to
+exceeds _MAX_PHASE_ERROR, is a numerical failure instead of a state to
 validate.
 """
 
@@ -66,7 +66,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian, _integer
+from .hamiltonians import (_MAX_PHASE_ERROR, Hamiltonian, StateInvariantError,
+                           _integer)
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -77,13 +78,6 @@ _CHECKPOINTS = 100
 # transport: a dephasing grid runs in chunks of points whose step matrices,
 # checkpoint paths and validated site blocks fit in this many bytes
 _CHUNK_BYTES = 8 << 20
-# transport: largest eps ||G dt||_1 a step matrix may have, G a point's real
-# generator and dt the checkpoint step.  expm(G dt) carries rounding errors
-# of about that size, and _CHECKPOINTS steps of it drift the trace by a few
-# times it: on the dimer a trap rate of 1e4 gives 1.3e-11 and a worst drift
-# of 5.0e-11, one of 1e6 gives 1.3e-9 and 1.1e-8, beyond TRACE_TOL, which
-# the bound turns into a numerical failure.
-_MAX_STEP_ERROR = 1e-10
 
 
 def __getattr__(name):
@@ -101,11 +95,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
-
-
-class StateInvariantError(RuntimeError):
-    """Density-matrix bookkeeping broke: non-finite entries, trace drift,
-    Hermiticity, positivity."""
 
 
 class NoSinkError(ValueError):
@@ -377,7 +366,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     and only up to the first point whose sink population is out of range,
     whose range error is raised if its states pass.  A point whose step
     matrix overflowed (non-finite entries), or whose eps ||G dt||_1 exceeds
-    _MAX_STEP_ERROR so that its step keeps too few significant bits, is a
+    _MAX_PHASE_ERROR so that its step keeps too few significant bits, is a
     numerical failure: the points before it run as usual, and then it
     raises LinAlgError.
     Returns the clamped efficiencies and the converged flags, one per row.
@@ -402,7 +391,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
             steps = expm(scaled)
             finite = np.isfinite(steps).all(axis=(1, 2))
             step_error = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
-        usable = finite & (step_error <= _MAX_STEP_ERROR)
+        usable = finite & (step_error <= _MAX_PHASE_ERROR)
         k = usable.size if usable.all() else int(np.argmin(usable))
         steps, points = steps[:k], slice(lo, lo + k)
         # site population rho_ii at i (n + 1), sink population at n^2
@@ -433,7 +422,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
                 raise np.linalg.LinAlgError(f"{point} has non-finite entries")
             raise np.linalg.LinAlgError(
                 f"{point} keeps too few significant bits: eps * ||G dt||_1 = "
-                f"{step_error[k]:.3e} exceeds {_MAX_STEP_ERROR:g}")
+                f"{step_error[k]:.3e} exceeds {_MAX_PHASE_ERROR:g}")
     return eta, converged
 
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import Hamiltonian, _integer
-from .open_system import StateInvariantError
+from .hamiltonians import (Hamiltonian, StateInvariantError, _check_phase_error,
+                           _integer)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 NORM_TOL = 1e-10
@@ -57,11 +57,6 @@ _SHOT_ALIGN = 16
 # largest phase_sigma, 1/eps: beyond it one ulp of a phase sigma z is about
 # |z| radians, so a kick carries no bits mod 2 pi (and 0.5 sigma z is finite)
 _MAX_PHASE_SIGMA = 2 ** 52
-# largest eps * ||H|| * t of a walk: eigh's eigenvalues are off by about
-# eps * ||H|| and lambda * t is rounded, so each phase exp(-i lambda t) is off
-# by about eps * ||H|| * t radians; beyond this bound populations may be off
-# by more than the norm drift a walk state tolerates
-_MAX_PHASE_ERROR = NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -118,19 +113,15 @@ def propagator(h: Hamiltonian, t: float) -> np.ndarray:
 
 
 def _check_walk(h: Hamiltonian, input_mode: int, t: float) -> None:
-    """Reject an input mode that is not a site index of h and a negative or
-    non-finite time, before any work; raise LinAlgError when eps * ||H|| * t
-    exceeds _MAX_PHASE_ERROR, with ||H|| bounded by the max row sum of |H|
-    (no eigensolve)."""
+    """Reject, before any work, an input mode that is not a site index of h,
+    a negative or non-finite time, and a time beyond the phase precision,
+    with ||H|| bounded by the max row sum of |H| (no eigensolve)."""
     if not 0 <= _integer(input_mode, "input mode") < h.dim:
         raise ValueError(f"input mode {input_mode} out of range for dimension {h.dim}")
     if not 0 <= t < np.inf:
         raise ValueError("time must be non-negative and finite")
-    phase_error = np.finfo(float).eps * np.abs(h.matrix).sum(axis=1).max() * t
-    if phase_error > _MAX_PHASE_ERROR:
-        raise np.linalg.LinAlgError(
-            f"eps * ||H|| * t = {phase_error:.3e} exceeds {_MAX_PHASE_ERROR:g}: "
-            "the evolution phases carry too few significant bits")
+    _check_phase_error(np.abs(h.matrix).sum(axis=1).max(), t,
+                       "eps * ||H|| * t", "evolution")
 
 
 def evolve_unitary(h: Hamiltonian, input_mode: int, t: float) -> WalkState:

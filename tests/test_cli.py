@@ -240,6 +240,42 @@ def test_parse_time_xor_length(tmp_path, data_dir):
         parse_config(base + "length 0.01\n", base_dir=tmp_path)
 
 
+SPECTRUM_KEYS = ("command bh-spectrum\nL 2\nN 2\nJ 1.0\nU 1.0\ndelta 0.03\n"
+                 "nu_min 0.5\nnu_max 0.8\nnu_steps 3\nt_drive 10.0\noutput out.csv\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (lambda data_dir: sweep_config(data_dir) + "disorder_sigma 0.5\n",
+     "config: seed required when disorder_sigma > 0"),
+    (lambda data_dir: SPECTRUM_KEYS + "geometry plaquette\ncols 2\n",
+     "config: plaquette geometry requires 'rows'"),
+    (lambda data_dir: SPECTRUM_KEYS + "geometry plaquette\nrows 2\n",
+     "config: plaquette geometry requires 'cols'"),
+    (lambda data_dir: SPECTRUM_KEYS + "geometry plaquette\nrows 2\ncols 2\n",
+     "config: rows * cols must equal L"),
+    (lambda data_dir: SPECTRUM_KEYS.replace("L 2\n", "L 2 3\n"),
+     "line 2: key 'L' takes a single value"),
+    (lambda data_dir: SPECTRUM_KEYS.replace("L 2\n", "L\n"),
+     "line 2: key 'L' needs a value"),
+    (lambda data_dir: validate_config(data_dir).replace(
+        "note single-particle fixture check", "note"),
+     "line 10: key 'note' needs a value"),
+    (lambda data_dir: validate_config(data_dir).replace(
+        "hardness_proof false", "hardness_proof yes"),
+     "line 7: hardness_proof: expected 'true' or 'false'"),
+], ids=["seed", "rows", "cols", "rows-cols", "single-value", "no-value", "no-note",
+        "boolean"])
+def test_config_violations_exit_2_with_their_place(tmp_path, data_dir, capsys, text,
+                                                   message):
+    config = text(data_dir)
+    cfg = write_config(tmp_path, "run.cfg", config)
+    command = next(line.split()[1] for line in config.splitlines()
+                   if line.startswith("command "))
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_parse_command_mismatch(tmp_path, data_dir):
     with pytest.raises(ConfigError, match="invoked as"):
         parse_config("command walk\n", base_dir=tmp_path, expected_command="validate")
@@ -480,6 +516,19 @@ def test_walk_beyond_the_phase_precision_is_a_numerical_failure(tmp_path, data_d
     assert sorted(p.name for p in tmp_path.iterdir()) == ["walk.cfg"]
 
 
+def test_walk_whose_phase_error_overflows_fails_without_a_warning(tmp_path, capsys):
+    # eps * ||H|| * t overflows to inf; the bound refuses it with no numpy
+    # overflow warning (an error under this suite's warning filter)
+    (tmp_path / "big.net").write_text("sites 2\nsite 0 a 0.0\nsite 1 b 1e200\n"
+                                      "coupling 0 1 1.0\n")
+    cfg = write_config(tmp_path, "walk.cfg", "command walk\nnetwork big.net\n"
+                       "input_mode 0\ntime 1e200\noutput walk.csv\n")
+    assert main(["walk", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: eps * ||H|| * t = inf exceeds 1e-10: "
+        "the evolution phases carry too few significant bits\n")
+
+
 @pytest.mark.parametrize("sites, errors", [
     ("source 2\nsink 1", ["line 4: source 2 out of range for 2-site network"]),
     ("source 0\nsink 5", ["line 5: sink 5 out of range for 2-site network"]),
@@ -700,6 +749,36 @@ def test_bh_spectrum_negative_absorption_is_an_invariant_violation(
     err = capsys.readouterr().err
     assert "invariant violation" in err and "below -1e-9" in err
     assert not (tmp_path / "spec.csv").exists()
+
+
+@pytest.mark.parametrize("bosons, hopping, interaction, tol", [
+    *((3, 1.5, 0.9336, tol) for tol in ("1e-8", "1e-7", "1e-6", "1e-5")),
+    (6, 0.0, 5.0, "1e-9"),
+])
+def test_bh_spectrum_norm_drift_of_an_eigenstate_is_not_absorption(
+        tmp_path, bosons, hopping, interaction, tol):
+    # one site's Fock state is an eigenstate, E0 = U N (N - 1) / 2, and
+    # absorbs nothing: its gain is E0 (|psi|^2 - 1), the integrator's norm
+    # drift times E0, which falls below -1e-9 at these tolerances
+    cfg = write_config(tmp_path, "bh.cfg", f"""command bh-spectrum
+L 1
+N {bosons}
+J {hopping}
+U {interaction}
+delta 0.05
+nu_min 1.5
+nu_max 2.0
+nu_steps 2
+t_drive 1.5
+tol {tol}
+output spec.csv
+""")
+    assert main(["bh-spectrum", str(cfg)]) == 0
+    e0 = interaction * bosons * (bosons - 1) / 2
+    _, _, rows = read_csv(tmp_path / "spec.csv")
+    gains = [float(row[1]) for row in rows]
+    assert min(gains) < -1e-9
+    assert all(abs(gain) <= 10 * float(tol) * e0 for gain in gains)
 
 
 def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv",

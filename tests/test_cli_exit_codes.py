@@ -155,6 +155,11 @@ def outputs(folder: Path) -> dict:
          "length 1e300\nn_index 1e300\noutput out.csv\n")
 @example("command bh-spectrum\nL 2\nN 2\nJ 1.0\nU 1.0\ndelta 0.03\nnu_min 0.5\n"
          "nu_max 0.8\nnu_steps 3\nt_drive 1e300\noutput out.csv\n")
+# eigenstates whose integrator norm drift once read as negative absorption
+@example("command bh-spectrum\nL 1\nN 3\nJ 1.5\nU 0.9336\ndelta 0.05\nnu_min 1.5\n"
+         "nu_max 2.0\nnu_steps 2\nt_drive 1.5\ntol 1e-05\noutput out.csv\n")
+@example("command bh-spectrum\nL 1\nN 6\nJ 0.0\nU 5.0\ndelta 0.05\nnu_min 1.5\n"
+         "nu_max 2.0\nnu_steps 2\nt_drive 1.5\noutput out.csv\n")
 def test_every_run_ends_in_a_documented_exit_code(text):
     with tempfile.TemporaryDirectory() as folder:
         config = Path(folder) / "run.cfg"

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aqsim
@@ -65,6 +66,43 @@ def test_tracer_patch_targets_exist_in_open_system():
     assert inspect.isfunction(getattr(open_system.DensityMatrix, "__post_init__", None))
     build = getattr(open_system, "build_liouvillian", None)
     assert inspect.isfunction(build) and build.__module__ == open_system.__name__
+
+
+def _package_imports(module: str) -> set:
+    """The aqsim modules that aqsim.<module> imports anywhere in its source."""
+    source = Path(aqsim.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "aqsim")
+        elif isinstance(node, ast.ImportFrom):
+            base = (".".join(filter(None, ("aqsim", node.module))) if node.level
+                    else node.module)
+            if base == "aqsim":
+                found.update(f"aqsim.{a.name}" for a in node.names)
+            elif base.split(".")[0] == "aqsim":
+                found.add(base)
+    return found
+
+
+@pytest.mark.parametrize("module, imports", [
+    ("hamiltonians", set()),
+    *((engine, {"aqsim.hamiltonians"})
+      for engine in ("walk", "bose_hubbard", "open_system", "validation", "netfiles")),
+])
+def test_engines_import_only_hamiltonians_from_the_package(module, imports):
+    # the shared failure types and precision bound live in hamiltonians, so
+    # no engine imports another for them
+    assert _package_imports(module) == imports
+
+
+def test_engine_failures_derive_from_the_exit_table_row_types():
+    # the exit table names one type per row of the engines' failures
+    assert issubclass(aqsim.NegativeAbsorptionError, aqsim.StateInvariantError)
+    assert issubclass(aqsim.EigenConvergenceError, np.linalg.LinAlgError)
+    assert aqsim.StateInvariantError is open_system.StateInvariantError
+    assert cli._EXIT_CODES[1][0] == (np.linalg.LinAlgError,)
+    assert cli._EXIT_CODES[2][0] == (aqsim.StateInvariantError, aqsim.ReportRoleError)
 
 
 # Runs in a fresh interpreter on the checkout's src: imports aqsim's CLI,
