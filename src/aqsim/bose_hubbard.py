@@ -12,10 +12,10 @@ interaction U(t) = U (1 + delta sin(2 pi nu t)).  Absorption peaks sit at
 transition frequencies (E_k - E_0) / 2 pi of states the modulation couples
 to, which is how the gap and its softening show up at desk scale.
 
-The gap scan solves in the sector of states even under the site reversal
-j -> L - 1 - j (reflection_sector): the ground state and every state the
-drive couples to lie there, so the eigensolve needs only about half the
-Fock basis.
+The gap scan (_gap_scan) solves in the sector of states even under the
+site reversal j -> L - 1 - j (reflection_sector): the ground state and
+every state the drive couples to lie there, so the eigensolve needs only
+about half the Fock basis.
 """
 
 from __future__ import annotations
@@ -177,7 +177,10 @@ class FockBasis:
 
     def index(self, occupation) -> int:
         """Position of an occupation vector in the basis ordering."""
-        key = tuple(int(n) for n in occupation)
+        entries = tuple(occupation)
+        key = tuple(int(n) for n in entries)
+        if key != entries:
+            raise KeyError(f"{[float(n) for n in entries]} is not integral")
         if (len(key) != self.n_sites or min(key) < 0
                 or sum(key) != self.n_bosons):
             raise KeyError(f"{key} is not a state of this basis")
@@ -472,9 +475,10 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     allowed and yields the null spectrum.  The nu grid must be finite and
     strictly ascending, and t_drive finite and positive.  Raises LinAlgError
     before any solve when eps * (||H|| + 2 pi nu_max) * t_drive exceeds the
-    walk's bound of 1e-10, and when the integration fails.  psi is not
-    renormalized, so its norm drift moves the gain by about E_0 (|psi|^2 - 1);
-    only a gain below -1e-9 - |E_0| |1 - |psi|^2| is a NegativeAbsorptionError.
+    precision bound hamiltonians._MAX_PHASE_ERROR (1e-10), and when the
+    integration fails.  psi is not renormalized, so its norm drift moves the
+    gain by about E_0 (|psi|^2 - 1); only a gain below
+    -1e-9 - |E_0| |1 - |psi|^2| is a NegativeAbsorptionError.
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError("drive amplitude delta must lie in [0, 0.1]")
@@ -498,7 +502,7 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     h0 = build_bh(params, basis)
     pairs = onsite_pair_count(basis)
     drive_scale = params.interaction * delta
-    # the walk's precision bound, with ||H(t)|| at most the max row sum of
+    # hamiltonians._MAX_PHASE_ERROR, with ||H(t)|| at most the max row sum of
     # |H_0| plus U delta max(pair count); the drive phase 2 pi nu t is
     # rounded too, so the largest drive frequency adds to the rate (summed
     # in Python floats, which overflow to inf without a warning)
@@ -557,3 +561,27 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasi
             return float(gap)
     raise DriveCouplingError(
         f"no drive-coupled excitation among the lowest k = {k} states; raise k")
+
+
+def _gap_scan(params: BoseHubbardParams, basis: FockBasis, j_ratios, k: int) -> tuple:
+    """(drive-coupled gaps, condensate fractions, sector size) at J = j U for
+    each j of j_ratios, solved in the reversal-even sector with the k lowest
+    states, k clamped to the sector size.  params sets the lattice and U at
+    hopping 1."""
+    import scipy.sparse as sp
+
+    # J > 0: the ground state and all it is drive-coupled to are even
+    sector = reflection_sector(params, basis)
+    k = min(k, sector.shape[0])
+    # only J changes along the scan: project the unit-J hopping and the
+    # U pair-count parts once, then H_s(J) = J hop_s + pairs_s
+    hop = sector @ hopping_matrix(params, basis) @ sector.T
+    pairs = sector @ sp.diags(params.interaction * onsite_pair_count(basis)) @ sector.T
+    gaps, fractions = [], []
+    for j in j_ratios:
+        h = (j * params.interaction) * hop + pairs
+        energies, even = low_spectrum(h, k)
+        vectors = sector.T @ even
+        gaps.append(drive_coupled_gap(energies, vectors, basis))
+        fractions.append(condensate_fraction(vectors[:, 0], basis))
+    return gaps, fractions, sector.shape[0]

@@ -38,10 +38,8 @@ import numpy as np
 
 from . import __version__
 from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
-                           DriveCouplingError, condensate_fraction,
-                           drive_coupled_gap, enumerate_basis, hopping_matrix,
-                           low_spectrum, modulation_absorption,
-                           onsite_pair_count, reflection_sector)
+                           DriveCouplingError, _gap_scan, enumerate_basis,
+                           modulation_absorption)
 from .hamiltonians import (StateInvariantError, apply_static_disorder,
                            build_tight_binding)
 from .netfiles import (NetfileError, _decimal, _read_text, _records,
@@ -534,32 +532,17 @@ def _run_bh_spectrum(config: ExperimentConfig) -> list:
 
 
 def _run_bh_scan(config: ExperimentConfig) -> list:
-    from scipy.sparse import diags  # only the Bose-Hubbard commands load scipy.sparse
-
     v = config.values
     basis = enumerate_basis(v["L"], v["N"])
     grid = _grid(v, "j")
-    unit = _bh_params(v, 1.0, v["U"])
-    # J > 0: the ground state and all it is drive-coupled to are even
-    sector = reflection_sector(unit, basis)
-    k = min(v["k"], sector.shape[0])
-    # only J changes along the scan: project the unit-J hopping and the
-    # U pair-count parts once, then H_s(J) = J hop_s + pairs_s
-    hop = sector @ hopping_matrix(unit, basis) @ sector.T
-    pairs = sector @ diags(v["U"] * onsite_pair_count(basis)) @ sector.T
-    rows = []
-    for j in grid:
-        h = (j * v["U"]) * hop + pairs
-        energies, even = low_spectrum(h, k)
-        vectors = sector.T @ even
-        gap = drive_coupled_gap(energies, vectors, basis)
-        fraction = condensate_fraction(vectors[:, 0], basis)
-        rows.append((j, gap, fraction))
+    gaps, fractions, sector_states = _gap_scan(_bh_params(v, 1.0, v["U"]), basis,
+                                               grid, v["k"])
+    rows = zip(grid, gaps, fractions)
     return _write_csv(config, ["j_ratio", "gap", "condensate_fraction"], rows, {
         "j_grid": [float(g) for g in grid],
         "k": v["k"],
         "basis_states": len(basis),
-        "sector_states": sector.shape[0],
+        "sector_states": sector_states,
     })
 
 

@@ -305,7 +305,8 @@ def spreading_stats(h: Hamiltonian, times,
     site m0 = (dim - 1) // 2.  With a dephasing spec, segment duration is held fixed at
     times[-1] / n_segments so the equivalent dephasing rate is the same at
     every sampled time; each requested time must then sit on a segment
-    boundary.
+    boundary.  Times [0] give the noiseless result: nothing evolves, and
+    the segment duration would be 0.
     """
     if h.dim % 2 == 0:
         raise ValueError("spreading statistics require an odd chain length")
@@ -315,7 +316,7 @@ def spreading_stats(h: Hamiltonian, times,
         raise ValueError("times must be a non-empty 1-d sequence")
     if not (np.isfinite(ts).all() and ts[0] >= 0 and np.all(np.diff(ts) > 0)):
         raise ValueError("times must be finite, non-negative and strictly ascending")
-    if dephasing is None or dephasing.phase_sigma == 0.0:
+    if dephasing is None or dephasing.phase_sigma == 0.0 or ts[-1] == 0:
         return [(float(t), _sigma_x(evolve_unitary(h, center, t).populations(), center))
                 for t in ts]
     _check_walk(h, center, ts[-1])

@@ -53,7 +53,8 @@ def test_basis_index_round_trips_and_rejects_non_states(sites, bosons):
     wrong_total = state[:-1] + [state[-1] + 1]
     wrong_length = state + [0]
     negative = [bosons + 1] + [0] * (sites - 2) + [-1] if sites > 1 else [-1]
-    for bad in (wrong_total, wrong_length, negative, state[:-1]):
+    fractional = [-0.5] * (sites - 1) + [bosons + 0.5]  # int() gives state
+    for bad in (wrong_total, wrong_length, negative, state[:-1], fractional):
         with pytest.raises(KeyError):
             basis.index(bad)
 

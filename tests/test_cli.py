@@ -889,7 +889,7 @@ def test_bh_scan_needs_two_sites_and_two_bosons(tmp_path, capsys, sites, bosons,
 
 
 def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
-    import aqsim.cli
+    import aqsim.bose_hubbard
 
     calls = []
 
@@ -897,19 +897,19 @@ def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
         calls.append(k)
         return aqsim.low_spectrum(h, k)
 
-    monkeypatch.setattr(aqsim.cli, "low_spectrum", counting)
+    monkeypatch.setattr(aqsim.bose_hubbard, "low_spectrum", counting)
     cfg = scan_config(tmp_path, 7, 6, k=10, j_steps=4)  # 472 even states: Lanczos path
     assert main(["bh-scan", str(cfg)]) == 0
     assert calls == [10] * 4
 
 
 def test_bh_scan_linear_algebra_failure_is_numerical(tmp_path, monkeypatch, capsys):
-    import aqsim.cli
+    import aqsim.bose_hubbard
 
     def failing(h, k):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(aqsim.cli, "low_spectrum", failing)
+    monkeypatch.setattr(aqsim.bose_hubbard, "low_spectrum", failing)
     assert main(["bh-scan", str(scan_config(tmp_path, 3, 3))]) == 3
     assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
     assert not (tmp_path / "scan.csv").exists()

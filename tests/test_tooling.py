@@ -96,6 +96,23 @@ def test_engines_import_only_hamiltonians_from_the_package(module, imports):
     assert _package_imports(module) == imports
 
 
+def test_cli_builds_no_hamiltonians():
+    # bh-scan's sector projection and J loop live in the engine: the CLI
+    # takes from bose_hubbard only its config types, failures and entry
+    # points, and no scipy at all
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {alias.name for node in imports
+             if isinstance(node, ast.ImportFrom) and node.module == "bose_hubbard"
+             for alias in node.names}
+    assert names == {"BasisSizeError", "BoseHubbardParams", "DriveCouplingError",
+                     "enumerate_basis", "modulation_absorption", "_gap_scan"}
+    modules = [node.module if isinstance(node, ast.ImportFrom) else alias.name
+               for node in imports for alias in node.names]
+    assert not [m for m in modules if m and m.split(".")[0] == "scipy"]
+
+
 def test_engine_failures_derive_from_the_exit_table_row_types():
     # the exit table names one type per row of the engines' failures
     assert issubclass(aqsim.NegativeAbsorptionError, aqsim.StateInvariantError)

@@ -227,6 +227,13 @@ def test_spreading_dephased_times_must_align():
             aqsim.spreading_stats(h, times, dephasing=spec)
 
 
+def test_spreading_dephased_at_time_zero_is_the_noiseless_walk():
+    # a final time of 0 would make the segment duration 0 and every
+    # sampled segment index NaN
+    spec = DephasingEnsembleSpec(n_segments=4, phase_sigma=0.5, shots=32, seed=1)
+    assert aqsim.spreading_stats(make_chain(5), [0.0], dephasing=spec) == [(0.0, 0.0)]
+
+
 CHUNK_CHAIN, CHUNK_SEGS, CHUNK_SIGMA, CHUNK_SEED = 21, 12, 0.7, 2024
 # the kick arithmetic differs from the oracle's exp(-1j * phases): agreement
 # to within a few ulps of a unit population, not bit for bit
