@@ -44,6 +44,10 @@ BASIS_CAP = 200_000
 _TABLE_CAP = 1 << 22
 _DENSE_LIMIT = 400
 RESIDUAL_TOL = 1e-9
+# low_spectrum's Lanczos stopping tolerance: ARPACK's test is relative to
+# |theta| <= ||H||, so this stops 100x under the RESIDUAL_TOL * ||H|| check;
+# iterating on to machine precision buys nothing that check or an output sees
+_LANCZOS_TOL = RESIDUAL_TOL / 100
 # drive_coupled_gap: smallest pair-count overlap, relative to its norm, that
 # counts an excited state as reached by the modulation
 _COUPLING_FLOOR = 1e-8
@@ -109,7 +113,9 @@ class FockBasis:
     sites, which is a difference of two entries of a table of exclusive
     prefix sums along p.  _shifts holds the two tables, one per direction,
     each of the shape of states; they are built on the first hop and are
-    read-only.
+    read-only.  _pair_hops holds the hops of every site pair that the
+    one-body density matrix reads, built on its first call and read-only
+    too.
 
     Raises ValueError for a non-integral size, n_sites < 1 or n_bosons < 0,
     and BasisSizeError before allocating anything if the binomial count
@@ -175,10 +181,27 @@ class FockBasis:
             tables.append(table)
         return tuple(tables)
 
+    @functools.cached_property
+    def _pair_hops(self) -> tuple:
+        """(bounds, sources, targets, amps): _hops(self, j, i), the hop
+        b_i^dag b_j, for every site pair i < j in row-major order,
+        concatenated so that pair p holds entries bounds[p]:bounds[p + 1]."""
+        n = self.n_sites
+        hops = [_hops(self, j, i) for i in range(n) for j in range(i + 1, n)]
+        empty = (np.zeros(0, np.int64),) * 2 + (np.zeros(0),)  # one site: no pairs
+        tables = (np.cumsum([0] + [sources.size for sources, _, _ in hops]),
+                  *(np.concatenate(part) for part in zip(empty, *hops)))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
     def index(self, occupation) -> int:
         """Position of an occupation vector in the basis ordering."""
         entries = tuple(occupation)
-        key = tuple(int(n) for n in entries)
+        try:
+            key = tuple(int(n) for n in entries)
+        except (ValueError, OverflowError):  # nan, inf
+            key = None
         if key != entries:
             raise KeyError(f"{[float(n) for n in entries]} is not integral")
         if (len(key) != self.n_sites or min(key) < 0
@@ -368,6 +391,15 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     through dense eigh; larger ones through Lanczos (ARPACK) with a
     deterministic start vector and a Lanczos space of 3k vectors (at
     least 20).
+
+    Lanczos stops at ARPACK tolerance _LANCZOS_TOL = 1e-11 rather than at
+    machine precision: a Ritz pair is accepted once its residual is at most
+    1e-11 |theta| <= 1e-11 ||H||, 100 times under the check above, and the
+    eigenvalue error of a symmetric matrix is then at most ||r||^2 / gap
+    (Parlett, The Symmetric Eigenvalue Problem).  Iterating further moves
+    neither the check nor any printed digit; it cost about a fifth of the
+    matrix-vector products of a bh-scan point.  ||H|| is the max row sum of
+    |H|.
     """
     dim = h.shape[0]
     k = _integer(k, "k")
@@ -386,7 +418,7 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
         eigsh = sys.modules[__name__].eigsh
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            vals, vecs = eigsh(h, k=k, which="SA", v0=v0,
+            vals, vecs = eigsh(h, k=k, which="SA", v0=v0, tol=_LANCZOS_TOL,
                                ncv=min(dim - 1, max(3 * k, 20)),
                                maxiter=max(10 * dim, 10000))
         except ArpackError as exc:  # ArpackNoConvergence included
@@ -412,11 +444,11 @@ def one_body_density_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     n = basis.n_sites
     rho = np.zeros((n, n), dtype=complex)
     rho[np.diag_indices(n)] = (np.abs(psi) ** 2) @ basis.states
-    for i in range(n):
-        for j in range(i + 1, n):
-            sources, targets, amps = _hops(basis, j, i)
-            rho[i, j] = np.vdot(psi[targets], amps * psi[sources])
-            rho[j, i] = np.conj(rho[i, j])
+    bounds, sources, targets, amps = basis._pair_hops
+    landed, moved = psi[targets], amps * psi[sources]
+    for start, stop, i, j in zip(bounds[:-1], bounds[1:], *np.triu_indices(n, 1)):
+        rho[i, j] = np.vdot(landed[start:stop], moved[start:stop])
+        rho[j, i] = np.conj(rho[i, j])
     return rho
 
 
@@ -468,7 +500,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
 
     Starting from the ground state of H_0 = build_bh(params, basis),
     H(t) = H_0 + U delta sin(2 pi nu t) * pair-count is integrated for
-    t_drive at each drive frequency, and the gain <H_0> - E_0 recorded.  A
+    t_drive at each drive frequency, and the gain <psi|H_0|psi> / |psi|^2 - E_0
+    recorded, which the integrator's norm drift does not bias.  A
     physical lattice-depth modulation would shake J and U together; driving
     U alone is the minimal version with the same spectroscopic content (same
     selection rule, peaks at the same transition frequencies).  delta = 0 is
@@ -476,9 +509,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     strictly ascending, and t_drive finite and positive.  Raises LinAlgError
     before any solve when eps * (||H|| + 2 pi nu_max) * t_drive exceeds the
     precision bound hamiltonians._MAX_PHASE_ERROR (1e-10), and when the
-    integration fails.  psi is not renormalized, so its norm drift moves the
-    gain by about E_0 (|psi|^2 - 1); only a gain below
-    -1e-9 - |E_0| |1 - |psi|^2| is a NegativeAbsorptionError.
+    integration fails.  Only a gain below -1e-9 - |E_0| |1 - |psi|^2| is a
+    NegativeAbsorptionError.
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError("drive amplitude delta must lie in [0, 0.1]")
@@ -527,8 +559,9 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
             raise np.linalg.LinAlgError(
                 f"drive integration failed at nu={nu:g}: {sol.message}")
         psi = sol.y[:, -1]
-        gain = float(np.vdot(psi, h0 @ psi).real) - e0
-        drift = abs(1.0 - float(np.vdot(psi, psi).real))
+        norm2 = float(np.vdot(psi, psi).real)
+        gain = float(np.vdot(psi, h0 @ psi).real) / norm2 - e0
+        drift = abs(1.0 - norm2)
         if gain < -1e-9 - abs(e0) * drift:
             raise NegativeAbsorptionError(
                 f"absorbed energy {gain:.3e} below -1e-9 - |E0| * norm drift "

@@ -54,7 +54,10 @@ def test_basis_index_round_trips_and_rejects_non_states(sites, bosons):
     wrong_length = state + [0]
     negative = [bosons + 1] + [0] * (sites - 2) + [-1] if sites > 1 else [-1]
     fractional = [-0.5] * (sites - 1) + [bosons + 0.5]  # int() gives state
-    for bad in (wrong_total, wrong_length, negative, state[:-1], fractional):
+    not_a_number = [math.nan] + state[1:]  # int() raises ValueError
+    infinite = [math.inf] + state[1:]  # int() raises OverflowError
+    for bad in (wrong_total, wrong_length, negative, state[:-1], fractional,
+                not_a_number, infinite):
         with pytest.raises(KeyError):
             basis.index(bad)
 
@@ -211,12 +214,18 @@ def test_low_spectrum_ground_state_closed_form():
     assert residual <= 1e-9
 
 
-def test_low_spectrum_sparse_matches_dense():
+@pytest.mark.parametrize("j_ratio", [0.01, 0.2, 5.0])
+def test_low_spectrum_sparse_matches_dense(j_ratio):
+    # Lanczos stops short of machine precision: its residuals must still
+    # sit well under the RESIDUAL_TOL * ||H|| that low_spectrum checks
     basis = aqsim.enumerate_basis(8, 6)  # 1716 states: Lanczos path
-    h = aqsim.build_bh(BoseHubbardParams.chain(8, 1.0, 3.0), basis)
-    vals, _ = aqsim.low_spectrum(h, 6)
+    h = aqsim.build_bh(BoseHubbardParams.chain(8, j_ratio, 1.0), basis)
+    vals, vecs = aqsim.low_spectrum(h, 6)
     dense = np.linalg.eigvalsh(h.toarray())[:6]
     assert np.abs(vals - dense).max() <= 1e-10
+    norm = abs(h).sum(axis=1).max()
+    residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    assert residuals.max() <= aqsim.bose_hubbard.RESIDUAL_TOL * norm / 10
 
 
 def test_low_spectrum_k_range():
@@ -348,6 +357,19 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
     # the ground state comes from the Hamiltonian build_bh assembles
     (h,) = solved
     assert (h != want).nnz == 0
+
+
+def test_absorption_gain_is_unbiased_by_the_norm_drift():
+    # E0 < 0 here, so a gain taken on the unrenormalized psi rises by
+    # |E0| (1 - |psi|^2) as the integrator loses norm: at tol 1e-5 it read
+    # 3.95e-4 at nu 0.05, where the gain is 3.9e-6
+    basis = aqsim.enumerate_basis(3, 3)
+    params = BoseHubbardParams.chain(3, 1.0, 1.0)
+    grid = [0.05, 0.3, 0.6]
+    loose, tight = (aqsim.modulation_absorption(params, basis, 0.05, grid, 60.0,
+                                                tol=tol).absorbed_energy
+                    for tol in (1e-5, 1e-10))
+    assert np.abs(loose - tight).max() <= 1e-5
 
 
 def test_absorption_zero_drive():

@@ -758,8 +758,9 @@ def test_bh_spectrum_negative_absorption_is_an_invariant_violation(
 def test_bh_spectrum_norm_drift_of_an_eigenstate_is_not_absorption(
         tmp_path, bosons, hopping, interaction, tol):
     # one site's Fock state is an eigenstate, E0 = U N (N - 1) / 2, and
-    # absorbs nothing: its gain is E0 (|psi|^2 - 1), the integrator's norm
-    # drift times E0, which falls below -1e-9 at these tolerances
+    # absorbs nothing.  The integrator's norm drift times E0 falls below
+    # -1e-9 at these tolerances; the gain divides <H0> by |psi|^2, so the
+    # drift no longer reaches it
     cfg = write_config(tmp_path, "bh.cfg", f"""command bh-spectrum
 L 1
 N {bosons}
@@ -777,8 +778,7 @@ output spec.csv
     e0 = interaction * bosons * (bosons - 1) / 2
     _, _, rows = read_csv(tmp_path / "spec.csv")
     gains = [float(row[1]) for row in rows]
-    assert min(gains) < -1e-9
-    assert all(abs(gain) <= 10 * float(tol) * e0 for gain in gains)
+    assert all(abs(gain) <= 1e-12 * e0 for gain in gains)
 
 
 def scan_config(tmp_path, sites, bosons, k=10, j_steps=3, output="scan.csv",
@@ -794,11 +794,12 @@ output {output}
 {geometry}""")
 
 
+# every even sector is dense-eigh sized except chain7's, 472 states (Lanczos)
 @pytest.mark.parametrize("sites, bosons, shape, interaction", [
     (3, 3, None, 1.0), (4, 4, None, 1.0), (5, 5, None, 1.0), (6, 6, None, 1.0),
-    (4, 4, (2, 2), 1.0), (6, 5, (2, 3), 1.0), (5, 5, None, 2.5),
+    (4, 4, (2, 2), 1.0), (6, 5, (2, 3), 1.0), (5, 5, None, 2.5), (7, 6, None, 1.0),
 ], ids=["chain3", "chain4", "chain5", "chain6", "plaquette2x2", "plaquette2x3",
-        "chain5-U2.5"])
+        "chain5-U2.5", "chain7"])
 def test_bh_scan_matches_full_basis_dense_oracle(tmp_path, sites, bosons, shape,
                                                  interaction):
     geometry = f"U {interaction!r}\n" + ("" if shape is None else (

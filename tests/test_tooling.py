@@ -173,6 +173,25 @@ def test_scipy_seams_resolve_to_scipy_on_first_access():
         bose_hubbard.solve_ivp
 
 
+def test_lanczos_stops_at_a_tolerance_under_the_residual_check(monkeypatch):
+    # a positive ARPACK tol, so Lanczos stops short of machine precision,
+    # and at least 10x under the RESIDUAL_TOL * ||H|| checked afterwards
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+    from aqsim import bose_hubbard
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return scipy.sparse.linalg.eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(bose_hubbard, "eigsh", recording)
+    h = sp.diags(np.arange(500.0)).tocsr()  # over the dense limit: Lanczos path
+    bose_hubbard.low_spectrum(h, 3)
+    (kwargs,) = calls
+    assert 0 < kwargs.get("tol", 0) <= bose_hubbard.RESIDUAL_TOL / 10
+
+
 @pytest.mark.parametrize("command, change, want_code, loads, skips", [
     ("walk", None, "0", ("concurrent.futures",), ("scipy",)),
     ("validate", None, "0", (), ("scipy",)),
