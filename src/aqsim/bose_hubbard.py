@@ -12,10 +12,10 @@ interaction U(t) = U (1 + delta sin(2 pi nu t)).  Absorption peaks sit at
 transition frequencies (E_k - E_0) / 2 pi of states the modulation couples
 to, which is how the gap and its softening show up at desk scale.
 
-The gap scan (_gap_scan) solves in the sector of states even under the
-site reversal j -> L - 1 - j (reflection_sector): the ground state and
-every state the drive couples to lie there, so the eigensolve needs only
-about half the Fock basis.
+The gap scan (_gap_scan) and the drive (modulation_absorption) both solve
+in the sector of states even under the site reversal j -> L - 1 - j
+(reflection_sector): the ground state and every state the drive couples
+to lie there, so each needs only about half the Fock basis.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _LANCZOS_TOL = RESIDUAL_TOL / 100
 # drive_coupled_gap: smallest pair-count overlap, relative to its norm, that
 # counts an excited state as reached by the modulation
 _COUPLING_FLOOR = 1e-8
+_DRIVE_BYTES = 1 << 20  # modulation_absorption: a chunk's (sector x nu) state
 
 
 def __getattr__(name):
@@ -499,18 +500,20 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     """Energy absorbed from a sinusoidal interaction modulation.
 
     Starting from the ground state of H_0 = build_bh(params, basis),
-    H(t) = H_0 + U delta sin(2 pi nu t) * pair-count is integrated for
-    t_drive at each drive frequency, and the gain <psi|H_0|psi> / |psi|^2 - E_0
-    recorded, which the integrator's norm drift does not bias.  A
-    physical lattice-depth modulation would shake J and U together; driving
-    U alone is the minimal version with the same spectroscopic content (same
-    selection rule, peaks at the same transition frequencies).  delta = 0 is
-    allowed and yields the null spectrum.  The nu grid must be finite and
-    strictly ascending, and t_drive finite and positive.  Raises LinAlgError
-    before any solve when eps * (||H|| + 2 pi nu_max) * t_drive exceeds the
-    precision bound hamiltonians._MAX_PHASE_ERROR (1e-10), and when the
-    integration fails.  Only a gain below -1e-9 - |E_0| |1 - |psi|^2| is a
-    NegativeAbsorptionError.
+    H(t) = H_0 + U delta sin(2 pi nu t) * pair-count is integrated for t_drive
+    on the reversal-even sector (reflection_sector; an edge set the reversal
+    does not preserve is a ValueError), and the gain
+    <psi|H_0|psi> / |psi|^2 - E_0 recorded, which the integrator's norm drift
+    does not bias.  The frequencies run in chunks of _DRIVE_BYTES / (16 x
+    sector size), one DOP853 solve each; tol bounds each driven state's
+    error.  A lattice-depth modulation would shake J and U together; driving
+    U alone keeps the selection rule and the peak frequencies.  delta = 0
+    yields the null spectrum.  The nu grid must be finite and strictly
+    ascending, and t_drive finite and positive.  Raises LinAlgError before
+    any solve when eps * (||H|| + 2 pi nu_max) * t_drive, with the full
+    basis's ||H||, exceeds hamiltonians._MAX_PHASE_ERROR (1e-10), and when
+    the integration fails.  Only a gain below -1e-9 - |E_0| |1 - |psi|^2| is
+    a NegativeAbsorptionError.
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError("drive amplitude delta must lie in [0, 0.1]")
@@ -541,34 +544,34 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     rate = (float(abs(h0).sum(axis=1).max()) + drive_scale * float(pairs.max())
             + 2.0 * math.pi * float(grid[-1]))
     _check_phase_error(rate, t_drive, "eps * (||H|| + 2 pi nu_max) * t_drive", "drive")
+    sector = reflection_sector(params, basis)
+    h0 = sector @ h0 @ sector.T
+    drive = drive_scale * (sector.multiply(sector) @ pairs)  # a mirror pair's pair count
     (e0,), vecs = low_spectrum(h0, 1)
-    psi0 = vecs[:, 0].astype(complex)
+    gains = np.zeros(grid.size)
+    width = max(1, _DRIVE_BYTES // (16 * h0.shape[0]))
+    for start in range(0, grid.size if drive_scale else 0, width):
+        omega = 2.0 * math.pi * grid[start:start + width]
 
-    def absorbed(nu: float) -> float:
-        if drive_scale == 0.0:
-            return 0.0
-        omega = 2.0 * math.pi * nu
-
-        def rhs(t, psi):
-            mod = drive_scale * math.sin(omega * t)
-            return -1j * (h0 @ psi + mod * pairs * psi)
-
-        sol = solve_ivp(rhs, (0.0, t_drive), psi0, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
+        def rhs(t, y):
+            psi = y.reshape(-1, omega.size)
+            return -1j * (h0 @ psi + np.outer(drive, np.sin(omega * t)) * psi).ravel()
+        scaled = tol / math.sqrt(omega.size)  # DOP853's error norm is the chunk's RMS
+        sol = solve_ivp(rhs, (0.0, t_drive), np.repeat(vecs[:, 0].astype(complex), omega.size),
+                        method="DOP853", t_eval=[t_drive],
+                        rtol=max(scaled, 100 * np.finfo(float).eps), atol=scaled * 1e-3)
         if not sol.success:
             raise np.linalg.LinAlgError(
-                f"drive integration failed at nu={nu:g}: {sol.message}")
-        psi = sol.y[:, -1]
-        norm2 = float(np.vdot(psi, psi).real)
-        gain = float(np.vdot(psi, h0 @ psi).real) / norm2 - e0
-        drift = abs(1.0 - norm2)
-        if gain < -1e-9 - abs(e0) * drift:
-            raise NegativeAbsorptionError(
-                f"absorbed energy {gain:.3e} below -1e-9 - |E0| * norm drift "
-                f"{drift:.3e} at nu={nu:g}")
-        return gain
-
-    return AbsorptionSpectrum(grid, np.array([absorbed(nu) for nu in grid]))
+                f"drive integration failed from nu={grid[start]:g}: {sol.message}")
+        psi = sol.y.reshape(-1, omega.size)
+        norm2 = np.linalg.norm(psi, axis=0) ** 2
+        gains[start:start + width] = (psi.conj() * (h0 @ psi)).sum(axis=0).real / norm2 - e0
+        for nu, gain, drift in zip(grid[start:], gains[start:], np.abs(1.0 - norm2)):
+            if gain < -1e-9 - abs(e0) * drift:
+                raise NegativeAbsorptionError(
+                    f"absorbed energy {gain:.3e} below -1e-9 - |E0| * norm drift "
+                    f"{drift:.3e} at nu={nu:g}")
+    return AbsorptionSpectrum(grid, gains)
 
 
 def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasis) -> float:

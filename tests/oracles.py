@@ -26,8 +26,12 @@ each shot's phases one segment at a time over one state holding every shot
 chunks), the Fock-space oracles find each hop's target state in a dict
 of occupation tuples, one state at a time (the implementation never ranks
 a moved state: it shifts each source's rank by two entries of the basis's
-prefix-sum tables), and the scan-point oracle diagonalizes the full-basis
-Hamiltonian densely (the implementation solves the reversal-even sector).
+prefix-sum tables), the scan-point oracle diagonalizes the full-basis
+Hamiltonian densely (the implementation solves the reversal-even sector),
+and the absorption oracles are second-order perturbation theory on the
+dense full-basis spectrum and the drive integrated one frequency at a time
+on the full basis (the implementation integrates a chunk of frequencies at
+once on the reversal-even sector).
 """
 
 import itertools
@@ -329,18 +333,25 @@ def one_body_density_matrix_by_lookup(psi: np.ndarray, basis) -> np.ndarray:
     return rho
 
 
-def scan_point_by_lookup(params, basis, k: int) -> tuple:
-    """(gap, condensate fraction) of one bh-scan point on the full basis.
-
-    H is the lookup hopping matrix plus U times the pair count read off the
-    occupations, diagonalized whole with dense eigh.  The gap is that of the
-    first of the k lowest states whose pair-count element with the ground
-    state exceeds 1e-8 of ||pair-count applied to the ground state||.
-    """
+def _hamiltonian_by_lookup(params, basis) -> tuple:
+    """(dense H, pair count): the lookup hopping matrix plus U times the pair
+    count read off the occupations."""
     pairs = np.array([sum(n * (n - 1) // 2 for n in state)
                       for state in basis.states.tolist()], dtype=float)
     h = hopping_matrix_by_lookup(params, basis).toarray() + np.diag(
         params.interaction * pairs)
+    return h, pairs
+
+
+def scan_point_by_lookup(params, basis, k: int) -> tuple:
+    """(gap, condensate fraction) of one bh-scan point on the full basis.
+
+    H is _hamiltonian_by_lookup's, diagonalized whole with dense eigh.  The
+    gap is that of the first of the k lowest states whose pair-count element
+    with the ground state exceeds 1e-8 of ||pair-count applied to the
+    ground state||.
+    """
+    h, pairs = _hamiltonian_by_lookup(params, basis)
     energies, vectors = np.linalg.eigh(h)
     ground = vectors[:, 0]
     driven = pairs * ground
@@ -350,3 +361,54 @@ def scan_point_by_lookup(params, basis, k: int) -> tuple:
                and abs(vectors[:, i] @ driven) > floor)
     rho = one_body_density_matrix_by_lookup(ground, basis)
     return float(gap), float(np.linalg.eigvalsh(rho).max()) / basis.n_bosons
+
+
+def absorption_by_linear_response(params, basis, delta: float, nu_grid,
+                                  t_drive: float) -> np.ndarray:
+    """Second-order absorbed energy from the exact full-basis spectrum.
+
+    (U delta)^2 sum_k w_k0 |<k|C|0>|^2 |int_0^T sin(2 pi nu t) e^{i w_k0 t} dt|^2
+    with C the pair count, w_k0 = E_k - E_0 from dense eigh of
+    _hamiltonian_by_lookup's H, and the integral in closed form: with
+    I(a) = int_0^T e^{i a t} dt = T e^{i a T / 2} sinc(a T / 2 pi), it is
+    (I(w + 2 pi nu) - I(w - 2 pi nu)) / 2i.  Exact to O(delta^4).
+    """
+    h, pairs = _hamiltonian_by_lookup(params, basis)
+    energies, vectors = np.linalg.eigh(h)
+    omega = energies[1:] - energies[0]
+    coupling = np.abs(vectors[:, 1:].T @ (pairs * vectors[:, 0])) ** 2
+    drive = 2 * math.pi * np.asarray(nu_grid, dtype=float)[:, None]
+
+    def phase_integral(a):
+        return t_drive * np.exp(0.5j * a * t_drive) * np.sinc(a * t_drive / (2 * math.pi))
+
+    overlap = (phase_integral(omega + drive) - phase_integral(omega - drive)) / 2j
+    return (params.interaction * delta) ** 2 * (np.abs(overlap) ** 2 * omega * coupling).sum(axis=1)
+
+
+def absorption_per_nu_full_basis(params, basis, delta: float, nu_grid,
+                                 t_drive: float, tol: float = 1e-9) -> np.ndarray:
+    """Absorbed energy with one DOP853 solve per frequency on the full basis.
+
+    The drive as it ran before it moved to the reversal-even sector and to
+    chunks of frequencies: H_0 is _hamiltonian_by_lookup's, the ground state
+    its dense eigh's, each frequency integrates alone at rtol tol and atol
+    1e-3 tol, and the gain is <psi|H_0|psi> / |psi|^2 - E_0.
+    """
+    h0, pairs = _hamiltonian_by_lookup(params, basis)
+    energies, vectors = np.linalg.eigh(h0)
+    psi0 = vectors[:, 0].astype(complex)
+    drive_scale = params.interaction * delta
+    gains = []
+    for nu in nu_grid:
+        omega = 2 * math.pi * nu
+
+        def rhs(t, psi):
+            return -1j * (h0 @ psi + drive_scale * math.sin(omega * t) * pairs * psi)
+
+        sol = solve_ivp(rhs, (0.0, t_drive), psi0, method="DOP853",
+                        rtol=tol, atol=tol * 1e-3)
+        assert sol.success, sol.message
+        psi = sol.y[:, -1]
+        gains.append(np.vdot(psi, h0 @ psi).real / np.vdot(psi, psi).real - energies[0])
+    return np.array(gains)

@@ -11,7 +11,8 @@ import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
 from aqsim.bose_hubbard import _hops, basis_size, hopping_matrix, onsite_pair_count
 
-from oracles import (chain_eigensystem, fock_states_by_product, hopping_matrix_by_lookup,
+from oracles import (absorption_by_linear_response, absorption_per_nu_full_basis,
+                     chain_eigensystem, fock_states_by_product, hopping_matrix_by_lookup,
                      hops_by_lookup, one_body_density_matrix_by_lookup)
 
 SQRT17 = math.sqrt(17.0)
@@ -339,7 +340,8 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
 
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)
-    want = aqsim.build_bh(params, basis)
+    sector = aqsim.reflection_sector(params, basis)
+    want = sector @ aqsim.build_bh(params, basis) @ sector.T
     calls, solved = [], []
 
     def counting(p, b):
@@ -354,9 +356,61 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
     monkeypatch.setattr(bh, "low_spectrum", recording)
     aqsim.modulation_absorption(params, basis, 0.03, [0.5, 0.7], 10.0)
     assert len(calls) == 1
-    # the ground state comes from the Hamiltonian build_bh assembles
+    # the ground state comes from build_bh's Hamiltonian on the even sector
     (h,) = solved
-    assert (h != want).nnz == 0
+    assert h.shape == want.shape and (h != want).nnz == 0
+
+
+@pytest.mark.parametrize("sites, t_drive", [(2, 60.0), (3, 40.0)])
+def test_absorption_matches_linear_response(sites, t_drive):
+    # the oracle is exact to second order in delta, so the drive may differ
+    # by O(delta^2) relative; it reached 0.78 and 0.22 of this bound
+    delta = 0.01
+    basis = aqsim.enumerate_basis(sites, sites)
+    params = BoseHubbardParams.chain(sites, 1.0, 1.0)
+    grid = np.linspace(0.1, 1.2, 23)
+    got = aqsim.modulation_absorption(params, basis, delta, grid, t_drive).absorbed_energy
+    want = absorption_by_linear_response(params, basis, delta, grid, t_drive)
+    assert np.abs(got - want).max() <= 100 * delta ** 2 * want.max()
+
+
+@pytest.mark.parametrize("sites, hopping, grid, t_drive", [
+    (2, 1.0, np.linspace(0.1, 1.2, 56), 60.0),  # criterion 07's grid
+    (4, 0.3, np.linspace(0.1, 1.2, 20), 20.0),
+], ids=["criterion07", "chain4"])
+def test_absorption_matches_the_per_nu_full_basis_drive(sites, hopping, grid, t_drive):
+    # the drive before it moved to the even sector and to chunks of
+    # frequencies; measured 1.25e-8 on criterion 07's grid, 6.4e-12 at L = 4
+    basis = aqsim.enumerate_basis(sites, sites)
+    params = BoseHubbardParams.chain(sites, hopping, 1.0)
+    got = aqsim.modulation_absorption(params, basis, 0.03, grid, t_drive).absorbed_energy
+    want = absorption_per_nu_full_basis(params, basis, 0.03, grid, t_drive)
+    assert np.abs(got - want).max() <= 5e-8
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_absorption_runs_one_solve_per_chunk_of_frequencies(monkeypatch, width):
+    import scipy.integrate
+
+    import aqsim.bose_hubbard as bh
+
+    basis = aqsim.enumerate_basis(3, 3)
+    params = BoseHubbardParams.chain(3, 1.0, 1.0)
+    grid = np.linspace(0.1, 1.2, 30)
+    whole = aqsim.modulation_absorption(params, basis, 0.03, grid, 10.0).absorbed_energy
+    solve_ivp, solves = scipy.integrate.solve_ivp, []
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    # modulation_absorption imports solve_ivp when it runs, so it reads this
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    sector_size = aqsim.reflection_sector(params, basis).shape[0]
+    monkeypatch.setattr(bh, "_DRIVE_BYTES", 16 * sector_size * width)
+    chunked = aqsim.modulation_absorption(params, basis, 0.03, grid, 10.0).absorbed_energy
+    assert len(solves) == math.ceil(grid.size / width)
+    assert np.abs(chunked - whole).max() <= 1e-8
 
 
 def test_absorption_gain_is_unbiased_by_the_norm_drift():
