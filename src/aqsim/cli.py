@@ -63,8 +63,9 @@ _EXIT_CODE_HELP = """exit codes:
   1  unexpected error (any other exception; a traceback follows)
   2  config or input-file failure (ConfigError, NetfileError, BasisSizeError,
      DriveCouplingError)
-  3  numerical failure (LinAlgError: an overflowed or imprecise step matrix,
-     walk or drive phases, integrator or eigensolver)
+  3  numerical failure (LinAlgError: an overflowed step matrix or one whose
+     rounding explains a trace drift, walk or drive phases, integrator or
+     eigensolver)
   4  invariant violation (StateInvariantError, ReportRoleError: state
      bookkeeping, ensemble population sum, absorbed energy or report rules)
 """

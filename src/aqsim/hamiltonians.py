@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-# largest eps * ||G|| * t of a propagation under a generator G, about the
-# rounding error of its phases in radians.  Beyond it a walk's populations
-# may be off by more than walk.NORM_TOL, and transport's trace may drift past
-# open_system.TRACE_TOL: on the dimer, trap rate 1e4 gives 1.3e-11 and a
-# worst drift of 5.0e-11, 1e6 gives 1.3e-9 and a drift of 1.1e-8.
+# largest eps * ||H|| * t of a walk or a drive, about the rounding error of
+# its phases in radians.  Beyond it a walk's populations may be off by more
+# than walk.NORM_TOL, and no test after the run can tell: the propagator
+# stays unitary to rounding error however many phase bits are lost.
+# Transport has no such bound; it judges each step by the trace drift it
+# causes (open_system._transport_batch).
 _MAX_PHASE_ERROR = 1e-10
 
 

@@ -54,9 +54,15 @@ Every state a run reaches up to its stop is validated: finite entries,
 Hermiticity, unit trace and positivity, with the floors below.  Positivity
 is screened by one batched Cholesky factorization of the states shifted
 by half the floor, and only a stack that fails the screen is diagonalized
-(_check_states).  A step matrix that overflowed, or whose eps ||G dt||_1
-exceeds _MAX_PHASE_ERROR, is a numerical failure instead of a state to
-validate.
+(_check_states).  A transport step S that overflowed is a numerical
+failure, and so is a trace drift S's rounding explains: S's probability
+defect max |w^T S - w^T| (w the trace) within eps ||G dt||_1, and the
+drift after c steps within c eps ||G dt||_1.  So is a drift under an S
+with an entry beyond 2 whose G keeps the trace (w^T G within that
+rounding), as no exact S has one: a coordinate vector is a Hermitian
+matrix of trace norm at most sqrt 2, which a trace-preserving positive map
+does not increase, and a coordinate Re rho_ij + Im rho_ij is at most
+sqrt 2 times a trace norm.
 """
 
 from __future__ import annotations
@@ -66,8 +72,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hamiltonians import (_MAX_PHASE_ERROR, Hamiltonian, StateInvariantError,
-                           _integer)
+from .hamiltonians import Hamiltonian, StateInvariantError, _integer
 
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
@@ -349,6 +354,9 @@ def _chunk_width(n: int) -> int:
     return max(1, _CHUNK_BYTES // per_point)
 
 
+# rates or horizons near the top of the double range overflow expm, and a
+# step lost to rounding overflows the path; the tests below catch either
+@np.errstate(over="ignore", invalid="ignore")
 def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
                      t_max: float, tol: float) -> tuple:
     """transport_efficiency at every row of rates, one row of per-site
@@ -364,11 +372,9 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     one by one in grid order would raise first: the checkpoints up to each
     point's stop are validated as one stack, point by point in grid order,
     and only up to the first point whose sink population is out of range,
-    whose range error is raised if its states pass.  A point whose step
-    matrix overflowed (non-finite entries), or whose eps ||G dt||_1 exceeds
-    _MAX_PHASE_ERROR so that its step keeps too few significant bits, is a
-    numerical failure: the points before it run as usual, and then it
-    raises LinAlgError.
+    whose range error is raised if its states pass.  A step matrix that
+    overflowed, or one whose trace drift rounding explains (module
+    docstring), raises LinAlgError after the points before it ran as usual.
     Returns the clamped efficiencies and the converged flags, one per row.
     """
     if spec.trap_rate == 0:
@@ -378,21 +384,26 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     n = spec.n_sites
-    checkpoints = np.arange(1, _CHECKPOINTS + 1)
+    w = np.append(np.eye(n).ravel(), [1.0, 1.0])  # the trace: populations and registers
+    checkpoints = np.arange(_CHECKPOINTS + 1)
     eta = np.empty(rates.shape[0])
     converged = np.empty(rates.shape[0], dtype=bool)
     width = _chunk_width(n)
     expm = sys.modules[__name__].expm
+
+    def step_matrix(point):
+        return (f"step matrix of grid point {point} (dephasing rates up to "
+                f"{rates[point].max():g}, trap_rate {spec.trap_rate:g})")
     for lo in range(0, rates.shape[0], width):
-        # rates or horizons near the top of the double range overflow here;
-        # such a point fails the finite or the precision test below
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = _real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS)
-            steps = expm(scaled)
-            finite = np.isfinite(steps).all(axis=(1, 2))
-            step_error = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
-        usable = finite & (step_error <= _MAX_PHASE_ERROR)
-        k = usable.size if usable.all() else int(np.argmin(usable))
+        scaled = _real_generators(h, spec, rates[lo:lo + width]) * (t_max / _CHECKPOINTS)
+        steps = expm(scaled)
+        finite = np.isfinite(steps).all(axis=(1, 2))
+        rounding = np.finfo(float).eps * np.abs(scaled).sum(axis=1).max(axis=1)
+        defect = np.abs(w @ steps - w).max(axis=1)
+        peak = np.abs(steps).max(axis=(1, 2))
+        # an entry beyond 2 under a generator that keeps the trace is expm's loss
+        lost = (peak > 2) & (np.abs(w @ scaled).max(axis=1) <= rounding)
+        k = finite.size if finite.all() else int(np.argmin(finite))
         steps, points = steps[:k], slice(lo, lo + k)
         # site population rho_ii at i (n + 1), sink population at n^2
         path = np.zeros((_CHECKPOINTS + 1,) + steps.shape[:2])
@@ -409,20 +420,28 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         outside = ~((sink_pop >= -1e-8) & (sink_pop <= 1 + 1e-8))
         checked = int(np.argmax(outside)) + 1 if outside.any() else k
         # point-major, so the first failing state belongs to the earliest point
-        states = path[1:, :checked].transpose(1, 0, 2)[checkpoints <= stop[:checked, np.newaxis]]
-        _check_states(_site_blocks(states[:, :n * n], n), states[:, n * n:])
+        owner, taken = np.nonzero((0 < checkpoints) & (checkpoints <= stop[:checked, np.newaxis]))
+        states = path[taken, owner]  # taken: steps taken to the state
+        # validated up to the first drift that the rounding explains
+        drift = np.abs(states @ w - 1.0)
+        imprecise = (defect <= rounding)[owner] & (drift <= taken * rounding[owner])
+        explained = (drift > TRACE_TOL) & (imprecise | lost[owner])
+        j = int(np.argmax(explained)) if explained.any() else explained.size
+        _check_states(_site_blocks(states[:j, :n * n], n), states[:j, n * n:])
+        if j < explained.size:
+            p, c = owner[j], taken[j]
+            why = (f"its probability defect {defect[p]:.3e} is within its rounding "
+                   f"eps * ||G dt||_1 = {rounding[p]:.3e}, and the trace drift "
+                   f"{drift[j]:.3e} at checkpoint {c} within {c} times that"
+                   if imprecise[j] else f"it has an entry of {peak[p]:.3e}, and no "
+                   f"step of its trace-preserving generator has one beyond 2")
+            raise np.linalg.LinAlgError(
+                f"{step_matrix(lo + p)} keeps too few significant bits: {why}")
         if outside.any():
             raise StateInvariantError(f"sink population {sink_pop[checked - 1]} outside [0, 1]")
         eta[points] = np.clip(sink_pop, 0.0, 1.0)
-        if k < usable.size:
-            bad = lo + k
-            point = (f"step matrix of grid point {bad} (dephasing rates up to "
-                     f"{rates[bad].max():g}, trap_rate {spec.trap_rate:g})")
-            if not finite[k]:
-                raise np.linalg.LinAlgError(f"{point} has non-finite entries")
-            raise np.linalg.LinAlgError(
-                f"{point} keeps too few significant bits: eps * ||G dt||_1 = "
-                f"{step_error[k]:.3e} exceeds {_MAX_PHASE_ERROR:g}")
+        if k < finite.size:
+            raise np.linalg.LinAlgError(f"{step_matrix(lo + k)} has non-finite entries")
     return eta, converged
 
 
@@ -437,10 +456,11 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     Only the invariant subspace of the module docstring evolves: the real
     site block and the two register populations, n^2 + 2 coordinates (51
     at n = 7), under a real generator G written directly from Re H, Im H
-    and the rates, one step matrix expm(G t_max / _CHECKPOINTS) per
-    checkpoint.  The checkpoints up to the stop are validated as one
-    stack, which raises for the first invalid state just as checking each
-    in turn would.  This is the one-point case of goldilocks_sweep's batch.
+    and the rates, one step matrix expm(G t_max / _CHECKPOINTS) per point,
+    applied at every checkpoint.  The checkpoints up to the stop are
+    validated as one stack, which raises for the first invalid state just
+    as checking each in turn would.  This is the one-point case of
+    goldilocks_sweep's batch.
     Returns (eta, converged) where converged reports whether the flow
     criterion fired before t_max.
     """

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -465,32 +466,48 @@ def test_command_matches_golden_output(tmp_path, data_dir, name):
                 == (data_dir / (name + suffix)).read_bytes())
 
 
-@pytest.mark.parametrize("trap_rate, error", [
-    ("1e4", None), ("1e6", "1.332e-09"), ("1e12", "1.332e-03"), ("1e20", "1.332e+05")])
-def test_sweep_beyond_the_step_precision_is_a_numerical_failure(tmp_path, data_dir,
-                                                                 capsys, trap_rate, error):
-    # expm of these steps stays finite but keeps too few bits: trap 1e6 and
-    # 1e12 used to end in exit 4 on trace drift, and 1e20 in exit 0 with
-    # eta = 0 at every point.  eps * ||G dt||_1 is about 2 trap_rate * 3 eps
+@pytest.mark.parametrize("recombination, trap_rate, rounding", [
+    ("0", "1e4", None), ("0", "1e6", "1.332e-09"), ("0", "1e12", "1.332e-03"),
+    ("0", "1e14", None), ("0", "1e20", None), ("1e-3", "1e6", "1.332e-09"),
+    ("1e-3", "1e14", "1.332e-01"), ("1e-3", "1e20", "1.332e+05")])
+def test_sweep_fails_numerically_where_the_step_rounding_explains_the_drift(
+        tmp_path, data_dir, capsys, recombination, trap_rate, rounding):
+    # expm of these steps stays finite, and eps * ||G dt||_1, about
+    # 2 trap_rate * 3 eps, is far above 1e-10 from trap 1e6 on.  Where the
+    # trace still holds, eta is the Zeno limit 4 J^2 t_max / trap_rate; where
+    # it drifts, the step's own probability defect is within that rounding,
+    # and the drift within the checkpoint's count of it
     cfg = write_config(tmp_path, "sweep.cfg", f"""command enaqt-sweep
 network {data_dir}/dimer.net
 source 0
 sink 1
 trap_rate {trap_rate}
+recombination_rate {recombination}
 gamma_min 0.1
 gamma_max 10.0
 gamma_steps 5
 t_max 300.0
 output sweep.csv
 """)
-    if error is None:
+    if rounding is None:
         assert main(["enaqt-sweep", str(cfg)]) == 0
+        etas = np.array([float(r[1]) for r in read_csv(tmp_path / "sweep.csv")[2]])
+        if float(trap_rate) > 1e12:
+            zeno = 4 * 300.0 / float(trap_rate)
+            assert np.abs(etas / zeno - 1).max() <= 1e-12
         return
     assert main(["enaqt-sweep", str(cfg)]) == 3
-    assert capsys.readouterr().err == (
-        f"numerical failure: step matrix of grid point 0 (dephasing rates up to 0.1, "
-        f"trap_rate {float(trap_rate):g}) keeps too few significant bits: "
-        f"eps * ||G dt||_1 = {error} exceeds 1e-10\n")
+    err = capsys.readouterr().err
+    point = re.escape(f"grid point 0 (dephasing rates up to 0.1, "
+                      f"trap_rate {float(trap_rate):g})")
+    match = re.fullmatch(
+        rf"numerical failure: step matrix of {point} keeps too few significant bits: "
+        r"its probability defect (\S+) is within its rounding eps \* \|\|G dt\|\|_1 = "
+        rf"{re.escape(rounding)}, and the trace drift (\S+) at checkpoint (\d+) "
+        r"within \3 times that\n", err)
+    assert match, err
+    defect, drift, checkpoint = map(float, match.groups())
+    assert defect <= float(rounding) and 1e-9 < drift <= checkpoint * float(rounding)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 

@@ -149,6 +149,14 @@ def outputs(folder: Path) -> dict:
          "gamma_steps 3\noutput out.csv\n")
 @example("command bh-spectrum\nL 2\nN 2\nJ 1.0\nU 1.0\ndelta 0.03\nnu_min 0.5\n"
          "nu_max 0.5000000000000001\nnu_steps 3\nt_drive 10.0\noutput out.csv\n")
+# steps far beyond eps ||G dt||_1 = 1e-10: the trace holds without
+# recombination (exit 0) and drifts, within the step's rounding, with it (3)
+@example(f"command enaqt-sweep\nnetwork {DATA_DIR}/dimer.net\nsource 0\nsink 1\n"
+         "trap_rate 1e20\ngamma_min 0.1\ngamma_max 10.0\ngamma_steps 5\n"
+         "t_max 300.0\noutput out.csv\n")
+@example(f"command enaqt-sweep\nnetwork {DATA_DIR}/dimer.net\nsource 0\nsink 1\n"
+         "trap_rate 1e20\nrecombination_rate 1e-3\ngamma_min 0.1\ngamma_max 10.0\n"
+         "gamma_steps 5\nt_max 300.0\noutput out.csv\n")
 @example("command bh-scan\nL 3\nN 3\nj_min 0.1\nj_max 0.10000000000000002\n"
          "j_steps 3\noutput out.csv\n")
 @example(f"command walk\nnetwork {DATA_DIR}/dimer.net\ninput_mode 0\n"

@@ -457,13 +457,16 @@ def test_sweep_names_the_first_overflowed_point_after_the_points_before_it(monke
 
 
 def test_sweep_names_the_first_imprecise_point_after_the_points_before_it(monkeypatch):
-    # at a dephasing rate of 1e12 expm(G dt) is finite but keeps too few bits
+    # at a dephasing rate of 1e12 expm(G dt) is finite but keeps too few
+    # bits: its trace drifts, by a defect its rounding accounts for
     h, spec = detuned_dimer()
     grid = np.array([0.5, 1.0, 1e12])
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"grid point 2 \(dephasing rates up to 1e\+12, trap_rate 1\) "
-                             r"keeps too few significant bits: eps \* \|\|G dt\|\|_1 = "
-                             r"6\.661e-05 exceeds 1e-10"):
+                             r"keeps too few significant bits: its probability defect "
+                             r"2\.095e-06 is within its rounding eps \* \|\|G dt\|\|_1 = "
+                             r"6\.661e-05, and the trace drift 6\.057e-07 at checkpoint 1 "
+                             r"within 1 times that"):
         aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
     # a point before it still fails first, as one by one
     clean = lambda expm, a: expm(a)
@@ -471,6 +474,56 @@ def test_sweep_names_the_first_imprecise_point_after_the_points_before_it(monkey
     _patched_points(monkeypatch, (clean, backward, clean))
     with pytest.raises(StateInvariantError, match="negative eigenvalue"):
         aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+
+
+def test_drift_the_step_rounding_cannot_explain_raises_trace_drift(monkeypatch):
+    # a stepping fault leaks 1e-3 into site 0 at every checkpoint; the step
+    # matrices are expm's own, their defect within their rounding, even at
+    # the imprecise 1e12, but the drift is beyond what that rounding sums to
+    class LeakyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            np.matmul(a, b, out=out)
+            out[:, 0] += 1e-3
+
+    monkeypatch.setattr(open_system, "np", LeakyNumpy())
+    h, spec = detuned_dimer()
+    for grid in ([1.0], [1e12]):
+        with pytest.raises(StateInvariantError, match=r"trace drift 1\.00\de-03 exceeds"):
+            aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0)
+
+
+def test_step_with_an_entry_beyond_two_is_a_numerical_failure():
+    # on the 21-site chain at trap 1e10 and t_max 1e4, expm's squarings lose
+    # the step: its entries reach 1e100 and more, where no exact step's exceed 2
+    h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "chain21.net"))
+    spec = TransportSpec(0, 20, 1e10, 0.0, np.full(21, 0.1))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"grid point 0 \(dephasing rates up to 0\.1, trap_rate 1e\+10\) "
+                             r"keeps too few significant bits: it has an entry of \S+e\+\d+, "
+                             r"and no step of its trace-preserving generator has one beyond 2"):
+        aqsim.transport_efficiency(h, spec, t_max=1e4)
+
+
+def test_generator_that_breaks_the_trace_raises_trace_drift(monkeypatch):
+    # a sink fed from the source population is a bookkeeping fault, also
+    # where its steps have entries far beyond 2
+    real = open_system._real_generators
+
+    def misfed(h, spec, rates):
+        gen = real(h, spec, rates)
+        feeds = np.array([spec.sink_site, spec.source_site]) * (spec.n_sites + 1)
+        gen[:, spec.n_sites ** 2, feeds] = [0.0, spec.trap_rate]
+        return gen
+
+    monkeypatch.setattr(open_system, "_real_generators", misfed)
+    h, spec = detuned_dimer()
+    for trap_rate in (1.0, 1e6, 1e20):
+        with pytest.raises(StateInvariantError, match="trace drift"):
+            aqsim.goldilocks_sweep(h, replace(spec, trap_rate=trap_rate), [1.0], t_max=300.0)
 
 
 def test_stack_check_reports_the_first_failing_state_and_test():
