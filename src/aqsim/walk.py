@@ -24,16 +24,19 @@ at least 16 shots: past 1/16 of the budget per shot (256 KiB, e.g. 101 sites
 x 325 kicks) even the smallest chunk exceeds it.  The chunk size has no
 effect on results: a run is reproducible whatever the batching.  A kick
 exp(-i phi) is built from the half-angle tangent t = tan(phi / 2) as
-((1 - t^2) - 2i t) / (1 + t^2), with one tan over each chunk's contiguous
-shot-major block of half phases.
+((1 - t^2) - 2i t) / (1 + t^2), with one tan over each chunk's block of
+half phases.  Each sampled segment keeps one running sum of populations
+over the shots, added to by 16-shot blocks in shot order, so the mean is
+also the same bits at any chunk width.
 
-One helper thread keeps one chunk ahead: it draws, scales and tans chunk
-k + 1's block and transposes it to segment-major (kick, site, shot) order
-while the calling thread runs chunk k's segment products and kicks on the
-segment-major block it was handed.  At most three blocks are live at once,
-each within the budget: the one being applied, and the next chunk's
-shot-major draw and its segment-major copy.  The populations are the same
-bytes as with no helper.
+One helper thread keeps one chunk ahead: it draws chunk k + 1's phases 16
+shots at a time into a scratch slab, writes each slab into the chunk's
+segment-major (kick, site, shot) block, and scales and tans the block in
+place, while the calling thread runs chunk k's segment products and kicks
+on the block it was handed.  So two blocks, each within the budget, and
+one slab are live at once: memory does not grow with the shot count, and a
+sampled segment adds only its one vector of sums.  The populations are the
+same bytes as with no helper.
 
 A walk refuses (numpy.linalg.LinAlgError) a time at which eps * ||H|| * t
 exceeds 1e-10: exp(-i lambda t) then keeps too few significant bits.
@@ -193,15 +196,30 @@ def _phase_block(base: int, n_kicks: int, dim: int, half_sigma: float,
     """tan(phi / 2) of shots lo..hi-1, segment-major: (n_kicks, dim, hi - lo).
 
     Each shot draws its (n_kicks, dim) normals in one call on the stream
-    keyed on (base, shot); one scale and one tan run over the contiguous
-    shot-major block, which is then transposed so that each kick reads a
-    contiguous (dim, width) slab."""
-    half = np.empty((hi - lo, n_kicks, dim))
-    for j in range(hi - lo):
-        np.random.default_rng([base, lo + j]).standard_normal(out=half[j])
-    half *= half_sigma
-    np.tan(half, out=half)
-    return np.ascontiguousarray(half.transpose(1, 2, 0))
+    keyed on (base, shot), into a scratch slab of _SHOT_ALIGN shots that is
+    then written, transposed, into the block; one scale and one tan run in
+    place over the whole block.  So each kick reads a contiguous (dim, width)
+    slab, and beside the block only the slab is allocated."""
+    block = np.empty((n_kicks, dim, hi - lo))
+    slab = np.empty((_SHOT_ALIGN, n_kicks, dim))
+    for start in range(lo, hi, _SHOT_ALIGN):
+        stop = min(start + _SHOT_ALIGN, hi)
+        for j in range(start, stop):
+            np.random.default_rng([base, j]).standard_normal(out=slab[j - start])
+        block[:, :, start - lo:stop - lo] = slab[:stop - start].transpose(1, 2, 0)
+    block *= half_sigma
+    np.tan(block, out=block)
+    return block
+
+
+def _add_in_shot_order(total: np.ndarray, pops: np.ndarray) -> None:
+    """Add the columns of pops, (dim, width) for a chunk that starts on a
+    _SHOT_ALIGN-shot boundary, into total, one _SHOT_ALIGN-column block sum
+    at a time, in shot order.  Every chunk but the last spans whole blocks,
+    so the blocks, and with them every rounding, are the same at any chunk
+    width."""
+    for start in range(0, pops.shape[1], _SHOT_ALIGN):
+        total += pops[:, start:start + _SHOT_ALIGN].sum(axis=1)
 
 
 def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
@@ -218,27 +236,31 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
     columns of a matrix product are independent, and a chunk spans whole
     _SHOT_ALIGN-shot blocks, so each shot's column meets the same BLAS
     kernel as in one product over all shots (a one-column product would
-    take the matrix-vector kernel, hence no lone trailing shot).
+    take the matrix-vector kernel, hence no lone trailing shot).  Each
+    sampled segment keeps one running (dim,) sum of |amps|^2, added to in
+    shot order by _SHOT_ALIGN-shot blocks (_add_in_shot_order), so the sums
+    too are the same bits at any chunk width; the mean is sum / shots.
 
     The kick exp(-i phi) is built from the half-angle tangent (see
-    _half_angle_kick), with one tan over the chunk's whole contiguous block
-    of half phases, so every element takes the same ufunc loop whatever the
-    chunk width.  The block is handed over segment-major (_phase_block), so
-    a kick reads contiguous memory; the kick's arithmetic gives the same
-    bits in any layout.
+    _half_angle_kick), with one tan over the chunk's whole block of half
+    phases, so every element takes the same ufunc loop whatever the chunk
+    width.  The block is handed over segment-major (_phase_block), so a kick
+    reads contiguous memory; the kick's arithmetic gives the same bits in
+    any layout.
 
     One helper thread draws chunk k + 1's block while this thread runs chunk
     k's segment products and kicks: the RNG fill, the tan and the matrix
     products all release the GIL.  The next chunk is submitted only once
-    this one's block is taken, so at most three blocks of up to _PHASE_BYTES
-    each are live: the one being applied, and the next chunk's shot-major
-    draw and its segment-major copy while the helper transposes.
+    this one's block is taken, so at most two blocks of up to _PHASE_BYTES
+    each are live, the one being applied and the one being filled, plus the
+    helper's _SHOT_ALIGN-shot slab.  Memory does not grow with the shot
+    count, and a sampled segment adds only its (dim,) sum.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of import aqsim
 
     dim, n_segments = h.dim, spec.n_segments
     wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
-    pops = {seg: np.empty((dim, spec.shots)) for seg in wanted}  # |amps|^2 per shot
+    totals = {seg: np.zeros(dim) for seg in wanted}  # sum of |amps|^2 over shots
     bounds = _chunk_bounds(spec.shots, _chunk_width(n_segments, dim))
     args = (spec.seed % (1 << 64), n_segments - 1, dim, 0.5 * spec.phase_sigma)
     with ThreadPoolExecutor(1) as helper:
@@ -253,17 +275,17 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
             amps[input_mode, :] = 1.0
             kick = np.empty((dim, width), dtype=complex)
             scratch = np.empty((dim, width))
-            if 0 in pops:
-                pops[0][:, lo:hi] = np.abs(amps) ** 2
+            if 0 in totals:
+                _add_in_shot_order(totals[0], np.abs(amps) ** 2)
             for seg in range(1, n_segments + 1):
                 amps = u_seg @ amps
                 if seg < n_segments:
                     amps *= _half_angle_kick(phases[seg - 1], kick, scratch)
-                if seg in pops:
-                    pops[seg][:, lo:hi] = np.abs(amps) ** 2
+                if seg in totals:
+                    _add_in_shot_order(totals[seg], np.abs(amps) ** 2)
     averaged = {}
-    for seg, p in pops.items():
-        mean = p.mean(axis=1)
+    for seg, summed in totals.items():
+        mean = summed / spec.shots
         total = mean.sum()
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise StateInvariantError(f"ensemble populations sum to {total}, drift > 1e-9")

@@ -23,7 +23,10 @@ is a classical Markov chain, the mean-channel oracle evolves the density
 matrix of the infinite-shot ensemble, the segment-by-segment ensemble draws
 each shot's phases one segment at a time over one state holding every shot
 (the implementation draws a shot's phases at once and runs shots in
-chunks), the Fock-space oracles find each hop's target state in a dict
+chunks), the shot-array ensemble keeps every shot's populations at each
+sampled segment and takes one mean over them (the implementation keeps one
+running sum per sampled segment, added to in shot order by 16-shot
+blocks), the Fock-space oracles find each hop's target state in a dict
 of occupation tuples, one state at a time (the implementation never ranks
 a moved state: it shifts each source's rank by two entries of the basis's
 prefix-sum tables), the scan-point oracle diagonalizes the full-basis
@@ -229,6 +232,35 @@ def ensemble_populations_by_segment(h, input_mode: int, tau: float,
         if seg in wanted:
             out[seg] = np.abs(amps) ** 2
     return {seg: pops.mean(axis=1) for seg, pops in out.items()}
+
+
+def ensemble_populations_by_shot_array(h, input_mode: int, tau: float, spec,
+                                       sample_at=None) -> dict:
+    """The walk engine's ensemble, with its kicks, over one (dim, shots) state
+    and one (dim, shots) population array per sampled segment, averaged by
+    .mean(axis=1), a pairwise sum over all shots at once, where the engine
+    adds _SHOT_ALIGN-shot block sums in shot order."""
+    import aqsim
+    from aqsim import walk
+
+    dim, n_segments = h.dim, spec.n_segments
+    wanted = sorted(set(sample_at if sample_at is not None else [n_segments]))
+    base = spec.seed % (1 << 64)
+    normals = np.stack([np.random.default_rng([base, k]).standard_normal((n_segments - 1, dim))
+                        for k in range(spec.shots)], axis=-1)
+    half_tan = np.tan(normals * (0.5 * spec.phase_sigma))  # (kick, site, shot)
+    u_seg = aqsim.propagator(h, tau)
+    amps = np.zeros((dim, spec.shots), dtype=complex)
+    amps[input_mode, :] = 1.0
+    pops = {0: np.abs(amps) ** 2} if 0 in wanted else {}
+    for seg in range(1, n_segments + 1):
+        amps = u_seg @ amps
+        if seg < n_segments:
+            amps *= walk._half_angle_kick(half_tan[seg - 1], np.empty_like(amps),
+                                          np.empty(amps.shape))
+        if seg in wanted:
+            pops[seg] = np.abs(amps) ** 2
+    return {seg: p.mean(axis=1) for seg, p in pops.items()}
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int,

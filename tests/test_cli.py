@@ -407,7 +407,8 @@ output walk.csv
 
 
 def test_walk_matches_golden_output(tmp_path, data_dir):
-    # pinned bytes, written before the phase draws moved to a helper thread
+    # pinned bytes, written when the ensemble began summing populations in
+    # shot order by 16-shot blocks
     assert walk._chunk_bounds(6769, walk._chunk_width(12, 21))[-1] == (4512, 6769)
     cfg = write_config(tmp_path, "walk.cfg", golden_walk_config(data_dir))
     assert main(["walk", str(cfg)]) == 0

@@ -1,7 +1,9 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import linregress
 
 import aqsim
@@ -12,7 +14,7 @@ from aqsim import walk
 from conftest import make_chain, make_ring
 from oracles import (chain_eigensystem, chain_walk_populations,
                      classical_segment_walk, ensemble_populations_by_segment,
-                     mean_dephasing_channel)
+                     ensemble_populations_by_shot_array, mean_dephasing_channel)
 
 
 def test_time_zero_identity():
@@ -331,6 +333,76 @@ def test_small_chunks_match_segment_by_segment_ensemble(monkeypatch, shots):
     assert list(got) == list(want) == [0, 2, 5, CHUNK_SEGS]
     for k in want:
         np.testing.assert_allclose(got[k], want[k], rtol=0, atol=ORACLE_ATOL)
+
+
+# the shot-order block sums round differently from one mean over every
+# shot: a few ulps of a unit population
+PARITY_ATOL = 1e-15
+
+
+@pytest.mark.parametrize("chunks", ["default", "16-shot"])
+@pytest.mark.parametrize("shots", [1, 15, 16, 17, 33, 97, 4000])
+def test_shot_order_sums_match_one_mean_over_every_shot(monkeypatch, shots, chunks):
+    if chunks == "16-shot":
+        _use_16_shot_chunks(monkeypatch)
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    for sample_at in (None, SMALL_SAMPLE_AT):
+        got = walk._ensemble_populations(h, 10, 0.25, spec, sample_at=sample_at)
+        want = ensemble_populations_by_shot_array(h, 10, 0.25, spec, sample_at=sample_at)
+        assert list(got) == list(want)
+        for k in want:
+            np.testing.assert_allclose(got[k], want[k], rtol=0, atol=PARITY_ATOL)
+
+
+def _traced_peak_bytes(shots):
+    h = make_chain(CHUNK_CHAIN)
+    spec = DephasingEnsembleSpec(CHUNK_SEGS, CHUNK_SIGMA, shots, CHUNK_SEED)
+    tracemalloc.start()
+    try:
+        walk._ensemble_populations(h, 10, 0.25, spec, sample_at=[0, 6, 12])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_memory_does_not_grow_with_shots():
+    # 20 000 shots already fill every chunk to the phase budget; five times
+    # as many shots only run more chunks through the same buffers
+    assert _traced_peak_bytes(100_000) <= 1.1 * _traced_peak_bytes(20_000)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+       st.floats(0.05, 3.0), st.integers(1, 40))
+def test_ensemble_populations_are_gauge_invariant(dim, draw, n_segments, sigma, shots):
+    # H -> G H G^dag with G diagonal and unitary: every kick commutes with G,
+    # so each shot's amplitudes only pick up G's phases
+    rng = np.random.default_rng(draw)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = 0.5 * (a + a.conj().T)
+    g = np.exp(1j * rng.uniform(0.0, 2 * np.pi, dim))
+    spec = DephasingEnsembleSpec(n_segments, sigma, shots, seed=draw)
+    mode, t = int(rng.integers(dim)), rng.uniform(0.1, 5.0)
+    want = aqsim.dephased_walk(aqsim.Hamiltonian(m), mode, t, spec)
+    got = aqsim.dephased_walk(aqsim.Hamiltonian(g[:, np.newaxis] * m * g.conj()),
+                              mode, t, spec)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 20.0))
+def test_noiseless_centred_walk_is_mirror_symmetric(half, draw, t):
+    # a chain whose energies and couplings read the same from either end,
+    # launched at its middle site
+    n = 2 * half + 1
+    rng = np.random.default_rng(draw)
+    energies = rng.uniform(-2.0, 2.0, n)
+    bonds = rng.uniform(0.1, 2.0, n - 1)
+    c = np.diag(bonds + bonds[::-1], 1)
+    net = aqsim.SiteNetwork(energies + energies[::-1], c + c.T)
+    pops = aqsim.evolve_unitary(aqsim.build_tight_binding(net), half, t).populations()
+    assert np.abs(pops - pops[::-1]).max() <= 1e-14
 
 
 KICK_ANGLES = [0.0, 1e-8, -1e-8, np.pi / 2, -np.pi / 2, np.pi - 1e-12,
