@@ -509,8 +509,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     error.  A lattice-depth modulation would shake J and U together; driving
     U alone keeps the selection rule and the peak frequencies.  delta = 0
     yields the null spectrum.  The nu grid must be finite and strictly
-    ascending, and t_drive finite and positive.  Raises LinAlgError before
-    any solve when eps * (||H|| + 2 pi nu_max) * t_drive, with the full
+    ascending, and t_drive and tol finite and positive.  Raises LinAlgError
+    before any solve when eps * (||H|| + 2 pi nu_max) * t_drive, with the full
     basis's ||H||, exceeds hamiltonians._MAX_PHASE_ERROR (1e-10), and when
     the integration fails.  Only a gain below -1e-9 - |E_0| |1 - |psi|^2| is
     a NegativeAbsorptionError.
@@ -521,6 +521,8 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
         raise ValueError("spectroscopy needs J and U not both zero")
     if not 0.0 < t_drive < math.inf:
         raise ValueError("t_drive must be finite and positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     grid = np.asarray(nu_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("nu grid must be a non-empty 1-d sequence")

@@ -193,7 +193,7 @@ def apply_static_disorder(h: Hamiltonian, sigma: float, seed: int) -> Hamiltonia
     Off-diagonal entries are untouched; a fixed seed gives identical output.
     Raises LinAlgError when a disordered energy overflows.
     """
-    if sigma < 0:
+    if not sigma >= 0:  # NaN fails too
         raise ValueError("disorder sigma must be non-negative")
     if sigma == 0:
         return Hamiltonian(h.matrix, h.basis_labels)

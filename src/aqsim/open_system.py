@@ -77,8 +77,8 @@ from .hamiltonians import Hamiltonian, StateInvariantError, _integer
 TRACE_TOL = 1e-9
 HERM_TOL = 1e-10
 POSITIVITY_FLOOR = -1e-8
-# transport: equal steps from 0 to t_max at which the sink feed is checked
-# and the state validated
+# transport: equal steps from 0 to t_max at which the undelivered population
+# is checked and the state validated
 _CHECKPOINTS = 100
 # transport: a dephasing grid runs in chunks of points whose step matrices,
 # checkpoint paths and validated site blocks fit in this many bytes
@@ -410,12 +410,9 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         path[0, :, spec.source_site * (n + 1)] = 1.0
         for c in range(_CHECKPOINTS):
             np.matmul(steps, path[c, :, :, np.newaxis], out=path[c + 1, :, :, np.newaxis])
-        # a run is armed once some earlier feed exceeded tol and stops at the
-        # first armed checkpoint whose feed is back at or below it
-        above = path[:, :, spec.sink_site * (n + 1)] > tol
-        fired = np.logical_or.accumulate(above, axis=0)[:-1] & ~above[1:]
-        converged[points] = fired.any(axis=0)
-        stop = np.where(converged[points], fired.argmax(axis=0) + 1, _CHECKPOINTS)
+        done = path[1:, :, :n * n:n + 1].sum(axis=2) <= tol
+        converged[points] = done.any(axis=0)
+        stop = np.where(converged[points], done.argmax(axis=0) + 1, _CHECKPOINTS)
         sink_pop = path[stop, np.arange(k), n * n]
         outside = ~((sink_pop >= -1e-8) & (sink_pop <= 1 + 1e-8))
         checked = int(np.argmax(outside)) + 1 if outside.any() else k
@@ -447,11 +444,11 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
 
 def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
                          t_max: float = 1000.0, tol: float = 1e-8) -> tuple:
-    """Sink population at the flow-convergence time or at the horizon.
+    """Sink population at the stop or at the horizon.
 
-    The sink fills at trap_rate * rho[sink_site, sink_site]; the run stops
-    early once that feed rate has risen above tol * trap_rate and dropped
-    back below it (checked at checkpoint times).
+    The run stops at the first checkpoint whose undelivered population, the
+    trace of the site block, is at most tol, and as sink and loss only fill,
+    a run that stops has eta <= eta(inf) <= eta + tol.
 
     Only the invariant subspace of the module docstring evolves: the real
     site block and the two register populations, n^2 + 2 coordinates (51
@@ -461,8 +458,8 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     validated as one stack, which raises for the first invalid state just
     as checking each in turn would.  This is the one-point case of
     goldilocks_sweep's batch.
-    Returns (eta, converged) where converged reports whether the flow
-    criterion fired before t_max.
+    Returns (eta, converged) where converged reports whether the run
+    stopped by t_max.
     """
     eta, converged = _transport_batch(h, spec, spec.dephasing_rates[np.newaxis], t_max, tol)
     return float(eta[0]), bool(converged[0])

@@ -11,12 +11,14 @@ density matrix under build_liouvillian's complex generator and validates
 it checkpoint by checkpoint (the implementation writes a real generator of
 the invariant site block plus the two register populations directly from
 Re H, Im H and the rates, never calls build_liouvillian, and validates the
-checkpoints as one stack); the state-check oracle diagonalizes each whole
-block-diagonal state on its own (the implementation screens a stack's site
-blocks with one Cholesky factorization and diagonalizes the blocks, never
-the whole states, only when the screen fails); the chain
-oracle is the closed-form eigensystem (the implementation calls a
-numerical eigensolver), the Fock-state oracle filters the whole occupation
+checkpoints as one stack); the eta(inf) oracle solves the site block of
+the kron generator once, densely, for the whole time integral of the sink
+feed (the implementation steps to a finite horizon); the state-check
+oracle diagonalizes each whole block-diagonal state on its own (the
+implementation screens a stack's site blocks with one Cholesky
+factorization and diagonalizes the blocks, never the whole states, only
+when the screen fails); the chain oracle is the closed-form eigensystem
+(the implementation calls a numerical eigensolver), the Fock-state oracle filters the whole occupation
 grid by its total and sorts it (the implementation places bars between
 bosons, stars and bars, in combination order), the strong-dephasing oracle
 is a classical Markov chain, the mean-channel oracle evolves the density
@@ -99,19 +101,17 @@ def transport_efficiency_full_space(h, spec, t_max: float, tol: float,
 
     One step matrix expm(L t_max / checkpoints) of build_liouvillian's
     whole (n + 2)^2 generator, and a DensityMatrix validated at every
-    checkpoint until the sink feed has risen above tol and dropped back
-    below it (the implementation steps only the invariant site block plus
-    the register populations, under a real generator it assembles
-    directly, and validates the checkpoints as one stack).
+    checkpoint until its site populations sum to at most tol (the
+    implementation steps only the invariant site block plus the register
+    populations, under a real generator it assembles directly, and
+    validates the checkpoints as one stack).
     """
     from aqsim.open_system import (DensityMatrix, StateInvariantError,
                                    build_liouvillian, initial_excitation)
 
     gen = build_liouvillian(h, spec)
     state = initial_excitation(spec.n_sites, spec.source_site)
-    sink, site = gen.sink_index, spec.sink_site
     step = expm(gen.matrix * (t_max / checkpoints))
-    armed = state.population(site) > tol
     converged = False
     vec = state.matrix.reshape(-1, order="F")
     reached = 0
@@ -119,16 +119,28 @@ def transport_efficiency_full_space(h, spec, t_max: float, tol: float,
         vec = step @ vec
         reached += 1
         state = DensityMatrix(vec.reshape((gen.dim, gen.dim), order="F"))
-        feed = state.population(site)
-        if feed > tol:
-            armed = True
-        elif armed:
+        if state.populations()[:spec.n_sites].sum() <= tol:
             converged = True
             break
-    eta = state.population(sink)
+    eta = state.population(gen.sink_index)
     if not -1e-8 <= eta <= 1 + 1e-8:
         raise StateInvariantError(f"sink population {eta} outside [0, 1]")
     return float(min(max(eta, 0.0), 1.0)), converged, reached * t_max / checkpoints
+
+
+def transport_efficiency_at_infinity(h, spec) -> float:
+    """eta(inf) = trap_rate * int_0^inf rho_kk dt (k the sink site), by one
+    dense solve of the site block of liouvillian_by_kron's generator: the
+    site block evolves on its own, so int_0^inf vec rho_S dt is
+    -L_SS^-1 vec rho_S(0) (the implementation steps to a finite horizon
+    with expm)."""
+    n, d = spec.n_sites, spec.n_sites + 2
+    site = (np.arange(n)[:, None] + d * np.arange(n)).ravel(order="F")  # rho_ij at i + d j
+    block = liouvillian_by_kron(h, spec)[np.ix_(site, site)]
+    rho0 = np.zeros(n * n, dtype=complex)
+    rho0[spec.source_site * (n + 1)] = 1.0
+    integral = np.linalg.solve(-block, rho0)
+    return float(spec.trap_rate * integral[spec.sink_site * (n + 1)].real)
 
 
 def state_check_failure(blocks, registers) -> str | None:

@@ -446,16 +446,23 @@ def test_absorption_validation():
                                     basis, 0.03, [0.5], 10.0)
 
 
-@pytest.mark.parametrize("grid, t_drive, message", [
-    ([np.nan], 10.0, "nu grid must be finite"),
-    ([1.0, np.inf], 10.0, "nu grid must be finite"),
-    ([-np.inf, 0.5], 10.0, "nu grid must be finite"),
-    ([0.5], np.inf, "t_drive must be finite and positive"),
-    ([0.5], np.nan, "t_drive must be finite and positive"),
-    ([0.5], 0.0, "t_drive must be finite and positive"),
+@pytest.mark.parametrize("grid, t_drive, tol, message", [
+    ([np.nan], 10.0, 1e-9, "nu grid must be finite"),
+    ([1.0, np.inf], 10.0, 1e-9, "nu grid must be finite"),
+    ([-np.inf, 0.5], 10.0, 1e-9, "nu grid must be finite"),
+    ([0.5], np.inf, 1e-9, "t_drive must be finite and positive"),
+    ([0.5], np.nan, 1e-9, "t_drive must be finite and positive"),
+    ([0.5], 0.0, 1e-9, "t_drive must be finite and positive"),
+    # unchecked, tol nan ran on past 120 s, tol inf returned gains of 8.9
+    # where tol 1e-9 gives 0.019 and 0.003, and a negative tol leaked
+    # scipy's "atol must be positive"
+    ([0.5, 1.0], 20.0, np.nan, "tol must be positive and finite"),
+    ([0.5, 1.0], 20.0, np.inf, "tol must be positive and finite"),
+    ([0.5, 1.0], 20.0, 0.0, "tol must be positive and finite"),
+    ([0.5, 1.0], 20.0, -1e-6, "tol must be positive and finite"),
 ])
-def test_absorption_refuses_non_finite_grid_or_time_before_driving(
-        monkeypatch, grid, t_drive, message):
+def test_absorption_refuses_bad_grid_time_or_tol_before_driving(
+        monkeypatch, grid, t_drive, tol, message):
     import scipy.integrate
 
     def no_drive(*args, **kwargs):
@@ -466,7 +473,7 @@ def test_absorption_refuses_non_finite_grid_or_time_before_driving(
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)
     with pytest.raises(ValueError, match=message):
-        aqsim.modulation_absorption(params, basis, 0.03, grid, t_drive)
+        aqsim.modulation_absorption(params, basis, 0.03, grid, t_drive, tol=tol)
 
 
 @pytest.mark.parametrize("grid, energy, message", [

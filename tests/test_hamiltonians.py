@@ -162,8 +162,12 @@ def test_disorder_sample_std():
 
 def test_disorder_negative_sigma():
     h = aqsim.build_tight_binding(SiteNetwork([0.0], [[0.0]]))
-    with pytest.raises(ValueError):
-        aqsim.apply_static_disorder(h, -0.1, seed=0)
+    # a NaN width is an input error too, not an overflow of the draw
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="non-negative"):
+            aqsim.apply_static_disorder(h, sigma, seed=0)
+    with pytest.raises(np.linalg.LinAlgError, match="overflows"):
+        aqsim.apply_static_disorder(h, float("inf"), seed=0)
 
 
 def test_content_hash_tracks_matrix():

@@ -14,7 +14,7 @@ from aqsim.open_system import TRACE_TOL, build_liouvillian, initial_excitation
 from conftest import DATA_DIR, detuned_dimer, make_chain
 from oracles import (liouvillian_by_kron, liouvillian_runge_kutta,
                      random_density_matrix, random_transport_instance,
-                     transport_efficiency_full_space)
+                     transport_efficiency_at_infinity, transport_efficiency_full_space)
 
 # Sink population of the detuned dimer at t = 300 over geomspace(0.01, 100, 9),
 # tabulated with a dense exponential of the generator before any integrator
@@ -274,11 +274,12 @@ def test_efficiency_rejects_bad_tolerance(monkeypatch):
 FMO_GAMMA_GRID = np.geomspace(1e-3, 1e2, 11)
 
 
-def fmo7_panel():
-    """The fmo7 sigma = 0.5 disorder panel, seeds 1-6, with its transport spec."""
+def fmo7_panel(seeds=range(1, 7)):
+    """The fmo7 sigma = 0.5 disorder panel, one Hamiltonian per seed, with
+    its transport spec."""
     h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "fmo7.net"))
     spec = TransportSpec(0, 6, 1.0, 0.05, np.zeros(7))
-    return [aqsim.apply_static_disorder(h, 0.5, seed) for seed in range(1, 7)], spec
+    return [aqsim.apply_static_disorder(h, 0.5, seed) for seed in seeds], spec
 
 
 @cache
@@ -356,6 +357,31 @@ def test_efficiency_matches_runge_kutta_at_the_stop_time():
     rho = liouvillian_runge_kutta(h, point, initial_excitation(7, 0).matrix, t_stop)
     assert converged and t_stop < 600.0
     assert abs(eta - rho[7, 7].real) <= 1e-8
+
+
+def test_converged_efficiency_is_within_tol_of_eta_at_infinity():
+    # a run stops once its undelivered population u is at most tol, and the
+    # sink and loss registers only fill, so eta <= eta(inf) <= eta + u
+    hs, spec = fmo7_panel(range(1, 11))
+    for h in hs:
+        want = np.array([transport_efficiency_at_infinity(h, spec.with_uniform_dephasing(g))
+                         for g in FMO_GAMMA_GRID])
+        for t_max in (600.0, 1000.0):
+            curve = aqsim.goldilocks_sweep(h, spec, FMO_GAMMA_GRID, t_max=t_max, tol=1e-8)
+            assert all(curve.converged)
+            gap = want - curve.efficiencies
+            assert np.all((gap >= -1e-12) & (gap <= 1e-8)), (t_max, gap)
+
+
+@pytest.mark.parametrize("trap, t_max", [(5e3, 4000.0), (1e4, 1e4)])
+def test_zeno_run_that_has_not_delivered_is_not_converged(trap, t_max):
+    # at these trap rates the sink-site population stays near 4 J^2 / trap^2
+    # times the undelivered part, below tol long before the sink has filled
+    h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "dimer.net"))
+    spec = TransportSpec(0, 1, trap, 0.0, np.full(2, 0.1))
+    eta, converged = aqsim.transport_efficiency(h, spec, t_max=t_max, tol=1e-8)
+    assert not converged
+    assert eta < transport_efficiency_at_infinity(h, spec) - 0.01
 
 
 def _patched_step(monkeypatch, change):
