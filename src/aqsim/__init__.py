@@ -15,8 +15,7 @@ from .bose_hubbard import (AbsorptionSpectrum, BasisSizeError,
                            chain_edges, condensate_fraction,
                            drive_coupled_gap, enumerate_basis, low_spectrum,
                            modulation_absorption, one_body_density_matrix,
-                           onsite_pair_count, plaquette_edges,
-                           reflection_sector)
+                           onsite_pair_count, plaquette_edges)
 from .hamiltonians import (Hamiltonian, MappingError, MappingRecord,
                            NetworkError, SiteNetwork, apply_static_disorder,
                            build_tight_binding, map_network)

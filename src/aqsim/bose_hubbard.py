@@ -14,8 +14,9 @@ to, which is how the gap and its softening show up at desk scale.
 
 The gap scan (_gap_scan) and the drive (modulation_absorption) both solve
 in the sector of states even under the site reversal j -> L - 1 - j
-(reflection_sector): the ground state and every state the drive couples
-to lie there, so each needs only about half the Fock basis.
+(the private isometry _reflection_sector): the ground state and every
+state the drive couples to lie there, so each needs only about half the
+Fock basis.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _LANCZOS_TOL = RESIDUAL_TOL / 100
 # counts an excited state as reached by the modulation
 _COUPLING_FLOOR = 1e-8
 _DRIVE_BYTES = 1 << 20  # modulation_absorption: a chunk's (sector x nu) state
+# least drive tol: the integrator raises a smaller rtol to this, and its
+# atol, tol * 1e-3, must not underflow to zero
+_MIN_DRIVE_TOL = 100 * float(np.finfo(float).eps)
 
 
 def __getattr__(name):
@@ -335,7 +339,7 @@ def hopping_matrix(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix
     return mat.tocsr()
 
 
-def reflection_sector(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:
+def _reflection_sector(params: BoseHubbardParams, basis: FockBasis) -> sp.csr_matrix:
     """Isometry P (m x dim, orthonormal rows) onto the reversal-even states.
 
     The site reversal j -> L - 1 - j maps each Fock state to its mirror,
@@ -501,15 +505,16 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
 
     Starting from the ground state of H_0 = build_bh(params, basis),
     H(t) = H_0 + U delta sin(2 pi nu t) * pair-count is integrated for t_drive
-    on the reversal-even sector (reflection_sector; an edge set the reversal
-    does not preserve is a ValueError), and the gain
+    on the reversal-even sector (_reflection_sector; an edge set the
+    reversal does not preserve is a ValueError), and the gain
     <psi|H_0|psi> / |psi|^2 - E_0 recorded, which the integrator's norm drift
     does not bias.  The frequencies run in chunks of _DRIVE_BYTES / (16 x
     sector size), one DOP853 solve each; tol bounds each driven state's
-    error.  A lattice-depth modulation would shake J and U together; driving
-    U alone keeps the selection rule and the peak frequencies.  delta = 0
-    yields the null spectrum.  The nu grid must be finite and strictly
-    ascending, and t_drive and tol finite and positive.  Raises LinAlgError
+    error, with rtol raised to at least _MIN_DRIVE_TOL.  A lattice-depth
+    modulation would shake J and U together; driving U alone keeps the
+    selection rule and the peak frequencies.  delta = 0 yields the null
+    spectrum.  The nu grid must be finite and strictly ascending, and
+    t_drive and tol finite and positive.  Raises LinAlgError
     before any solve when eps * (||H|| + 2 pi nu_max) * t_drive, with the full
     basis's ||H||, exceeds hamiltonians._MAX_PHASE_ERROR (1e-10), and when
     the integration fails.  Only a gain below -1e-9 - |E_0| |1 - |psi|^2| is
@@ -546,7 +551,7 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
     rate = (float(abs(h0).sum(axis=1).max()) + drive_scale * float(pairs.max())
             + 2.0 * math.pi * float(grid[-1]))
     _check_phase_error(rate, t_drive, "eps * (||H|| + 2 pi nu_max) * t_drive", "drive")
-    sector = reflection_sector(params, basis)
+    sector = _reflection_sector(params, basis)
     h0 = sector @ h0 @ sector.T
     drive = drive_scale * (sector.multiply(sector) @ pairs)  # a mirror pair's pair count
     (e0,), vecs = low_spectrum(h0, 1)
@@ -561,7 +566,7 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
         scaled = tol / math.sqrt(omega.size)  # DOP853's error norm is the chunk's RMS
         sol = solve_ivp(rhs, (0.0, t_drive), np.repeat(vecs[:, 0].astype(complex), omega.size),
                         method="DOP853", t_eval=[t_drive],
-                        rtol=max(scaled, 100 * np.finfo(float).eps), atol=scaled * 1e-3)
+                        rtol=max(scaled, _MIN_DRIVE_TOL), atol=scaled * 1e-3)
         if not sol.success:
             raise np.linalg.LinAlgError(
                 f"drive integration failed from nu={grid[start]:g}: {sol.message}")
@@ -609,7 +614,7 @@ def _gap_scan(params: BoseHubbardParams, basis: FockBasis, j_ratios, k: int) -> 
     import scipy.sparse as sp
 
     # J > 0: the ground state and all it is drive-coupled to are even
-    sector = reflection_sector(params, basis)
+    sector = _reflection_sector(params, basis)
     k = min(k, sector.shape[0])
     # only J changes along the scan: project the unit-J hopping and the
     # U pair-count parts once, then H_s(J) = J hop_s + pairs_s

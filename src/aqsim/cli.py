@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bose_hubbard import (BasisSizeError, BoseHubbardParams,
+from .bose_hubbard import (_MIN_DRIVE_TOL, BasisSizeError, BoseHubbardParams,
                            DriveCouplingError, _gap_scan, enumerate_basis,
                            modulation_absorption)
 from .hamiltonians import (StateInvariantError, apply_static_disorder,
@@ -178,9 +178,6 @@ class _Command:
 
 # most points of a grid: the cross-checks build each grid in full
 _MAX_STEPS = 10 ** 6
-# least bh-spectrum tol: the integrator raises a smaller rtol to this, and
-# its atol, tol * 1e-3, must not underflow to zero
-_MIN_DRIVE_TOL = 100 * float(np.finfo(float).eps)
 # most bh-spectrum t_drive: the integrator grows its step up to tenfold, and
 # times near the top of the double range overflow it
 _MAX_DRIVE_TIME = 1e300

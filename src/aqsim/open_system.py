@@ -67,7 +67,6 @@ sqrt 2 times a trace norm.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,20 +85,14 @@ _CHUNK_BYTES = 8 << 20
 
 
 def __getattr__(name):
-    # scipy names resolved on first access and then kept as module globals,
-    # so that `import aqsim` loads numpy only.  expm is the propagator:
-    # evolve and _transport_batch call it as a module attribute, so a patch
-    # of open_system.expm (the fault-injection tests) reaches them.
-    # solve_ivp is not called here: perfbench/tracing.py wraps it by name,
+    # solve_ivp is resolved on first access and then kept as a module
+    # global.  Nothing here calls it: perfbench/tracing.py wraps it by name,
     # and it goes once the benchmark drops that hook (ROADMAP item 1).
-    if name == "expm":
-        from scipy.linalg import expm as value
-    elif name == "solve_ivp":
-        from scipy.integrate import solve_ivp as value
-    else:
+    if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+    from scipy.integrate import solve_ivp
+    globals()[name] = solve_ivp
+    return solve_ivp
 
 
 class NoSinkError(ValueError):
@@ -308,7 +301,8 @@ def evolve(rho0: DensityMatrix, gen: Liouvillian, t: float) -> DensityMatrix:
         raise ValueError(f"state dimension {rho0.dim} does not match generator {gen.dim}")
     if t == 0:
         return rho0
-    step = sys.modules[__name__].expm(gen.matrix * t)
+    from scipy.linalg import expm  # here, so that `import aqsim` loads numpy only
+    step = expm(gen.matrix * t)
     if not np.isfinite(step).all():
         raise np.linalg.LinAlgError(f"expm(L t) has non-finite entries at t = {t:g}")
     vec = step @ rho0.matrix.reshape(-1, order="F")
@@ -389,7 +383,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     eta = np.empty(rates.shape[0])
     converged = np.empty(rates.shape[0], dtype=bool)
     width = _chunk_width(n)
-    expm = sys.modules[__name__].expm
+    from scipy.linalg import expm  # here, so that `import aqsim` loads numpy only
 
     def step_matrix(point):
         return (f"step matrix of grid point {point} (dephasing rates up to "

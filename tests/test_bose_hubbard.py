@@ -9,7 +9,8 @@ from scipy.sparse.linalg import eigsh
 
 import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
-from aqsim.bose_hubbard import _hops, basis_size, hopping_matrix, onsite_pair_count
+from aqsim.bose_hubbard import (_hops, _reflection_sector, basis_size, hopping_matrix,
+                                onsite_pair_count)
 
 from oracles import (absorption_by_linear_response, absorption_per_nu_full_basis,
                      chain_eigensystem, fock_states_by_product, hopping_matrix_by_lookup,
@@ -340,7 +341,7 @@ def test_absorption_builds_hopping_matrix_once(monkeypatch):
 
     basis = aqsim.enumerate_basis(2, 2)
     params = BoseHubbardParams.chain(2, 1.0, 1.0)
-    sector = aqsim.reflection_sector(params, basis)
+    sector = _reflection_sector(params, basis)
     want = sector @ aqsim.build_bh(params, basis) @ sector.T
     calls, solved = [], []
 
@@ -406,7 +407,7 @@ def test_absorption_runs_one_solve_per_chunk_of_frequencies(monkeypatch, width):
 
     # modulation_absorption imports solve_ivp when it runs, so it reads this
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-    sector_size = aqsim.reflection_sector(params, basis).shape[0]
+    sector_size = _reflection_sector(params, basis).shape[0]
     monkeypatch.setattr(bh, "_DRIVE_BYTES", 16 * sector_size * width)
     chunked = aqsim.modulation_absorption(params, basis, 0.03, grid, 10.0).absorbed_energy
     assert len(solves) == math.ceil(grid.size / width)
@@ -518,7 +519,7 @@ def test_drive_coupled_gap_with_ground_state_alone_raises():
 ], ids=["chain7-N7", "plaquette2x3-N5"])
 def test_reflection_sector_is_an_isometry_that_h_keeps(params, bosons, even):
     basis = aqsim.enumerate_basis(params.n_sites, bosons)
-    p = aqsim.reflection_sector(params, basis)
+    p = _reflection_sector(params, basis)
     assert p.shape == (even, len(basis))
     assert np.abs(p @ p.T - sp.identity(even)).max() <= 1e-15
     h = aqsim.build_bh(params, basis)
@@ -528,7 +529,7 @@ def test_reflection_sector_is_an_isometry_that_h_keeps(params, bosons, even):
 
 def test_reflection_sector_size_on_the_3x3_plaquette():
     basis = aqsim.enumerate_basis(9, 9)
-    p = aqsim.reflection_sector(BoseHubbardParams.plaquette(3, 3, 0.1, 1.0), basis)
+    p = _reflection_sector(BoseHubbardParams.plaquette(3, 3, 0.1, 1.0), basis)
     assert p.shape == (12190, 24310)
 
 
@@ -536,7 +537,7 @@ def test_reflection_sector_rejects_edges_reversal_moves():
     basis = aqsim.enumerate_basis(4, 2)
     params = BoseHubbardParams(4, 1.0, 1.0, ((0, 1), (1, 2)))  # reversal: (2, 3), (1, 2)
     with pytest.raises(ValueError, match="not invariant under site reversal"):
-        aqsim.reflection_sector(params, basis)
+        _reflection_sector(params, basis)
 
 
 def test_gap_softens_toward_crossover():

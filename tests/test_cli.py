@@ -873,7 +873,7 @@ def test_bh_scan_gap_scales_with_j_and_u_and_the_fraction_does_not(tmp_path, row
 
 @pytest.mark.parametrize("j_steps", [2, 5])
 def test_bh_scan_ranks_fock_states_once_for_the_mirror(tmp_path, monkeypatch, j_steps):
-    # hops shift ranks through the basis's tables; only reflection_sector
+    # hops shift ranks through the basis's tables; only _reflection_sector
     # ranks, once, the mirror of every state
     calls = []
     rank = FockBasis._rank

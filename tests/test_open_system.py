@@ -3,6 +3,7 @@ from functools import cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import aqsim
 from aqsim import (DensityMatrix, NoSinkError, StateInvariantError,
@@ -245,7 +246,8 @@ def test_detuned_dimer_has_interior_maximum():
 def _no_work(monkeypatch):
     def refuse(a):
         raise AssertionError("a step matrix was computed")
-    monkeypatch.setattr(open_system, "expm", refuse)
+    # transport imports expm when it runs, so it reads this
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
 
 
 def test_sweep_rejects_bad_grid(monkeypatch):
@@ -385,8 +387,8 @@ def test_zeno_run_that_has_not_delivered_is_not_converged(trap, t_max):
 
 
 def _patched_step(monkeypatch, change):
-    real = open_system.expm
-    monkeypatch.setattr(open_system, "expm", lambda a: change(real, a))
+    real = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: change(real, a))
 
 
 def _patched_points(monkeypatch, changes):
@@ -448,6 +450,34 @@ def test_sweep_raises_the_first_failure_in_grid_order(monkeypatch):
         with pytest.raises(StateInvariantError) as swept:
             aqsim.goldilocks_sweep(h, spec, grid, t_max=30.0, tol=1e-300)
         assert str(swept.value) == str(alone.value)
+
+
+def test_sink_population_out_of_range_raises_after_its_states_pass(monkeypatch):
+    # the faulty step moves the source population to the sink at 1 + 1.05e-8
+    # and to the loss register at -1e-8: the trace and positivity checks pass,
+    # the sink's range does not
+    h, spec = detuned_dimer()
+    n = spec.n_sites
+    source = spec.source_site * (n + 1)
+
+    def overfill(expm, a):
+        step = np.eye(a.shape[0])
+        step[:, source] = 0.0
+        step[[n * n, n * n + 1], source] = [1.0 + 1.05e-8, -1e-8]
+        return step
+    backward = lambda expm, a: expm(-a)
+    message = r"sink population 1\.0000000105 outside \[0, 1\]"
+    _patched_points(monkeypatch, (overfill,))
+    with pytest.raises(StateInvariantError, match=message):
+        aqsim.transport_efficiency(h, spec, t_max=30.0)
+    # as one by one in grid order: the range error of point 0 wins over the
+    # negative eigenvalue of point 1, and with the points swapped it loses
+    for faults, want in (((overfill, backward), message),
+                         ((backward, overfill), "negative eigenvalue")):
+        monkeypatch.undo()
+        _patched_points(monkeypatch, faults)
+        with pytest.raises(StateInvariantError, match=want):
+            aqsim.goldilocks_sweep(h, spec, [0.5, 1.0], t_max=30.0)
 
 
 def test_overflowed_step_matrix_is_a_numerical_failure():

@@ -27,7 +27,7 @@ import pytest
 import aqsim
 from aqsim import cli, open_system
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, detuned_dimer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -98,8 +98,8 @@ def test_engines_import_only_hamiltonians_from_the_package(module, imports):
 
 def test_cli_builds_no_hamiltonians():
     # bh-scan's sector projection and J loop live in the engine: the CLI
-    # takes from bose_hubbard only its config types, failures and entry
-    # points, and no scipy at all
+    # takes from bose_hubbard only its config types, failures, entry points
+    # and the drive's tol floor, and no scipy at all
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imports = [node for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -107,7 +107,8 @@ def test_cli_builds_no_hamiltonians():
              if isinstance(node, ast.ImportFrom) and node.module == "bose_hubbard"
              for alias in node.names}
     assert names == {"BasisSizeError", "BoseHubbardParams", "DriveCouplingError",
-                     "enumerate_basis", "modulation_absorption", "_gap_scan"}
+                     "enumerate_basis", "modulation_absorption", "_gap_scan",
+                     "_MIN_DRIVE_TOL"}
     modules = [node.module if isinstance(node, ast.ImportFrom) else alias.name
                for node in imports for alias in node.names]
     assert not [m for m in modules if m and m.split(".")[0] == "scipy"]
@@ -159,18 +160,16 @@ def test_import_leaves_the_ode_integrator_unloaded():
 
 
 def test_scipy_seams_resolve_to_scipy_on_first_access():
-    # the engines call these as module attributes, which the fault-injection
-    # tests and the tracer patch
-    import scipy.linalg
+    # low_spectrum calls eigsh as a module attribute, which a test and the
+    # tracer patch; transport imports expm where it calls it, and binds none
     import scipy.sparse.linalg
     from aqsim import bose_hubbard
-    assert open_system.expm is scipy.linalg.expm
     assert bose_hubbard.eigsh is scipy.sparse.linalg.eigsh
-    for module in (open_system, bose_hubbard):
-        with pytest.raises(AttributeError, match="no attribute 'not_a_binding'"):
-            module.not_a_binding
-    with pytest.raises(AttributeError, match="no attribute 'solve_ivp'"):
-        bose_hubbard.solve_ivp
+    aqsim.goldilocks_sweep(*detuned_dimer(), [1.0], t_max=30.0)
+    for module, name in ((open_system, "not_a_binding"), (bose_hubbard, "not_a_binding"),
+                         (bose_hubbard, "solve_ivp"), (open_system, "expm")):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(module, name)
 
 
 def test_lanczos_stops_at_a_tolerance_under_the_residual_check(monkeypatch):
@@ -266,12 +265,7 @@ scalable_accuracy false
 }
 
 
-@pytest.mark.parametrize("command", [
-    "enaqt-sweep", "walk",
-    pytest.param("bh-scan", marks=pytest.mark.xfail(strict=True, reason=(
-        "bose_hubbard.reflection_sector is public and not in SPAN_METRICS; "
-        "see the FOUND line on perfbench/selfcheck.py in CHANGES.md"))),
-])
+@pytest.mark.parametrize("command", ["enaqt-sweep", "walk", "bh-scan"])
 def test_layer_functions_a_command_calls_are_declared_spans(tmp_path, command):
     public = _public_layer_functions()
     called = set()
