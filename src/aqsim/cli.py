@@ -25,6 +25,7 @@ included, propagates with its traceback, which is exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -646,6 +647,8 @@ def run(config: ExperimentConfig) -> list:
     return _COMMANDS[config.command].run(config)
 
 
+# built on the first main call, not at import; parsing leaves it unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqsim",

@@ -51,18 +51,19 @@ every i (n + 1).  Dephasing only moves the diagonal, and a sweep steps one
 generator per grid point, all points at once.
 
 Every state a run reaches up to its stop is validated: finite entries,
-Hermiticity, unit trace and positivity, with the floors below.  Positivity
-is screened by one batched Cholesky factorization of the states shifted
-by half the floor, and only a stack that fails the screen is diagonalized
-(_check_states).  A transport step S that overflowed is a numerical
-failure, and so is a trace drift S's rounding explains: S's probability
-defect max |w^T S - w^T| (w the trace) within eps ||G dt||_1, and the
-drift after c steps within c eps ||G dt||_1.  So is a drift under an S
-with an entry beyond 2 whose G keeps the trace (w^T G within that
-rounding), as no exact S has one: a coordinate vector is a Hermitian
-matrix of trace norm at most sqrt 2, which a trace-preserving positive map
-does not increase, and a coordinate Re rho_ij + Im rho_ij is at most
-sqrt 2 times a trace norm.
+Hermiticity (tested on DensityMatrix input, by construction on transport
+states), unit trace and positivity, with the floors below.  Positivity is
+screened by one batched Cholesky factorization of the states shifted by
+half the floor, and only a stack that fails the screen is diagonalized
+(_check_states, _check_coordinates).  A transport step S that overflowed
+is a numerical failure, and so is a trace drift S's rounding explains:
+S's probability defect max |w^T S - w^T| (w the trace) within
+eps ||G dt||_1, and the drift after c steps within c eps ||G dt||_1.  So
+is a drift under an S with an entry beyond 2 whose G keeps the trace
+(w^T G within that rounding), as no exact S has one: a coordinate vector
+is a Hermitian matrix of trace norm at most sqrt 2, which a
+trace-preserving positive map does not increase, and a coordinate
+Re rho_ij + Im rho_ij is at most sqrt 2 times a trace norm.
 """
 
 from __future__ import annotations
@@ -141,41 +142,53 @@ class TransportSpec:
         return replace(self, dephasing_rates=np.full(self.n_sites, float(gamma)))
 
 
-def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> None:
-    """Validate a stack of k density matrices, each given as a (k, m, m)
-    block plus, optionally, (k, r) populations on the diagonal after it.
-
-    The block-diagonal state is never formed: its trace is the block's
-    plus the populations, and its eigenvalues are the block's plus the
-    populations.  Tests finite entries, Hermiticity, unit trace and
-    positivity, and raises StateInvariantError for the first failing state
-    and, within it, for the first failing test in that order.  States from
+def _check_states(states: np.ndarray) -> None:
+    """Validate a (k, m, m) stack of whole density matrices, DensityMatrix's
+    form (transport states, Hermitian by construction, go to
+    _check_coordinates): finite entries, Hermiticity, unit trace and
+    positivity.  Raises StateInvariantError for the first failing state
+    and, within it, for the first failing test in that order; states from
     the first non-finite one on are not checked further.
 
-    Positivity is screened first (_clears_floor) by one batched Cholesky
-    factorization of the Hermitian parts shifted by POSITIVITY_FLOOR / 2:
-    rho + 5e-9 1.  A factorization that succeeds with finite entries shows
-    every block's lowest eigenvalue above POSITIVITY_FLOOR, because its
-    backward error, about m eps ||rho|| (~1e-15 for a state), is far below
-    the 5e-9 margin; a register population below the floor is then below
-    every eigenvalue of its block, so it is the state's lowest eigenvalue.
-    Only a stack that fails the screen is diagonalized (eigvalsh), so the
-    verdict and every message are those of diagonalizing every block.
+    Positivity is screened first (_lowest_eigenvalues) by one batched
+    Cholesky factorization of the Hermitian parts shifted by half the floor,
+    rho + 5e-9 1: one that succeeds with finite entries shows every lowest
+    eigenvalue above POSITIVITY_FLOOR, as its backward error, about
+    m eps ||rho|| (~1e-15 for a state), is far below the 5e-9 margin.  Only
+    a stack that fails the screen is diagonalized (eigvalsh), so verdicts
+    and messages are those of diagonalizing every state.
     """
-    if registers is None:
-        registers = np.zeros((blocks.shape[0], 0))
-    finite = np.isfinite(blocks).all(axis=(1, 2)) & np.isfinite(registers).all(axis=1)
-    non_finite = np.flatnonzero(~finite)
-    k = non_finite[0] if non_finite.size else blocks.shape[0]
-    m, pops = blocks[:k], registers[:k]
+    finite = np.isfinite(states).all(axis=(1, 2))
+    m = states[:_finite_prefix(finite)]
     dagger = m.conj().transpose(0, 2, 1)
-    herm = np.abs(m - dagger).max(axis=(1, 2))
-    trace = np.trace(m, axis1=1, axis2=2) + pops.sum(axis=1)
-    drift = np.abs(trace.real - 1.0) + np.abs(trace.imag)
-    hermitian = 0.5 * (m + dagger)
-    lowest = pops.min(axis=1, initial=np.inf)
-    if not _clears_floor(hermitian):
-        lowest = np.minimum(np.linalg.eigvalsh(hermitian).min(axis=1), lowest)
+    trace = np.trace(m, axis1=1, axis2=2)
+    _raise_first_failure(finite, np.abs(m - dagger).max(axis=(1, 2)),
+                         np.abs(trace.real - 1.0) + np.abs(trace.imag),
+                         _lowest_eigenvalues(0.5 * (m + dagger)))
+
+
+def _check_coordinates(states: np.ndarray, n: int) -> None:
+    """_check_states on a (k, n^2 + 2) stack of transport states in real
+    coordinates (module docstring), whose site blocks are exactly Hermitian:
+    the trace is the populations at i (n + 1) plus the registers, and the
+    lowest eigenvalue the least of the site block's and the registers'."""
+    finite = np.isfinite(states).all(axis=1)
+    x = states[:_finite_prefix(finite)]
+    registers = x[:, n * n:]
+    drift = np.abs(x[:, :n * n:n + 1].sum(axis=1) + registers.sum(axis=1) - 1.0)
+    lowest = np.minimum(_lowest_eigenvalues(_site_blocks(x[:, :n * n], n)),
+                        registers.min(axis=1))
+    _raise_first_failure(finite, np.zeros_like(drift), drift, lowest)
+
+
+def _finite_prefix(finite: np.ndarray) -> int:
+    """The number of states before the first non-finite one."""
+    return finite.size if finite.all() else int(np.argmin(finite))
+
+
+def _raise_first_failure(finite, herm, drift, lowest) -> None:
+    """Raise for the first failing state, at its first failing test, of the
+    finite prefix with these checks, else for the first non-finite state."""
     failing = (herm > HERM_TOL) | (drift > TRACE_TOL) | (lowest < POSITIVITY_FLOOR)
     if failing.any():
         i = int(np.argmax(failing))
@@ -184,17 +197,20 @@ def _check_states(blocks: np.ndarray, registers: np.ndarray | None = None) -> No
         if drift[i] > TRACE_TOL:
             raise StateInvariantError(f"trace drift {drift[i]:.3e} exceeds {TRACE_TOL}")
         raise StateInvariantError(f"negative eigenvalue {lowest[i]:.3e}")
-    if non_finite.size:
+    if not finite.all():
         raise StateInvariantError("density matrix has non-finite entries")
 
 
-def _clears_floor(hermitian: np.ndarray) -> bool:
-    """The Cholesky screen of _check_states on a (k, m, m) Hermitian stack."""
+def _lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
+    """Each (m, m) block's lowest eigenvalue, or +inf for every block when
+    the Cholesky screen of _check_states shows them all above the floor."""
     shifted = hermitian - (POSITIVITY_FLOOR / 2) * np.eye(hermitian.shape[-1])
     try:
-        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return np.full(hermitian.shape[0], np.inf)
     except np.linalg.LinAlgError:
-        return False
+        pass
+    return np.linalg.eigvalsh(hermitian).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -360,8 +376,8 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
     real generators (_real_generators), which differ only on the diagonal,
     takes one expm of its stacked step matrices and steps a real
     (checkpoint, point, coordinate) path, each point by its own step
-    matrix; every point's result is the same as when it runs alone.  The
-    stop rule, the validation and the sink range check then act on the
+    matrix, up to its last stop; every point's result is the same as when
+    it runs alone.  The validation and the sink range check then act on the
     whole chunk, and the error raised is the one that running the points
     one by one in grid order would raise first: the checkpoints up to each
     point's stop are validated as one stack, point by point in grid order,
@@ -397,16 +413,22 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         peak = np.abs(steps).max(axis=(1, 2))
         # an entry beyond 2 under a generator that keeps the trace is expm's loss
         lost = (peak > 2) & (np.abs(w @ scaled).max(axis=1) <= rounding)
-        k = finite.size if finite.all() else int(np.argmin(finite))
+        k = _finite_prefix(finite)
         steps, points = steps[:k], slice(lo, lo + k)
         # site population rho_ii at i (n + 1), sink population at n^2
         path = np.zeros((_CHECKPOINTS + 1,) + steps.shape[:2])
         path[0, :, spec.source_site * (n + 1)] = 1.0
+        # done[c]: undelivered population within tol after c + 1 steps
+        done = np.zeros((_CHECKPOINTS, k), dtype=bool)
+        stopped = np.zeros(k, dtype=bool)
         for c in range(_CHECKPOINTS):
             np.matmul(steps, path[c, :, :, np.newaxis], out=path[c + 1, :, :, np.newaxis])
-        done = path[1:, :, :n * n:n + 1].sum(axis=2) <= tol
-        converged[points] = done.any(axis=0)
-        stop = np.where(converged[points], done.argmax(axis=0) + 1, _CHECKPOINTS)
+            done[c] = path[c + 1, :, :n * n:n + 1].sum(axis=1) <= tol
+            stopped |= done[c]
+            if stopped.all():
+                break
+        converged[points] = stopped
+        stop = np.where(stopped, done.argmax(axis=0) + 1, _CHECKPOINTS)
         sink_pop = path[stop, np.arange(k), n * n]
         outside = ~((sink_pop >= -1e-8) & (sink_pop <= 1 + 1e-8))
         checked = int(np.argmax(outside)) + 1 if outside.any() else k
@@ -418,7 +440,7 @@ def _transport_batch(h: Hamiltonian, spec: TransportSpec, rates: np.ndarray,
         imprecise = (defect <= rounding)[owner] & (drift <= taken * rounding[owner])
         explained = (drift > TRACE_TOL) & (imprecise | lost[owner])
         j = int(np.argmax(explained)) if explained.any() else explained.size
-        _check_states(_site_blocks(states[:j, :n * n], n), states[:j, n * n:])
+        _check_coordinates(states[:j], n)
         if j < explained.size:
             p, c = owner[j], taken[j]
             why = (f"its probability defect {defect[p]:.3e} is within its rounding "
@@ -448,10 +470,10 @@ def transport_efficiency(h: Hamiltonian, spec: TransportSpec,
     site block and the two register populations, n^2 + 2 coordinates (51
     at n = 7), under a real generator G written directly from Re H, Im H
     and the rates, one step matrix expm(G t_max / _CHECKPOINTS) per point,
-    applied at every checkpoint.  The checkpoints up to the stop are
-    validated as one stack, which raises for the first invalid state just
-    as checking each in turn would.  This is the one-point case of
-    goldilocks_sweep's batch.
+    applied at every checkpoint up to the stop, where stepping ends.  The
+    checkpoints up to the stop are validated as one stack, which raises for
+    the first invalid state just as checking each in turn would.  This is
+    the one-point case of goldilocks_sweep's batch.
     Returns (eta, converged) where converged reports whether the run
     stopped by t_max.
     """

@@ -1,11 +1,15 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aqsim import walk
+import aqsim
+from aqsim import cli, walk
 from aqsim.bose_hubbard import (BasisSizeError, BoseHubbardParams,
                                 DriveCouplingError, EigenConvergenceError, FockBasis,
                                 NegativeAbsorptionError, enumerate_basis)
@@ -343,6 +347,43 @@ def test_enaqt_sweep_overflowed_step_matrix_exits_numerical(tmp_path, data_dir, 
         "numerical failure: step matrix of grid point 0 (dephasing rates up to "
         "0.01, trap_rate 1e+300) has non-finite entries\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+# Runs in a fresh interpreter: counts the argparse parsers that importing
+# the CLI builds.
+PARSER_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import aqsim.cli
+print(len(built))
+"""
+
+
+def test_parser_is_built_once_on_first_use(tmp_path, data_dir, capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", PARSER_PROBE], env=env,
+                         check=True, capture_output=True, text=True)
+    assert run.stdout == "0\n"
+    assert cli._build_parser() is cli._build_parser()
+    # every main call parses as the first did: a run, a config error, --version
+    cfg = write_config(tmp_path, "sweep.cfg", sweep_config(data_dir))
+    bad = write_config(tmp_path, "bad.cfg", "command enaqt-sweep\nbogus 1\n")
+
+    def calls():
+        outcomes = [(main(["enaqt-sweep", str(cfg)]), capsys.readouterr()),
+                    (main(["enaqt-sweep", str(bad)]), capsys.readouterr())]
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        return outcomes + [(version.value.code, capsys.readouterr())]
+
+    first = calls()
+    assert [code for code, _ in first] == [0, 2, 0]
+    assert first[2][1].out == f"aqsim {aqsim.__version__}\n"
+    assert calls() == calls() == first
 
 
 def test_cli_outputs_are_byte_identical_on_rerun(tmp_path, data_dir):

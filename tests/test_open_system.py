@@ -386,6 +386,42 @@ def test_zeno_run_that_has_not_delivered_is_not_converged(trap, t_max):
     assert eta < transport_efficiency_at_infinity(h, spec) - 0.01
 
 
+def _counted_steps(monkeypatch):
+    """A list that gets, for each batched product transport steps, its
+    number of points."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out):
+            calls.append(a.shape[0])
+            np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(open_system, "np", CountingNumpy())
+    return calls
+
+
+def test_stepping_ends_at_the_last_stop(monkeypatch):
+    hs, spec = fmo7_panel([1])
+    stops = [round(transport_efficiency_full_space(
+        hs[0], spec.with_uniform_dephasing(gamma), t_max=600.0, tol=1e-8)[2] / 6.0)
+        for gamma in FMO_GAMMA_GRID]
+    assert max(stops) < 100
+    calls = _counted_steps(monkeypatch)
+    curve = aqsim.goldilocks_sweep(hs[0], spec, FMO_GAMMA_GRID, t_max=600.0, tol=1e-8)
+    assert all(curve.converged)
+    assert calls == [FMO_GAMMA_GRID.size] * max(stops)
+    # a Zeno dimer row never stops and steps to the horizon
+    calls.clear()
+    h = aqsim.build_tight_binding(aqsim.load_network(DATA_DIR / "dimer.net"))
+    zeno = TransportSpec(0, 1, 5e3, 0.0, np.full(2, 0.1))
+    assert not aqsim.transport_efficiency(h, zeno, t_max=4000.0, tol=1e-8)[1]
+    assert calls == [1] * 100
+
+
 def _patched_step(monkeypatch, change):
     real = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: change(real, a))
@@ -583,8 +619,14 @@ def test_generator_that_breaks_the_trace_raises_trace_drift(monkeypatch):
 
 
 def test_stack_check_reports_the_first_failing_state_and_test():
-    # each stack is also checked as transport passes it, the 2 x 2 site
-    # blocks plus the two register populations, and must fail the same way
+    # each stack of Hermitian states is also checked as transport passes it,
+    # in real coordinates: R = Re rho + Im rho of the 2 x 2 site block (R_ij
+    # at i + 2 j) plus the two register populations, and must fail the same way
+    def coordinates(stack):
+        blocks = stack[:, :2, :2]
+        return np.hstack([(blocks.real + blocks.imag).transpose(0, 2, 1).reshape(-1, 4),
+                          np.diagonal(stack[:, 2:, 2:], axis1=1, axis2=2).real])
+
     good = initial_excitation(2, 0).matrix
     heavy = 1.5 * good  # trace drift 0.5
     lopsided = good + np.diag([0.0, 0.0, 0.2, -0.2])  # eigenvalue -0.2
@@ -596,13 +638,15 @@ def test_stack_check_reports_the_first_failing_state_and_test():
              ([good, skew], "not Hermitian"),
              ([lopsided, heavy], "negative eigenvalue -2.000e-01")]
     open_system._check_states(np.array([good, good]))
+    open_system._check_coordinates(coordinates(np.array([good, good])), 2)
     for states, message in cases:
         stack = np.array(states)
         with pytest.raises(StateInvariantError, match=message) as embedded:
             open_system._check_states(stack)
-        registers = np.diagonal(stack[:, 2:, 2:], axis1=1, axis2=2).real
+        if message == "not Hermitian":
+            continue  # no coordinate vector stands for a non-Hermitian block
         with pytest.raises(StateInvariantError) as split:
-            open_system._check_states(stack[:, :2, :2], registers)
+            open_system._check_coordinates(coordinates(stack), 2)
         assert str(split.value) == str(embedded.value)
 
 

@@ -1,12 +1,15 @@
-"""The transport state checks against the whole-state oracle.
+"""The state checks against the whole-state oracle.
 
-open_system._check_states screens a stack's positivity with one Cholesky
-factorization and diagonalizes only a stack that fails the screen.  The
-property below plants each state's lowest eigenvalue just above and just
-below POSITIVITY_FLOOR, inside the screen's 5e-9 margin, and mixes in
-trace drift, non-Hermitian entries and NaNs; the verdict and the message
-must be those of tests/oracles.state_check_failure, which diagonalizes
-every whole state on its own.
+open_system._check_states (whole matrices, as DensityMatrix passes them)
+and open_system._check_coordinates (transport states in their real
+coordinates) screen a stack's positivity with one Cholesky factorization
+and diagonalize only a stack that fails the screen.  The properties below
+plant each state's lowest eigenvalue just above and just below
+POSITIVITY_FLOOR, inside the screen's 5e-9 margin, and mix in trace drift,
+non-Hermitian entries (whole matrices only: no coordinate vector is one)
+and NaNs; the verdict and the message must be those of
+tests/oracles.state_check_failure, which diagonalizes every whole state on
+its own.
 """
 
 import numpy as np
@@ -62,9 +65,9 @@ def _state(rng, kind, m, r):
 
 
 @st.composite
-def state_stacks(draw):
-    m, r = draw(st.integers(1, 7)), draw(st.integers(0, 2))
-    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=40))
+def state_stacks(draw, registers=st.integers(0, 2), kinds=KINDS):
+    m, r = draw(st.integers(1, 7)), draw(registers)
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = [_state(rng, kind, m, r) for kind in kinds]
     return (np.array([b for b, _ in states]),
@@ -75,14 +78,33 @@ def state_stacks(draw):
 @given(state_stacks())
 def test_stack_check_agrees_with_the_whole_state_oracle(stack):
     blocks, registers = stack
-    want = state_check_failure(blocks, registers)
-    if registers.shape[1] == 0:
-        registers = None  # the DensityMatrix form: the whole state is the block
+    k, m, r = blocks.shape[0], blocks.shape[1], registers.shape[1]
+    whole = np.zeros((k, m + r, m + r), dtype=complex)
+    whole[:, :m, :m] = blocks
+    whole[:, range(m, m + r), range(m, m + r)] = registers
+    _assert_verdict(open_system._check_states, whole, state_check_failure(blocks, registers))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(state_stacks(registers=st.just(2), kinds=[k for k in KINDS if k != "skew"]))
+def test_coordinate_check_agrees_with_the_whole_state_oracle(stack):
+    # R = Re rho + Im rho with R_ij at i + n j, then the two registers; the
+    # oracle judges the state the coordinates stand for
+    blocks, registers = stack
+    n = blocks.shape[1]
+    r = (blocks.real + blocks.imag).transpose(0, 2, 1)  # r[k, j, i] = R_ij
+    coords = np.hstack([r.reshape(-1, n * n), registers])
+    states = 0.5 * ((1 + 1j) * r.transpose(0, 2, 1) + (1 - 1j) * r)
+    _assert_verdict(lambda x: open_system._check_coordinates(x, n), coords,
+                    state_check_failure(states, registers))
+
+
+def _assert_verdict(check, stack, want):
     if want is None:
-        open_system._check_states(blocks, registers)
+        check(stack)
         return
     with pytest.raises(StateInvariantError) as err:
-        open_system._check_states(blocks, registers)
+        check(stack)
     assert str(err.value) == want
 
 
