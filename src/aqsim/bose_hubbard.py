@@ -70,6 +70,23 @@ def __getattr__(name):
     return eigsh
 
 
+@functools.cache
+def _product_operator() -> type:
+    """low_spectrum's operator class, made on first use: no scipy at import."""
+    from scipy.sparse.linalg import LinearOperator
+
+    class _Product(LinearOperator):
+        def __init__(self, matrix):
+            super().__init__(matrix.dtype, matrix.shape)
+            self.matrix = matrix
+
+        def _matvec(self, x):
+            return self.matrix @ x
+        matvec = _matvec  # the bound method ARPACK's loop calls
+
+    return _Product
+
+
 class BasisSizeError(ValueError):
     """Requested Fock basis has more than BASIS_CAP states, or tables of more
     than _TABLE_CAP entries."""
@@ -395,7 +412,8 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     non-finite entry fails that check too.  Small or near-full problems go
     through dense eigh; larger ones through Lanczos (ARPACK) with a
     deterministic start vector and a Lanczos space of 3k vectors (at
-    least 20).
+    least 20).  eigsh gets h as a _product_operator() instance, whose matvec
+    is h @ x itself: bit-identical eigenpairs without scipy's operator dispatch.
 
     Lanczos stops at ARPACK tolerance _LANCZOS_TOL = 1e-11 rather than at
     machine precision: a Ritz pair is accepted once its residual is at most
@@ -423,8 +441,8 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
         eigsh = sys.modules[__name__].eigsh
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            vals, vecs = eigsh(h, k=k, which="SA", v0=v0, tol=_LANCZOS_TOL,
-                               ncv=min(dim - 1, max(3 * k, 20)),
+            vals, vecs = eigsh(_product_operator()(h), k=k, which="SA", v0=v0,
+                               tol=_LANCZOS_TOL, ncv=min(dim - 1, max(3 * k, 20)),
                                maxiter=max(10 * dim, 10000))
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenConvergenceError(

@@ -33,6 +33,9 @@ of occupation tuples, one state at a time (the implementation never ranks
 a moved state: it shifts each source's rank by two entries of the basis's
 prefix-sum tables), the scan-point oracle diagonalizes the full-basis
 Hamiltonian densely (the implementation solves the reversal-even sector),
+the inertia oracle counts the eigenvalues below a shift from the pivots of
+one sparse symmetric factorization (the implementation runs Lanczos and
+checks only the residuals of what it found),
 and the absorption oracles are second-order perturbation theory on the
 dense full-basis spectrum and the drive integrated one frequency at a time
 on the full basis (the implementation integrates a chunk of frequencies at
@@ -46,6 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import splu
 
 
 def _dissipator_term(a: np.ndarray) -> np.ndarray:
@@ -405,6 +409,23 @@ def scan_point_by_lookup(params, basis, k: int) -> tuple:
                and abs(vectors[:, i] @ driven) > floor)
     rho = one_body_density_matrix_by_lookup(ground, basis)
     return float(gap), float(np.linalg.eigvalsh(rho).max()) / basis.n_bosons
+
+
+def eigenvalues_below(h, sigma: float) -> int:
+    """How many eigenvalues of the real symmetric sparse h lie below sigma.
+
+    Sylvester's law of inertia: H - sigma I = L D L^T has as many negative
+    pivots as H has eigenvalues below sigma.  SuperLU in symmetric mode,
+    with a symmetric ordering and every pivot taken on the diagonal, makes
+    that factorization as P (H - sigma I) P^T = L U with U = D L^T, so the
+    count is the number of negative entries of diag(U).  Asserts that the
+    row and column permutations agree, without which the pivots are not D.
+    """
+    shifted = (h - sigma * sp.identity(h.shape[0])).tocsc()
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c), "the factorization left the diagonal"
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def absorption_by_linear_response(params, basis, delta: float, nu_grid,

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from aqsim.bose_hubbard import (_hops, _reflection_sector, basis_size, hopping_m
                                 onsite_pair_count)
 
 from oracles import (absorption_by_linear_response, absorption_per_nu_full_basis,
-                     chain_eigensystem, fock_states_by_product, hopping_matrix_by_lookup,
-                     hops_by_lookup, one_body_density_matrix_by_lookup)
+                     chain_eigensystem, eigenvalues_below, fock_states_by_product,
+                     hopping_matrix_by_lookup, hops_by_lookup,
+                     one_body_density_matrix_by_lookup)
 
 SQRT17 = math.sqrt(17.0)
 
@@ -282,6 +285,108 @@ def test_low_spectrum_reports_any_arpack_error_as_a_convergence_failure(monkeypa
     with pytest.raises(aqsim.EigenConvergenceError,
                        match="Lanczos failed for k=3, dim=500: ARPACK error -9"):
         aqsim.low_spectrum(h, 3)
+
+
+def _scan_matrix(params, bosons, j_ratio, sector):
+    """J hop + U pairs at J = j_ratio U, with params at hopping 1, on the full
+    basis or on the reversal-even sector, in the form _gap_scan builds."""
+    basis = aqsim.enumerate_basis(params.n_sites, bosons)
+    hop = hopping_matrix(params, basis)
+    pairs = sp.diags(params.interaction * onsite_pair_count(basis))
+    if sector:
+        p = _reflection_sector(params, basis)
+        hop, pairs = p @ hop @ p.T, p @ pairs @ p.T
+    return (j_ratio * params.interaction) * hop + pairs
+
+
+def _complex_hermitian(dim):
+    rng = np.random.default_rng(5)
+    a = (sp.random(dim, dim, density=0.01, random_state=rng)
+         + 1j * sp.random(dim, dim, density=0.01, random_state=rng))
+    return (a + a.conj().T).tocsr()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _scan_matrix(BoseHubbardParams.chain(7, 1.0, 1.0), 7, 0.01, True),
+    lambda: _scan_matrix(BoseHubbardParams.chain(7, 1.0, 1.0), 7, 0.2, True),
+    lambda: _complex_hermitian(500),
+], ids=["chain7-N7-sector-J0.01", "chain7-N7-sector-J0.2", "complex-500"])
+def test_lanczos_operator_gives_the_eigenpairs_of_eigsh_on_the_matrix(monkeypatch, make):
+    # low_spectrum hands eigsh an operator whose product is h @ x: the
+    # eigenpairs must be those of eigsh on h itself, to the last bit
+    import aqsim.bose_hubbard as bh
+
+    h = make()
+    assert h.shape[0] > bh._DENSE_LIMIT
+    calls = []
+
+    def recording(operator, **kwargs):
+        calls.append(kwargs)
+        return eigsh(operator, **kwargs)
+
+    monkeypatch.setattr(bh, "eigsh", recording)
+    # a copy: low_spectrum's norm sorts the indices of its own argument
+    vals, vecs = bh.low_spectrum(h.copy(), 6)
+    (kwargs,) = calls
+    want_vals, want_vecs = eigsh(h, **kwargs)
+    order = np.argsort(want_vals)
+    assert np.array_equal(vals, want_vals[order])
+    assert np.array_equal(vecs, want_vecs[:, order])
+
+
+def test_low_spectrum_frees_its_matrix_without_the_cyclic_collector():
+    # the operator holds h as an attribute: a class or a closure made per
+    # call would sit in a reference cycle and keep h alive until gc ran
+    h = sp.diags(np.arange(500.0)).tocsr()  # over the dense limit: Lanczos path
+    alive = weakref.ref(h)
+    gc.disable()
+    try:
+        aqsim.low_spectrum(h, 3)
+        del h
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# (sites, bosons, sector) of chains whose reversal-even sector is over
+# _DENSE_LIMIT: the sector quotients out the chain's one lattice symmetry,
+# so no symmetry keeps the uniform Lanczos start orthogonal to an eigenvector
+_CHAIN_SECTORS = [(7, 7, True), (8, 6, True), (9, 5, True)]
+
+
+def _assert_nothing_skipped(h, k):
+    # each returned value is within m = RESIDUAL_TOL ||H|| of an eigenvalue
+    # (low_spectrum checks the residuals to m), so H has exactly as many
+    # eigenvalues below E_k - m as were returned there unless Lanczos
+    # skipped one; a cluster straddling E_k adds to neither side
+    vals, _ = aqsim.low_spectrum(h, k)
+    sigma = vals[-1] - aqsim.bose_hubbard.RESIDUAL_TOL * abs(h).sum(axis=1).max()
+    assert eigenvalues_below(h, sigma) == np.count_nonzero(vals < sigma)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_CHAIN_SECTORS), st.floats(0.01, 0.5), st.integers(1, 10))
+@example((8, 6, False), 0.2, 6)  # the full basis: eigsh at tol 1e-9 skips states here
+def test_lanczos_skips_no_eigenvalue_by_sylvester_inertia(chain, j_ratio, k):
+    sites, bosons, sector = chain
+    h = _scan_matrix(BoseHubbardParams.chain(sites, 1.0, 1.0), bosons, j_ratio, sector)
+    _assert_nothing_skipped(h, k)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the uniform Lanczos start is invariant under every lattice symmetry, so "
+    "Lanczos reaches the other symmetry classes of H only through rounding, "
+    "and on the full 3x3 basis it finds one state of each degenerate pair"))
+@pytest.mark.parametrize("params, bosons, j_ratio, sector, k", [
+    (BoseHubbardParams.chain(7, 1.0, 1.0), 7, 0.2, False, 2),  # a reversal-odd state
+    (BoseHubbardParams.plaquette(2, 4, 1.0, 1.0), 6, 0.2, True, 3),  # a mirror-odd state
+    (BoseHubbardParams.plaquette(3, 3, 1.0, 1.0), 5, 0.1, True, 2),
+    (BoseHubbardParams.plaquette(3, 3, 1.0, 1.0), 5, 0.2, False, 10),
+], ids=["chain7-N7-full", "plaquette2x4-N6-sector", "plaquette3x3-N5-sector",
+        "plaquette3x3-N5-full"])
+def test_lanczos_skips_no_eigenvalue_where_h_keeps_a_lattice_symmetry(
+        params, bosons, j_ratio, sector, k):
+    _assert_nothing_skipped(_scan_matrix(params, bosons, j_ratio, sector), k)
 
 
 def test_condensate_fraction_mott_and_free():
