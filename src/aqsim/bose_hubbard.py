@@ -449,7 +449,8 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
                 f"Lanczos failed for k={k}, dim={dim}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    scale = float(abs(h).sum(axis=1).max()) or 1.0
+    # abs of a copy: abs(h) sorts h's indices in place, moving a later call's bits
+    scale = float(abs(h.copy()).sum(axis=1).max()) or 1.0
     residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
     (failing,) = np.nonzero(residuals > RESIDUAL_TOL * scale)
     if failing.size:

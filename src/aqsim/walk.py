@@ -29,12 +29,12 @@ half phases.  Each sampled segment keeps one running sum of populations
 over the shots, added to by 16-shot blocks in shot order, so the mean is
 also the same bits at any chunk width.
 
-One helper thread keeps one chunk ahead: it draws chunk k + 1's phases 16
-shots at a time into a scratch slab, writes each slab into the chunk's
-segment-major (kick, site, shot) block, and scales and tans the block in
-place, while the calling thread runs chunk k's segment products and kicks
-on the block it was handed.  So two blocks, each within the budget, and
-one slab are live at once: memory does not grow with the shot count, and a
+One helper thread keeps one chunk ahead: it draws chunk k + 1's phases
+shot by shot straight into the chunk's shot-major (shot, kick, site) block,
+and scales and tans the block in place, while the calling thread runs chunk
+k's segment products and kicks on the block it was handed, reading each
+kick as a strided (site, shot) view.  So two blocks, each within the
+budget, are live at once: memory does not grow with the shot count, and a
 sampled segment adds only its one vector of sums.  The populations are the
 same bytes as with no helper.
 
@@ -195,20 +195,15 @@ def _half_angle_kick(t: np.ndarray, kick: np.ndarray,
 
 def _phase_block(base: int, n_kicks: int, dim: int, half_sigma: float,
                  lo: int, hi: int) -> np.ndarray:
-    """tan(phi / 2) of shots lo..hi-1, segment-major: (n_kicks, dim, hi - lo).
+    """tan(phi / 2) of shots lo..hi-1, shot-major: (hi - lo, n_kicks, dim).
 
     Each shot draws its (n_kicks, dim) normals in one call on the stream
-    keyed on (base, shot), into a scratch slab of _SHOT_ALIGN shots that is
-    then written, transposed, into the block; one scale and one tan run in
-    place over the whole block.  So each kick reads a contiguous (dim, width)
-    slab, and beside the block only the slab is allocated."""
-    block = np.empty((n_kicks, dim, hi - lo))
-    slab = np.empty((_SHOT_ALIGN, n_kicks, dim))
-    for start in range(lo, hi, _SHOT_ALIGN):
-        stop = min(start + _SHOT_ALIGN, hi)
-        for j in range(start, stop):
-            np.random.default_rng([base, j]).standard_normal(out=slab[j - start])
-        block[:, :, start - lo:stop - lo] = slab[:stop - start].transpose(1, 2, 0)
+    keyed on (base, shot), straight into its row of the block; one scale and
+    one tan run in place over the whole block, and nothing else is
+    allocated."""
+    block = np.empty((hi - lo, n_kicks, dim))
+    for j in range(lo, hi):
+        np.random.default_rng([base, j]).standard_normal(out=block[j - lo])
     block *= half_sigma
     np.tan(block, out=block)
     return block
@@ -246,17 +241,18 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
     The kick exp(-i phi) is built from the half-angle tangent (see
     _half_angle_kick), with one tan over the chunk's whole block of half
     phases, so every element takes the same ufunc loop whatever the chunk
-    width.  The block is handed over segment-major (_phase_block), so a kick
-    reads contiguous memory; the kick's arithmetic gives the same bits in
+    width.  The block is handed over shot-major (_phase_block), so each
+    shot's draw lands in place, and a kick reads the strided (dim, width)
+    view phases[:, seg - 1].T; the kick's arithmetic gives the same bits in
     any layout.
 
     One helper thread draws chunk k + 1's block while this thread runs chunk
     k's segment products and kicks: the RNG fill, the tan and the matrix
     products all release the GIL.  The next chunk is submitted only once
     this one's block is taken, so at most two blocks of up to _PHASE_BYTES
-    each are live, the one being applied and the one being filled, plus the
-    helper's _SHOT_ALIGN-shot slab.  Memory does not grow with the shot
-    count, and a sampled segment adds only its (dim,) sum.
+    each are live, the one being applied and the one being filled.  Memory
+    does not grow with the shot count, and a sampled segment adds only its
+    (dim,) sum.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept out of import aqsim
 
@@ -282,7 +278,7 @@ def _ensemble_populations(h: Hamiltonian, input_mode: int, tau: float,
             for seg in range(1, n_segments + 1):
                 amps = u_seg @ amps
                 if seg < n_segments:
-                    amps *= _half_angle_kick(phases[seg - 1], kick, scratch)
+                    amps *= _half_angle_kick(phases[:, seg - 1].T, kick, scratch)
                 if seg in totals:
                     _add_in_shot_order(totals[seg], np.abs(amps) ** 2)
     averaged = {}

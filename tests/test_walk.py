@@ -372,6 +372,32 @@ def test_ensemble_memory_does_not_grow_with_shots():
     assert _traced_peak_bytes(22_560) <= 1.1 * _traced_peak_bytes(4_512)
 
 
+@pytest.mark.parametrize("n_kicks", [CHUNK_SEGS - 1, 0])
+def test_phase_block_rows_are_each_shots_half_angle_tangents(n_kicks):
+    # an offset chunk, shots 17..48: row j - lo is shot j's own stream, and
+    # a one-segment ensemble's block has no kicks
+    half_sigma, lo, hi = 0.5 * CHUNK_SIGMA, 17, 49
+    block = walk._phase_block(CHUNK_SEED, n_kicks, CHUNK_CHAIN, half_sigma, lo, hi)
+    assert block.shape == (hi - lo, n_kicks, CHUNK_CHAIN)
+    for j in range(lo, hi):
+        normals = np.random.default_rng([CHUNK_SEED, j]).standard_normal(
+            (n_kicks, CHUNK_CHAIN))
+        assert np.array_equal(block[j - lo], np.tan(half_sigma * normals))
+
+
+def test_phase_block_allocates_only_its_block():
+    # each shot draws straight into its row: no scratch beside the block.
+    # A first small call loads what numpy's generators import on first use
+    walk._phase_block(1, 1, 1, 0.25, 0, 1)
+    tracemalloc.start()
+    try:
+        block = walk._phase_block(1, 47, 101, 0.25, 0, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 16 * 1024
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
        st.floats(0.05, 3.0), st.integers(1, 40))
