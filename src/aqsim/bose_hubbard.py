@@ -607,7 +607,8 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasi
     min(E_i - E_0) over excited states whose pair-count matrix element with
     the ground state is non-negligible relative to ||pair-count applied to
     the ground state||.  Raises DriveCouplingError when that norm is zero
-    or none of the k states is drive-coupled.
+    or none of the k states is drive-coupled; _gap_scan calls it on the two
+    lowest pairs first and on k pairs only after that raises.
     """
     k = len(energies)
     driven = onsite_pair_count(basis) * vectors[:, 0]
@@ -627,9 +628,20 @@ def drive_coupled_gap(energies: np.ndarray, vectors: np.ndarray, basis: FockBasi
 
 def _gap_scan(params: BoseHubbardParams, basis: FockBasis, j_ratios, k: int) -> tuple:
     """(drive-coupled gaps, condensate fractions, sector size) at J = j U for
-    each j of j_ratios, solved in the reversal-even sector with the k lowest
-    states, k clamped to the sector size.  params sets the lattice and U at
-    hopping 1."""
+    each j of j_ratios, solved in the reversal-even sector.  params sets the
+    lattice and U at hopping 1.
+
+    k, clamped to the sector size, is the most states a point solves.  Each
+    point solves the two lowest states and takes its gap and condensate
+    fraction from them.  Only when state 1 is not drive-coupled
+    (drive_coupled_gap raises) and k > 2 does it solve the k lowest states
+    afresh and take both values from that solve, whose DriveCouplingError
+    propagates.  A restarted Lanczos run's products and per-step work grow
+    with the pairs it wants and its space of max(3k, 20) vectors, so most
+    points save that work: on a chain's sector, which keeps no other lattice
+    symmetry, state 1 was drive-coupled at every point tried, while a
+    plaquette's sector can hold a lower state of another symmetry class.
+    """
     import scipy.sparse as sp
 
     # J > 0: the ground state and all it is drive-coupled to are even
@@ -642,8 +654,14 @@ def _gap_scan(params: BoseHubbardParams, basis: FockBasis, j_ratios, k: int) -> 
     gaps, fractions = [], []
     for j in j_ratios:
         h = (j * params.interaction) * hop + pairs
-        energies, even = low_spectrum(h, k)
-        vectors = sector.T @ even
-        gaps.append(drive_coupled_gap(energies, vectors, basis))
+        for wanted in sorted({min(2, k), k}):
+            energies, even = low_spectrum(h, wanted)
+            vectors = sector.T @ even
+            try:
+                gaps.append(drive_coupled_gap(energies, vectors, basis))
+                break
+            except DriveCouplingError:
+                if wanted == k:
+                    raise
         fractions.append(condensate_fraction(vectors[:, 0], basis))
     return gaps, fractions, sector.shape[0]

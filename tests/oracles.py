@@ -33,6 +33,10 @@ of occupation tuples, one state at a time (the implementation never ranks
 a moved state: it shifts each source's rank by two entries of the basis's
 prefix-sum tables), the scan-point oracle diagonalizes the full-basis
 Hamiltonian densely (the implementation solves the reversal-even sector),
+the sector scan-point oracle looks up each state's mirror and diagonalizes
+the whole reversal-even block densely (the implementation ranks the
+mirrors and asks Lanczos for two states, and for k only when state 1 is
+not drive-coupled),
 the inertia oracle counts the eigenvalues below a shift from the pivots of
 one sparse symmetric factorization (the implementation runs Lanczos and
 checks only the residuals of what it found),
@@ -48,7 +52,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import splu
 
 
@@ -345,15 +349,15 @@ def hopping_matrix_by_lookup(params, basis) -> sp.csr_matrix:
     """-J sum_<j,k> (b_j^dag b_k + h.c.), one state and one edge at a time."""
     lookup = fock_lookup(basis)
     rows, cols, vals = [], [], []
-    for s, state in enumerate(basis.states):
+    for s, state in enumerate(basis.states.tolist()):
         for j, k in params.edges:
             for src, dst in ((k, j), (j, k)):
                 if state[src] == 0:
                     continue
-                target = state.copy()
+                target = list(state)
                 target[src] -= 1
                 target[dst] += 1
-                rows.append(lookup[tuple(int(n) for n in target)])
+                rows.append(lookup[tuple(target)])
                 cols.append(s)
                 vals.append(-params.hopping * math.sqrt(state[src] * (state[dst] + 1)))
     dim = len(basis)
@@ -365,7 +369,7 @@ def one_body_density_matrix_by_lookup(psi: np.ndarray, basis) -> np.ndarray:
     lookup = fock_lookup(basis)
     n = basis.n_sites
     rho = np.zeros((n, n), dtype=complex)
-    for s, state in enumerate(basis.states):
+    for s, state in enumerate(basis.states.tolist()):
         for j in range(n):
             if state[j] == 0:
                 continue
@@ -373,34 +377,36 @@ def one_body_density_matrix_by_lookup(psi: np.ndarray, basis) -> np.ndarray:
                 if i == j:
                     rho[i, i] += abs(psi[s]) ** 2 * state[i]
                     continue
-                target = state.copy()
+                target = list(state)
                 target[j] -= 1
                 target[i] += 1
-                t = lookup[tuple(int(m) for m in target)]
+                t = lookup[tuple(target)]
                 rho[i, j] += np.conj(psi[t]) * math.sqrt(state[j] * (state[i] + 1)) * psi[s]
     return rho
+
+
+def _pair_count_by_lookup(basis) -> np.ndarray:
+    """sum_j n_j (n_j - 1) / 2 read off each state's occupations."""
+    return np.array([sum(n * (n - 1) // 2 for n in state)
+                     for state in basis.states.tolist()], dtype=float)
 
 
 def _hamiltonian_by_lookup(params, basis) -> tuple:
     """(dense H, pair count): the lookup hopping matrix plus U times the pair
     count read off the occupations."""
-    pairs = np.array([sum(n * (n - 1) // 2 for n in state)
-                      for state in basis.states.tolist()], dtype=float)
+    pairs = _pair_count_by_lookup(basis)
     h = hopping_matrix_by_lookup(params, basis).toarray() + np.diag(
         params.interaction * pairs)
     return h, pairs
 
 
-def scan_point_by_lookup(params, basis, k: int) -> tuple:
-    """(gap, condensate fraction) of one bh-scan point on the full basis.
+def _scan_point(energies, vectors, pairs, basis, k: int) -> tuple:
+    """(gap, condensate fraction) from ascending eigenpairs on the full basis.
 
-    H is _hamiltonian_by_lookup's, diagonalized whole with dense eigh.  The
-    gap is that of the first of the k lowest states whose pair-count element
-    with the ground state exceeds 1e-8 of ||pair-count applied to the
-    ground state||.
+    The gap is that of the first of the k lowest states more than 1e-10
+    above the ground state whose pair-count element with the ground state
+    exceeds 1e-8 of ||pair-count applied to the ground state||.
     """
-    h, pairs = _hamiltonian_by_lookup(params, basis)
-    energies, vectors = np.linalg.eigh(h)
     ground = vectors[:, 0]
     driven = pairs * ground
     floor = 1e-8 * np.linalg.norm(driven)
@@ -409,6 +415,45 @@ def scan_point_by_lookup(params, basis, k: int) -> tuple:
                and abs(vectors[:, i] @ driven) > floor)
     rho = one_body_density_matrix_by_lookup(ground, basis)
     return float(gap), float(np.linalg.eigvalsh(rho).max()) / basis.n_bosons
+
+
+def scan_point_by_lookup(params, basis, k: int) -> tuple:
+    """(gap, condensate fraction) of one bh-scan point on the full basis.
+
+    H is _hamiltonian_by_lookup's, diagonalized whole with dense eigh, and
+    _scan_point applies the gap rules.
+    """
+    h, pairs = _hamiltonian_by_lookup(params, basis)
+    energies, vectors = np.linalg.eigh(h)
+    return _scan_point(energies, vectors, pairs, basis, k)
+
+
+def drive_coupled_gap_dense(params, basis, k: int) -> tuple:
+    """(gap, condensate fraction) of one bh-scan point on the reversal-even
+    sector, for sectors too large for a dense full-basis solve.
+
+    Each state's mirror (its occupations reversed) is looked up; the rows
+    of P are a state with its mirror, weights 1/sqrt(2) each, or a
+    palindrome alone.  P H P^T, with H the lookup hopping matrix plus U
+    times the pair count, goes whole to LAPACK's dense eigh for its k
+    lowest states, those are lifted by P^T, and _scan_point applies the gap
+    rules.
+    """
+    lookup = fock_lookup(basis)
+    mirrors = [(s, lookup[tuple(state[::-1])])
+               for s, state in enumerate(basis.states.tolist())]
+    reps = [(s, mirror) for s, mirror in mirrors if s <= mirror]
+    p = sp.lil_matrix((len(reps), len(basis)))
+    for row, (s, mirror) in enumerate(reps):
+        if s == mirror:
+            p[row, s] = 1.0
+        else:
+            p[row, s] = p[row, mirror] = 1.0 / math.sqrt(2.0)
+    p = p.tocsr()
+    pairs = _pair_count_by_lookup(basis)
+    h = hopping_matrix_by_lookup(params, basis) + sp.diags(params.interaction * pairs)
+    energies, vectors = eigh((p @ h @ p.T).toarray(), subset_by_index=[0, k - 1])
+    return _scan_point(energies, p.T @ vectors, pairs, basis, k)
 
 
 def eigenvalues_below(h, sigma: float) -> int:

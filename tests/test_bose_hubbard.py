@@ -11,11 +11,12 @@ from scipy.sparse.linalg import eigsh
 
 import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
-from aqsim.bose_hubbard import (_hops, _reflection_sector, basis_size, hopping_matrix,
-                                onsite_pair_count)
+from aqsim.bose_hubbard import (_gap_scan, _hops, _reflection_sector, basis_size,
+                                hopping_matrix, onsite_pair_count)
 
 from oracles import (absorption_by_linear_response, absorption_per_nu_full_basis,
-                     chain_eigensystem, eigenvalues_below, fock_states_by_product,
+                     chain_eigensystem, drive_coupled_gap_dense, eigenvalues_below,
+                     fock_states_by_product,
                      hopping_matrix_by_lookup, hops_by_lookup,
                      one_body_density_matrix_by_lookup)
 
@@ -628,6 +629,68 @@ def test_drive_coupled_gap_with_ground_state_alone_raises():
     h = aqsim.build_bh(BoseHubbardParams.chain(2, 1.0, 1.0), basis)
     with pytest.raises(DriveCouplingError, match="lowest k = 1 states; raise k"):
         aqsim.drive_coupled_gap(*aqsim.low_spectrum(h, 1), basis)
+
+
+def recording_solves(monkeypatch):
+    """The k of each low_spectrum call that bose_hubbard makes, in order."""
+    import aqsim.bose_hubbard as bh
+
+    calls = []
+
+    def recording(h, k):
+        calls.append(k)
+        return aqsim.low_spectrum(h, k)
+
+    monkeypatch.setattr(bh, "low_spectrum", recording)
+    return calls
+
+
+def test_gap_scan_solves_k_states_where_state_1_is_not_drive_coupled(monkeypatch):
+    # the 3x3 plaquette's reversal-even sector keeps states of other
+    # symmetry classes of the square; at N 6, J/U 0.01 its state 1 is one
+    params = BoseHubbardParams.plaquette(3, 3, 1.0, 1.0)
+    basis = aqsim.enumerate_basis(9, 6)
+    calls = recording_solves(monkeypatch)
+    (gap,), (fraction,), _ = _gap_scan(params, basis, [0.01], 10)
+    assert calls == [2, 10]
+    sector = _reflection_sector(params, basis)
+    energies, even = aqsim.low_spectrum(_scan_matrix(params, 6, 0.01, True), 10)
+    vectors = sector.T @ even
+    assert abs(gap - aqsim.drive_coupled_gap(energies, vectors, basis)) <= 1e-12
+    assert abs(fraction - aqsim.condensate_fraction(vectors[:, 0], basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gap_scan_with_k_at_most_two_solves_once_per_point(monkeypatch, k):
+    # on the chain's 472-state sector (Lanczos) state 1 is drive-coupled;
+    # k = 1 holds no excited state at all, and a k-solve's failure propagates
+    basis = aqsim.enumerate_basis(7, 6)
+    params = BoseHubbardParams.chain(7, 1.0, 1.0)
+    calls = recording_solves(monkeypatch)
+    if k == 1:
+        with pytest.raises(DriveCouplingError, match="lowest k = 1 states; raise k"):
+            _gap_scan(params, basis, [0.1, 0.2], k)
+        assert calls == [1]
+    else:
+        (gap, _), _, _ = _gap_scan(params, basis, [0.1, 0.2], k)
+        assert calls == [2, 2]
+        want_gap, _ = drive_coupled_gap_dense(BoseHubbardParams.chain(7, 0.1, 1.0), basis, k)
+        assert abs(gap - want_gap) <= 1e-10
+
+
+# every chain sector here is over _DENSE_LIMIT, so _gap_scan runs Lanczos
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(7, 6), (7, 7), (8, 6), (8, 7)]), st.floats(0.01, 0.5),
+       st.integers(2, 10))
+def test_gap_scan_matches_the_dense_sector_oracle(chain, j_ratio, k):
+    sites, bosons = chain
+    basis = aqsim.enumerate_basis(sites, bosons)
+    (gap,), (fraction,), _ = _gap_scan(BoseHubbardParams.chain(sites, 1.0, 1.0), basis,
+                                       [j_ratio], k)
+    want_gap, want_fraction = drive_coupled_gap_dense(
+        BoseHubbardParams.chain(sites, j_ratio, 1.0), basis, k)
+    assert abs(gap - want_gap) <= 1e-10
+    assert abs(fraction - want_fraction) <= 1e-10
 
 
 @pytest.mark.parametrize("params, bosons, even", [

@@ -19,6 +19,7 @@ from aqsim.open_system import StateInvariantError
 from aqsim.validation import ReportRoleError
 
 from oracles import scan_point_by_lookup
+from test_bose_hubbard import recording_solves
 from test_open_system import DIMER_ETA_ORACLE, DIMER_GAMMA_GRID
 
 
@@ -949,18 +950,21 @@ def test_bh_scan_needs_two_sites_and_two_bosons(tmp_path, capsys, sites, bosons,
 
 
 def test_bh_scan_solves_once_per_j_point(tmp_path, monkeypatch):
-    import aqsim.bose_hubbard
-
-    calls = []
-
-    def counting(h, k):
-        calls.append(k)
-        return aqsim.low_spectrum(h, k)
-
-    monkeypatch.setattr(aqsim.bose_hubbard, "low_spectrum", counting)
+    # k bounds the states a point may solve: on a chain's sector state 1 is
+    # drive-coupled, so each point asks Lanczos for two states and no more
+    calls = recording_solves(monkeypatch)
     cfg = scan_config(tmp_path, 7, 6, k=10, j_steps=4)  # 472 even states: Lanczos path
     assert main(["bh-scan", str(cfg)]) == 0
-    assert calls == [10] * 4
+    assert calls == [2] * 4
+
+
+def test_bh_scan_k_one_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # one state holds no excitation: the config check refuses it before any solve
+    calls = recording_solves(monkeypatch)
+    assert main(["bh-scan", str(scan_config(tmp_path, 7, 6, k=1))]) == 2
+    assert capsys.readouterr().err == "error: line 7: k must be >= 2\n"
+    assert calls == []
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_bh_scan_linear_algebra_failure_is_numerical(tmp_path, monkeypatch, capsys):
