@@ -73,18 +73,38 @@ def __getattr__(name):
 @functools.cache
 def _product_operator() -> type:
     """low_spectrum's operator class, made on first use: no scipy at import."""
+    # csr_matvec is the kernel that h @ x ends in (scipy's _matmul_vector
+    # calls it on a zeroed vector of the upcast dtype), so ARPACK sees the
+    # same bits without scipy.sparse's per-call dispatch, which was about a
+    # third of a product on bh-scan's L = N = 7 sector.  The module is
+    # private: its signature was checked on scipy 1.17.1 only, and
+    # test_lanczos_operator_gives_the_eigenpairs_of_eigsh_on_the_matrix pins
+    # the eigenpairs to those of eigsh on h bit for bit.
+    from scipy.sparse._sparsetools import csr_matvec
     from scipy.sparse.linalg import LinearOperator
 
     class _Product(LinearOperator):
+        """A CSR matrix whose data already has the dtype of its products."""
+
         def __init__(self, matrix):
             super().__init__(matrix.dtype, matrix.shape)
-            self.matrix = matrix
+            self.csr = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
 
         def _matvec(self, x):
-            return self.matrix @ x
+            y = np.zeros(self.shape[0], self.dtype)
+            csr_matvec(*self.csr, x, y)
+            return y
         matvec = _matvec  # the bound method ARPACK's loop calls
 
     return _Product
+
+
+def _max_row_sum(h) -> float:
+    """Largest row sum of |stored entries| of a CSR matrix, in stored order:
+    the same reduction as abs(h).sum(axis=1).max(), bit for bit when h is
+    canonical, with no copy of h (abs(h) sorts h's indices in place)."""
+    rows = np.flatnonzero(np.diff(h.indptr))
+    return float(np.add.reduceat(np.abs(h.data), h.indptr[rows]).max(initial=0.0))
 
 
 class BasisSizeError(ValueError):
@@ -413,7 +433,15 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     through dense eigh; larger ones through Lanczos (ARPACK) with a
     deterministic start vector and a Lanczos space of 3k vectors (at
     least 20).  eigsh gets h as a _product_operator() instance, whose matvec
-    is h @ x itself: bit-identical eigenpairs without scipy's operator dispatch.
+    is the csr_matvec kernel that h @ x ends in: bit-identical eigenpairs
+    without scipy's dispatch.
+
+    h is converted once, to CSR with data of np.result_type(h.dtype,
+    float64): a no-op for the CSR float64 matrices the package passes, while
+    float32, complex64 and integer input is solved in double precision (in
+    single precision the residual check cannot pass) and a CSC or COO
+    argument is stepped as CSR, so its Lanczos-branch bits may move at
+    rounding.
 
     Lanczos stops at ARPACK tolerance _LANCZOS_TOL = 1e-11 rather than at
     machine precision: a Ritz pair is accepted once its residual is at most
@@ -422,8 +450,12 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     (Parlett, The Symmetric Eigenvalue Problem).  Iterating further moves
     neither the check nor any printed digit; it cost about a fifth of the
     matrix-vector products of a bh-scan point.  ||H|| is the max row sum of
-    |H|.
+    |H| over the stored entries (_max_row_sum), summed in stored order: it
+    equals abs(h).sum(axis=1).max() bit for bit on a canonical matrix, and
+    is within rounding of it when the indices are unsorted, as _gap_scan's
+    are.  A duplicate entry counts by its absolute value.
     """
+    h = h.tocsr().astype(np.result_type(h.dtype, np.float64), copy=False)
     dim = h.shape[0]
     k = _integer(k, "k")
     if not 1 <= k <= dim:
@@ -449,8 +481,7 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
                 f"Lanczos failed for k={k}, dim={dim}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    # abs of a copy: abs(h) sorts h's indices in place, moving a later call's bits
-    scale = float(abs(h.copy()).sum(axis=1).max()) or 1.0
+    scale = _max_row_sum(h) or 1.0
     residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
     (failing,) = np.nonzero(residuals > RESIDUAL_TOL * scale)
     if failing.size:

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import eigsh
 
 import aqsim
 from aqsim import BasisSizeError, BoseHubbardParams, DriveCouplingError
-from aqsim.bose_hubbard import (_gap_scan, _hops, _reflection_sector, basis_size,
-                                hopping_matrix, onsite_pair_count)
+from aqsim.bose_hubbard import (_gap_scan, _hops, _max_row_sum, _reflection_sector,
+                                basis_size, hopping_matrix, onsite_pair_count)
 
 from oracles import (absorption_by_linear_response, absorption_per_nu_full_basis,
                      chain_eigensystem, drive_coupled_gap_dense, eigenvalues_below,
@@ -286,6 +286,79 @@ def test_low_spectrum_reports_any_arpack_error_as_a_convergence_failure(monkeypa
     with pytest.raises(aqsim.EigenConvergenceError,
                        match="Lanczos failed for k=3, dim=500: ARPACK error -9"):
         aqsim.low_spectrum(h, 3)
+
+
+def _random_symmetric(dim):
+    rng = np.random.default_rng(7)
+    a = sp.random(dim, dim, density=0.02, random_state=rng, format="csr")
+    a.data = rng.standard_normal(a.nnz)
+    return (a + a.T).tocsr()
+
+
+@pytest.mark.parametrize("dim", [300, 600], ids=["dense", "lanczos"])
+@pytest.mark.parametrize("convert", [
+    lambda h: h.astype(np.float32),
+    lambda h: h.astype(np.complex64),
+    lambda h: sp.csr_matrix(np.rint(4 * h.toarray()).astype(np.int64)),
+    lambda h: h.tocsc(),
+    lambda h: h.tocoo(),
+    sp.csr_array,
+], ids=["float32", "complex64", "int64", "csc", "coo", "csr_array"])
+def test_low_spectrum_solves_any_sparse_input_in_double_precision(dim, convert):
+    # in single precision eigh and ARPACK leave residuals of 1e-7 to 1e-5,
+    # far over the RESIDUAL_TOL * ||H|| check; the products' kernel needs
+    # data of its output dtype, which integer input does not have
+    h = convert(_random_symmetric(dim))
+    dense = h.toarray().astype(np.result_type(h.dtype, np.float64))
+    vals, _ = aqsim.low_spectrum(h, 4)
+    bound = aqsim.bose_hubbard.RESIDUAL_TOL * np.abs(dense).sum(axis=1).max()
+    assert np.abs(vals - np.linalg.eigvalsh(dense)[:4]).max() <= bound
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_max_row_sum_is_the_row_sum_norm_over_the_stored_entries(seed):
+    # low_spectrum's ||H||, taken without the copy abs(h) needs to leave h's
+    # indices as they were: numpy's reduction of abs(h).sum(axis=1) on a
+    # canonical matrix, so bit for bit there; rows of up to 30 entries
+    # reach its pairwise summation, which a plain running sum does not match
+    rng = np.random.default_rng(seed)
+    n = 40
+    lengths = rng.integers(0, 31, n)
+    lengths[::7] = 0  # empty rows
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.concatenate([np.sort(rng.choice(n, m, replace=False)) for m in lengths])
+    data = rng.standard_normal(indices.size)
+    data[::5] = 0.0  # explicit zeros
+    canonical = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    assert canonical.has_canonical_format and canonical.nnz == data.size
+    norm = abs(canonical).sum(axis=1).max()
+    assert _max_row_sum(canonical) == norm
+    assert _max_row_sum(sp.csr_matrix((n, n))) == 0.0
+
+    # unsorted indices (as _gap_scan's sector matrices have): the same
+    # entries summed in another order, within rounding, and left unsorted
+    order = np.concatenate([start + rng.permutation(m)
+                            for start, m in zip(indptr[:-1], lengths)])
+    shuffled = sp.csr_matrix((data[order], indices[order], indptr), shape=(n, n))
+    assert not shuffled.has_sorted_indices
+    kept = shuffled.indices.copy()
+    within = 2 * lengths.max() * np.finfo(float).eps  # two orders of the longest row
+    assert _max_row_sum(shuffled) == pytest.approx(norm, rel=within, abs=0)
+    assert np.array_equal(shuffled.indices, kept)
+
+    # duplicates count by their absolute values: halves of one sign sum to
+    # the entry, while a cancelling pair raises the bound
+    halves = sp.csr_matrix((np.repeat(data / 2, 2), np.repeat(indices, 2), 2 * indptr),
+                           shape=(n, n))
+    assert _max_row_sum(halves) == pytest.approx(norm, rel=within, abs=0)
+    row = int(np.argmax(abs(canonical).sum(axis=1)))
+    free = np.setdiff1d(np.arange(n), indices[indptr[row]:indptr[row + 1]])[0]
+    end = indptr[row + 1]
+    cancelling = sp.csr_matrix(
+        (np.insert(data, end, [1.0, -1.0]), np.insert(indices, end, [free, free]),
+         indptr + 2 * (np.arange(n + 1) > row)), shape=(n, n))
+    assert abs(cancelling.copy()).sum(axis=1).max() == pytest.approx(norm, rel=within, abs=0)
+    assert _max_row_sum(cancelling) == pytest.approx(norm + 2.0, rel=within, abs=0)
 
 
 def _scan_matrix(params, bosons, j_ratio, sector):

@@ -114,6 +114,39 @@ def test_cli_builds_no_hamiltonians():
     assert not [m for m in modules if m and m.split(".")[0] == "scipy"]
 
 
+def _private_scipy(name):
+    top, *parts = name.split(".")
+    return top == "scipy" and any(part.startswith("_") for part in parts)
+
+
+def _private_scipy_imports(node, module, scope=()):
+    """(module, enclosing def, imported module) of each import of a private
+    scipy module, scipy.<pkg>._<name>, at or under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    names = []
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = ([node.module] if _private_scipy(node.module)
+                 else [f"{node.module}.{alias.name}" for alias in node.names])
+    found = {(module, ".".join(scope), name) for name in names if _private_scipy(name)}
+    for child in ast.iter_child_nodes(node):
+        found |= _private_scipy_imports(child, module, scope)
+    return found
+
+
+def test_the_only_private_scipy_import_is_the_lanczos_product_kernel():
+    # a private scipy module can change or vanish in any release: the one
+    # the package relies on is the CSR product kernel, imported where
+    # low_spectrum's operator class is made, on first use
+    found = set()
+    for path in sorted(Path(aqsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _private_scipy_imports(tree, path.stem)
+    assert found == {("bose_hubbard", "_product_operator", "scipy.sparse._sparsetools")}
+
+
 def test_engine_failures_derive_from_the_exit_table_row_types():
     # the exit table names one type per row of the engines' failures
     assert issubclass(aqsim.NegativeAbsorptionError, aqsim.StateInvariantError)
