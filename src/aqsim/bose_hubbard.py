@@ -46,8 +46,9 @@ _TABLE_CAP = 1 << 22
 _DENSE_LIMIT = 400
 RESIDUAL_TOL = 1e-9
 # low_spectrum's Lanczos stopping tolerance: ARPACK's test is relative to
-# |theta| <= ||H||, so this stops 100x under the RESIDUAL_TOL * ||H|| check;
-# iterating on to machine precision buys nothing that check or an output sees
+# the Ritz value, which the shift by 2 ||H|| puts in [||H||, 3 ||H||], so this
+# stops 33-100x under the RESIDUAL_TOL * ||H|| check; iterating on to machine
+# precision buys nothing that check or an output sees
 _LANCZOS_TOL = RESIDUAL_TOL / 100
 # drive_coupled_gap: smallest pair-count overlap, relative to its norm, that
 # counts an excited state as reached by the modulation
@@ -74,24 +75,26 @@ def __getattr__(name):
 def _product_operator() -> type:
     """low_spectrum's operator class, made on first use: no scipy at import."""
     # csr_matvec is the kernel that h @ x ends in (scipy's _matmul_vector
-    # calls it on a zeroed vector of the upcast dtype), so ARPACK sees the
-    # same bits without scipy.sparse's per-call dispatch, which was about a
-    # third of a product on bh-scan's L = N = 7 sector.  The module is
-    # private: its signature was checked on scipy 1.17.1 only, and
-    # test_lanczos_operator_gives_the_eigenpairs_of_eigsh_on_the_matrix pins
-    # the eigenpairs to those of eigsh on h bit for bit.
+    # calls it on a zeroed vector of the upcast dtype); called on shift * x
+    # it adds the shift without a second pass, and it skips scipy.sparse's
+    # per-call dispatch, which was about a third of a product on bh-scan's
+    # L = N = 7 sector.  The module is private: its signature was checked on
+    # scipy 1.17.1 only, and test_lanczos_operator_is_h_shifted_by_twice_its_norm
+    # pins the product to shift * x + h @ x.
     from scipy.sparse._sparsetools import csr_matvec
     from scipy.sparse.linalg import LinearOperator
 
     class _Product(LinearOperator):
-        """A CSR matrix whose data already has the dtype of its products."""
+        """matrix + shift I, for a CSR matrix whose data already has the
+        dtype of its products."""
 
-        def __init__(self, matrix):
+        def __init__(self, matrix, shift: float):
             super().__init__(matrix.dtype, matrix.shape)
             self.csr = (*matrix.shape, matrix.indptr, matrix.indices, matrix.data)
+            self.shift = shift
 
         def _matvec(self, x):
-            y = np.zeros(self.shape[0], self.dtype)
+            y = self.shift * x  # the kernel accumulates matrix @ x into y
             csr_matvec(*self.csr, x, y)
             return y
         matvec = _matvec  # the bound method ARPACK's loop calls
@@ -432,9 +435,13 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     non-finite entry fails that check too.  Small or near-full problems go
     through dense eigh; larger ones through Lanczos (ARPACK) with a
     deterministic start vector and a Lanczos space of 3k vectors (at
-    least 20).  eigsh gets h as a _product_operator() instance, whose matvec
-    is the csr_matvec kernel that h @ x ends in: bit-identical eigenpairs
-    without scipy's dispatch.
+    least 20).  eigsh gets H + 2 ||H|| I (2 I when ||H|| is 0) as a
+    _product_operator() instance, whose matvec runs the csr_matvec kernel
+    that h @ x ends in, accumulating into the shift times x; in exact
+    arithmetic the shift leaves the Krylov space and Ritz vectors as they
+    are.  The eigenvalues are the Rayleigh quotients v^H (H v), in whose
+    order the pairs are returned, and the products H v serve the residual
+    check too.
 
     h is converted once, to CSR with data of np.result_type(h.dtype,
     float64): a no-op for the CSR float64 matrices the package passes, while
@@ -445,15 +452,21 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
 
     Lanczos stops at ARPACK tolerance _LANCZOS_TOL = 1e-11 rather than at
     machine precision: a Ritz pair is accepted once its residual is at most
-    1e-11 |theta| <= 1e-11 ||H||, 100 times under the check above, and the
-    eigenvalue error of a symmetric matrix is then at most ||r||^2 / gap
-    (Parlett, The Symmetric Eigenvalue Problem).  Iterating further moves
-    neither the check nor any printed digit; it cost about a fifth of the
-    matrix-vector products of a bh-scan point.  ||H|| is the max row sum of
-    |H| over the stored entries (_max_row_sum), summed in stored order: it
-    equals abs(h).sum(axis=1).max() bit for bit on a canonical matrix, and
-    is within rounding of it when the indices are unsorted, as _gap_scan's
-    are.  A duplicate entry counts by its absolute value.
+    1e-11 |theta|, and the eigenvalue error of a symmetric matrix is then
+    at most ||r||^2 / gap (Parlett, The Symmetric Eigenvalue Problem).  On
+    H itself |theta| can be far under ||H|| (the ground state of bh-scan's
+    L = N = 7 sector at J/U 0.0107 has |E0| = 0.0027 against ||H|| = 21),
+    which made ARPACK's test up to ~1e6 times stricter than the check above
+    for no printed digit.  The shift puts every theta in [||H||, 3 ||H||],
+    so the test is 33 to 100 times under the check, and an L = N = 7
+    bh-scan op makes 15% fewer matrix-vector products.  theta - shift would
+    carry theta's rounding at 3 ||H|| (up to 2.3e-13 from dense eigvalsh on
+    that sector's J/U 0.01-0.2); the Rayleigh quotients were within 4.3e-14.
+    ||H|| is the max row sum of |H| over the stored entries (_max_row_sum),
+    summed in stored order: it equals abs(h).sum(axis=1).max() bit for bit
+    on a canonical matrix, and is within rounding of it when the indices
+    are unsorted, as _gap_scan's are.  A duplicate entry counts by its
+    absolute value.
     """
     h = h.tocsr().astype(np.result_type(h.dtype, np.float64), copy=False)
     dim = h.shape[0]
@@ -464,25 +477,28 @@ def low_spectrum(h: sp.spmatrix, k: int) -> tuple:
     deviation = asym.max() if asym.nnz else 0.0
     if not deviation <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {deviation:.3e}")
+    scale = _max_row_sum(h) or 1.0
     if dim <= _DENSE_LIMIT or k > dim - 2:
         vals, vecs = np.linalg.eigh(h.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
+        products = h @ vecs
     else:
         from scipy.sparse.linalg import ArpackError
 
         eigsh = sys.modules[__name__].eigsh
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            vals, vecs = eigsh(_product_operator()(h), k=k, which="SA", v0=v0,
-                               tol=_LANCZOS_TOL, ncv=min(dim - 1, max(3 * k, 20)),
-                               maxiter=max(10 * dim, 10000))
+            _, vecs = eigsh(_product_operator()(h, 2.0 * scale), k=k, which="SA", v0=v0,
+                            tol=_LANCZOS_TOL, ncv=min(dim - 1, max(3 * k, 20)),
+                            maxiter=max(10 * dim, 10000))
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenConvergenceError(
                 f"Lanczos failed for k={k}, dim={dim}: {exc}") from exc
+        products = h @ vecs
+        vals = (vecs.conj() * products).sum(axis=0).real  # Rayleigh quotients
         order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    scale = _max_row_sum(h) or 1.0
-    residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+        vals, vecs, products = vals[order], vecs[:, order], products[:, order]
+    residuals = np.linalg.norm(products - vecs * vals, axis=0)
     (failing,) = np.nonzero(residuals > RESIDUAL_TOL * scale)
     if failing.size:
         i = failing[0]
@@ -612,7 +628,13 @@ def modulation_absorption(params: BoseHubbardParams, basis: FockBasis,
 
         def rhs(t, y):
             psi = y.reshape(-1, omega.size)
-            return -1j * (h0 @ psi + np.outer(drive, np.sin(omega * t)) * psi).ravel()
+            # one (sector x nu) buffer besides the product's, with the bits
+            # of -1j * (h0 @ psi + outer(drive, sin(omega t)) * psi)
+            out = np.empty(psi.shape, complex)
+            np.multiply(drive[:, None], np.sin(omega * t), out=out)
+            out *= psi
+            out += h0 @ psi
+            return np.multiply(-1j, out, out=out).ravel()
         scaled = tol / math.sqrt(omega.size)  # DOP853's error norm is the chunk's RMS
         sol = solve_ivp(rhs, (0.0, t_drive), np.repeat(vecs[:, 0].astype(complex), omega.size),
                         method="DOP853", t_eval=[t_drive],

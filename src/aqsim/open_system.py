@@ -352,7 +352,14 @@ def _site_blocks(coords: np.ndarray, n: int) -> np.ndarray:
     """Site blocks rho = ((1 + i) R + (1 - i) R^T) / 2 of a (k, n^2) stack of
     real site coordinates, R_ij at i + n j (module docstring)."""
     r = coords.reshape(-1, n, n)  # r[k, j, i] = R_ij
-    return 0.5 * ((1 + 1j) * r.transpose(0, 2, 1) + (1 - 1j) * r)
+    blocks = np.empty(r.shape, complex)
+    np.add(r.transpose(0, 2, 1), r, out=blocks.real)
+    np.subtract(r.transpose(0, 2, 1), r, out=blocks.imag)
+    # the bits of the complex products (1 +- i) x: their zero terms turn a
+    # sum of -0 into +0, and the scalar-first product rounds as 0.5 * blocks
+    parts = blocks.view(float)
+    np.add(parts, 0.0, out=parts)
+    return np.multiply(0.5, blocks, out=blocks)
 
 
 def _chunk_width(n: int) -> int:

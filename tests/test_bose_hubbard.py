@@ -262,7 +262,10 @@ def test_low_spectrum_names_the_first_pair_over_the_residual_bound(monkeypatch):
         vals, vecs = eigsh(*args, **kwargs)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        vals[1:] += 1e-3  # pairs 1 and 2 are off, pair 0 is exact
+        # pairs 1 and 2 are off, pair 0 is exact: each of e_1, e_2 gains
+        # 1e-3 e_0, which leaves its Rayleigh quotient 1 or 2 and puts
+        # 1e-3 * (1 - 0) and 1e-3 * (2 - 0) into its residual
+        vecs[:, 1:] += 1e-3 * vecs[:, :1]
         return vals, vecs
 
     monkeypatch.setattr(bh, "eigsh", skewed)
@@ -385,26 +388,79 @@ def _complex_hermitian(dim):
     lambda: _scan_matrix(BoseHubbardParams.chain(7, 1.0, 1.0), 7, 0.2, True),
     lambda: _complex_hermitian(500),
 ], ids=["chain7-N7-sector-J0.01", "chain7-N7-sector-J0.2", "complex-500"])
-def test_lanczos_operator_gives_the_eigenpairs_of_eigsh_on_the_matrix(monkeypatch, make):
-    # low_spectrum hands eigsh an operator whose product is h @ x: the
-    # eigenpairs must be those of eigsh on h itself, to the last bit
+def test_lanczos_operator_is_h_shifted_by_twice_its_norm(monkeypatch, make):
+    # low_spectrum hands eigsh h + 2 ||H|| I and takes the eigenvalues as
+    # Rayleigh quotients on h: they agree with eigsh on h itself within the
+    # ||r||^2 / gap of both solves plus the rounding of a quotient, and a
+    # rerun keeps every bit
     import aqsim.bose_hubbard as bh
 
     h = make()
-    assert h.shape[0] > bh._DENSE_LIMIT
+    dim = h.shape[0]
+    assert dim > bh._DENSE_LIMIT
     calls = []
 
     def recording(operator, **kwargs):
-        calls.append(kwargs)
+        calls.append((operator, kwargs))
         return eigsh(operator, **kwargs)
 
     monkeypatch.setattr(bh, "eigsh", recording)
     vals, vecs = bh.low_spectrum(h, 6)
-    (kwargs,) = calls
+    again = bh.low_spectrum(h, 6)
+    assert np.array_equal(vals, again[0]) and np.array_equal(vecs, again[1])
+    (operator, kwargs), _ = calls
+    norm = _max_row_sum(h)
+    assert operator.shift == 2 * norm
+
+    # the kernel adds each row's products to shift * x in stored order
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if h.dtype.kind == "c" else 0)
+    terms = np.diff(h.indptr).max() + 1
+    within = terms * np.finfo(float).eps * 3 * norm * np.abs(x).max()
+    assert np.abs(operator.matvec(x) - (operator.shift * x + h @ x)).max() <= within
+
     want_vals, want_vecs = eigsh(h, **kwargs)
     order = np.argsort(want_vals)
-    assert np.array_equal(vals, want_vals[order])
-    assert np.array_equal(vecs, want_vecs[:, order])
+    want_vals, want_vecs = want_vals[order], want_vecs[:, order]
+    spectrum = np.linalg.eigvalsh(h.toarray())
+    gaps = np.minimum(np.diff(spectrum)[:6], np.diff(spectrum, prepend=-np.inf)[:6])
+    squares = sum(np.linalg.norm(h @ v - v * w, axis=0) ** 2
+                  for w, v in ((vals, vecs), (want_vals, want_vecs)))
+    rounding = 16 * np.finfo(float).eps * norm
+    assert np.all(np.abs(vals - want_vals) <= squares / gaps + rounding)
+
+
+def test_shifted_lanczos_makes_fewer_products_than_on_the_matrix(monkeypatch):
+    # ARPACK accepts a Ritz pair once ||r|| <= tol |theta|: unshifted, the
+    # ground state of bh-scan's sector (E0 -0.0027, ||H|| 21) would be held
+    # to 1e-11 |E0|, far under the RESIDUAL_TOL * ||H|| that is checked
+    import aqsim.bose_hubbard as bh
+    from scipy.sparse.linalg import LinearOperator
+
+    def counted(operator):
+        count = []
+
+        def matvec(x):
+            count.append(1)
+            return operator @ x
+        return LinearOperator(operator.shape, matvec=matvec, dtype=operator.dtype), count
+
+    calls = []
+
+    def recording(operator, **kwargs):
+        wrapped, count = counted(operator)
+        calls.append((count, kwargs))
+        return eigsh(wrapped, **kwargs)
+
+    monkeypatch.setattr(bh, "eigsh", recording)
+    h = _scan_matrix(BoseHubbardParams.chain(7, 1.0, 1.0), 7, 0.0107, True)
+    vals, vecs = bh.low_spectrum(h, 2)
+    ((shifted, kwargs),) = calls
+    wrapped, unshifted = counted(h)
+    eigsh(wrapped, **kwargs)
+    assert 0 < len(shifted) < len(unshifted)
+    residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+    assert residuals.max() <= bh.RESIDUAL_TOL * _max_row_sum(h) / 10
 
 
 def test_low_spectrum_leaves_its_matrix_as_it_was():
@@ -720,14 +776,15 @@ def recording_solves(monkeypatch):
 
 def test_gap_scan_solves_k_states_where_state_1_is_not_drive_coupled(monkeypatch):
     # the 3x3 plaquette's reversal-even sector keeps states of other
-    # symmetry classes of the square; at N 6, J/U 0.01 its state 1 is one
+    # symmetry classes of the square, which Lanczos reaches only through
+    # rounding; at N 6, J/U 0.02 the two-state solve's state 1 is one
     params = BoseHubbardParams.plaquette(3, 3, 1.0, 1.0)
     basis = aqsim.enumerate_basis(9, 6)
     calls = recording_solves(monkeypatch)
-    (gap,), (fraction,), _ = _gap_scan(params, basis, [0.01], 10)
+    (gap,), (fraction,), _ = _gap_scan(params, basis, [0.02], 10)
     assert calls == [2, 10]
     sector = _reflection_sector(params, basis)
-    energies, even = aqsim.low_spectrum(_scan_matrix(params, 6, 0.01, True), 10)
+    energies, even = aqsim.low_spectrum(_scan_matrix(params, 6, 0.02, True), 10)
     vectors = sector.T @ even
     assert abs(gap - aqsim.drive_coupled_gap(energies, vectors, basis)) <= 1e-12
     assert abs(fraction - aqsim.condensate_fraction(vectors[:, 0], basis)) <= 1e-12

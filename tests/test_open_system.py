@@ -665,6 +665,24 @@ def test_real_coordinates_map_back_to_hermitian_site_blocks():
         assert np.abs(back - x).max() <= 2 * np.finfo(float).eps * np.abs(x).max()
 
 
+def test_site_blocks_keep_the_bits_of_the_complex_formula():
+    # the blocks are written part by part, without the three complex
+    # temporaries of 0.5 * ((1 + i) R^T + (1 - i) R): every bit must stay,
+    # signed zeros, subnormals, overflow and non-finite entries included
+    rng = np.random.default_rng(1131)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                         np.inf, -np.inf, np.nan])
+    for n in (1, 2, 7):
+        x = rng.normal(size=(200, n * n))
+        marked = rng.random(x.shape) < 0.5
+        x[marked] = rng.choice(specials, marked.sum())
+        r = x.reshape(-1, n, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = 0.5 * ((1 + 1j) * r.transpose(0, 2, 1) + (1 - 1j) * r)
+            got = open_system._site_blocks(x, n)
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def _density_matrix(coords, n):
     """The (n + 2) x (n + 2) matrix of real coordinates: the site block
     mapped back, the sink and loss populations, and no site-register

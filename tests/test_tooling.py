@@ -207,21 +207,24 @@ def test_scipy_seams_resolve_to_scipy_on_first_access():
 
 def test_lanczos_stops_at_a_tolerance_under_the_residual_check(monkeypatch):
     # a positive ARPACK tol, so Lanczos stops short of machine precision,
-    # and at least 10x under the RESIDUAL_TOL * ||H|| checked afterwards
+    # and at least 10x under the RESIDUAL_TOL * ||H|| checked afterwards:
+    # ARPACK's test is relative to the Ritz values of H + 2 ||H|| I, which
+    # are at most 3 ||H||
     import scipy.sparse as sp
     import scipy.sparse.linalg
     from aqsim import bose_hubbard
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return scipy.sparse.linalg.eigsh(*args, **kwargs)
+    def recording(operator, **kwargs):
+        calls.append((operator, kwargs))
+        return scipy.sparse.linalg.eigsh(operator, **kwargs)
 
     monkeypatch.setattr(bose_hubbard, "eigsh", recording)
     h = sp.diags(np.arange(500.0)).tocsr()  # over the dense limit: Lanczos path
     bose_hubbard.low_spectrum(h, 3)
-    (kwargs,) = calls
-    assert 0 < kwargs.get("tol", 0) <= bose_hubbard.RESIDUAL_TOL / 10
+    ((operator, kwargs),) = calls
+    assert operator.shift == 2 * 499.0
+    assert 0 < 3 * kwargs.get("tol", 0) <= bose_hubbard.RESIDUAL_TOL / 10
 
 
 @pytest.mark.parametrize("command, change, want_code, loads, skips", [
